@@ -21,7 +21,6 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from . import __version__, bcskit, biaskit, groupkit, npakit, soskit
-from ._backend import backend_name
 from .gamekit import ModNGameParams, classical_value, make_mod_n_game
 from .strategykit import (canonical_state, canonical_strategy,
                           canonical_value_formula,
@@ -29,6 +28,19 @@ from .strategykit import (canonical_state, canonical_strategy,
                           strategy_value_direct)
 
 DEFAULT_SEED = 20210
+
+
+def _int_at_least(low: int):
+    """argparse type: an int >= low, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
 
 def _seed_default() -> int:
     env = os.environ.get("ZNLCS_SEED", "").strip()
@@ -42,7 +54,6 @@ class Report:
             "command": command,
             "parameters": parameters,
             "seed": seed,
-            "backend": backend_name(),
             "results": [],
         }
         self.t0 = time.perf_counter()
@@ -247,33 +258,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     game = sub.add_parser("game").add_subparsers(dest="sub", required=True)
     g = game.add_parser("classical")
-    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--n", type=_int_at_least(2), required=True)
     g.add_argument("--m1", type=int, default=0)
     g.add_argument("--m2", type=int, default=1)
-    g.set_defaults(func=cmd_game_classical)
+    g.set_defaults(func=cmd_game_classical, subparser=g)
 
     strat = sub.add_parser("strategy").add_subparsers(dest="sub",
                                                       required=True)
     sv = strat.add_parser("value")
-    sv.add_argument("--n", type=int, required=True)
+    sv.add_argument("--n", type=_int_at_least(2), required=True)
     sv.add_argument("--via", choices=["bias", "direct"], default="direct")
     sv.set_defaults(func=cmd_strategy_value)
     se = strat.add_parser("entropy")
-    se.add_argument("--n-max", type=int, default=40)
+    se.add_argument("--n-max", type=_int_at_least(2), default=40)
     se.add_argument("--out", default=None)
     se.set_defaults(func=cmd_strategy_entropy)
 
     bias = sub.add_parser("bias").add_subparsers(dest="sub", required=True)
     bs = bias.add_parser("spectrum")
-    bs.add_argument("--n", type=int, required=True)
+    bs.add_argument("--n", type=_int_at_least(2), required=True)
     bs.set_defaults(func=cmd_bias_spectrum)
 
     group = sub.add_parser("group").add_subparsers(dest="sub", required=True)
     ge = group.add_parser("enumerate")
-    ge.add_argument("--n", type=int, required=True)
+    ge.add_argument("--n", type=_int_at_least(1), required=True)
     ge.set_defaults(func=cmd_group_enumerate)
     gn = group.add_parser("normal-form")
-    gn.add_argument("--n", type=int, required=True)
+    gn.add_argument("--n", type=_int_at_least(1), required=True)
     gn.set_defaults(func=cmd_group_normal_form)
 
     sos = sub.add_parser("sos").add_subparsers(dest="sub", required=True)
@@ -298,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     npa = sub.add_parser("npa").add_subparsers(dest="sub", required=True)
     ne = npa.add_parser("export")
-    ne.add_argument("--n", type=int, required=True)
+    ne.add_argument("--n", type=_int_at_least(2), required=True)
     ne.add_argument("--level", type=int, choices=[1, 2], default=1)
     ne.add_argument("--out", required=True)
     ne.set_defaults(func=cmd_npa_export)
@@ -315,6 +326,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.func is cmd_game_classical:
+            for flag in ("m1", "m2"):
+                value = getattr(args, flag)
+                if not 0 <= value < args.n:
+                    args.subparser.error(
+                        f"argument --{flag}: must lie in [0, {args.n}), "
+                        f"got {value}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version.
         return int(exc.code or 0)

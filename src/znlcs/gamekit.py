@@ -14,8 +14,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ._backend import HAVE_NUMBA, njit
-
 CLASSICAL_BUDGET_DEFAULT = 10**8
 
 
@@ -182,52 +180,13 @@ def make_lcs_game(sys: LinearSystem) -> GameSpec:
                     distribution=dist, predicate=pred)
 
 
-@njit(cache=True)
-def _best_response_kernel(W, mA, digits):
+def _best_response_numpy(W: np.ndarray) -> Tuple[float, int]:
     """Enumerate Bob's deterministic strategies; Alice best-responds.
 
-    W is the (nA, nB, mA, mB) table distribution * predicate. ``digits``
-    is Bob's answer count mB; Bob's functions are counted in base mB.
-    Returns (best value, number of optimal deterministic pairs).
+    W is the (nA, nB, mA, mB) table distribution * predicate. Bob's
+    functions are counted in base mB and evaluated in chunks. Returns
+    (best value, number of optimal deterministic pairs).
     """
-    nA, nB = W.shape[0], W.shape[1]
-    total = 1
-    for _ in range(nB):
-        total *= digits
-    fb = np.zeros(nB, dtype=np.int64)
-    best = -1.0
-    best_count = 0
-    for c in range(total):
-        x = c
-        for j in range(nB):
-            fb[j] = x % digits
-            x //= digits
-        value = 0.0
-        mult = 1
-        for i in range(nA):
-            row_best = -1.0
-            row_count = 0
-            for a in range(mA):
-                s = 0.0
-                for j in range(nB):
-                    s += W[i, j, a, fb[j]]
-                if s > row_best + 1e-12:
-                    row_best = s
-                    row_count = 1
-                elif s > row_best - 1e-12:
-                    row_count += 1
-            value += row_best
-            mult *= row_count
-        if value > best + 1e-12:
-            best = value
-            best_count = mult
-        elif value > best - 1e-12:
-            best_count += mult
-    return best, best_count
-
-
-def _best_response_numpy(W: np.ndarray) -> Tuple[float, int]:
-    """Vectorized fallback for the enumeration kernel (same contract)."""
     nA, nB, mA, mB = W.shape
     total = mB ** nB
     place = mB ** np.arange(nB, dtype=np.int64)
@@ -284,11 +243,7 @@ def classical_value(g: GameSpec,
         raise ValueError(
             f"classical_value search needs ~{work:.2e} payoff evaluations "
             f"(space {count_A} x {count_B}), over the budget of {budget:.2e}")
-    W = np.ascontiguousarray(W, dtype=np.float64)
-    if HAVE_NUMBA:
-        value, pairs = _best_response_kernel(W, W.shape[2], W.shape[3])
-    else:
-        value, pairs = _best_response_numpy(W)
+    value, pairs = _best_response_numpy(W)
     return float(value), int(pairs)
 
 

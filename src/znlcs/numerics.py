@@ -1,9 +1,9 @@
 """Dense complex matrix kernel.
 
-Hermitian eigendecomposition (cyclic complex Jacobi), partial trace,
+Hermitian eigendecomposition (LAPACK via numpy.linalg.eigh), partial trace,
 Dirichlet kernel, and seeded random generalized observables. All operators
-are plain complex128 ndarrays; helpers validate shape and Hermiticity at the
-boundary.
+are plain complex128 ndarrays; helpers validate shape, finiteness and
+Hermiticity at the boundary.
 
 Randomness uses numpy's PCG64 generator: two calls with the same seed
 produce the same stream, so every "random" test object is reproducible.
@@ -16,10 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import njit
-
 DEFAULT_TOL = 1e-9
-JACOBI_MAX_SWEEPS = 100
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -45,6 +42,11 @@ def require_square(M: np.ndarray, name: str = "matrix") -> int:
     return M.shape[0]
 
 
+def require_finite(M: np.ndarray, name: str = "matrix") -> None:
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} has non-finite entries")
+
+
 def require_hermitian(M: np.ndarray, tol: float, name: str = "matrix") -> None:
     defect = hermitian_defect(M)
     scale = max(frob(M), 1.0)
@@ -63,79 +65,18 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
-@njit(cache=True)
-def _jacobi_kernel(A, V, tol_off, max_sweeps):
-    """Cyclic complex Jacobi sweeps on Hermitian A, accumulating V.
-
-    Mutates A towards diagonal and V towards the eigenvector matrix.
-    Returns the number of sweeps performed.
-    """
-    n = A.shape[0]
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += abs(A[p, q]) ** 2
-        if math.sqrt(2.0 * off) <= tol_off:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                app = A[p, p].real
-                aqq = A[q, q].real
-                # Phase factor making the pivot entry real, then a standard
-                # real Jacobi rotation on the 2x2 block.
-                ph = np.conj(apq) / r
-                tau = (aqq - app) / (2.0 * r)
-                if abs(tau) > 1e150:
-                    # tau*tau would overflow; use the asymptotic rotation.
-                    t = 1.0 / (2.0 * tau)
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    aip = A[i, p]
-                    aiq = A[i, q]
-                    A[i, p] = c * aip - s * ph * aiq
-                    A[i, q] = s * aip + c * ph * aiq
-                    A[p, i] = np.conj(A[i, p])
-                    A[q, i] = np.conj(A[i, q])
-                A[p, p] = app - t * r
-                A[q, q] = aqq + t * r
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                for i in range(n):
-                    vip = V[i, p]
-                    viq = V[i, q]
-                    V[i, p] = c * vip - s * ph * viq
-                    V[i, q] = s * vip + c * ph * viq
-    return max_sweeps
-
-
 def hermitian_eig(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix (LAPACK via numpy.linalg.eigh).
 
-    Converges when the off-diagonal Frobenius mass drops below tol * ||M||_F
-    (at most 100 sweeps). Eigenvalues are returned ascending; eigenvectors
-    are the matching columns of a unitary matrix.
+    The input must be square, finite and Hermitian to within tol * ||M||_F.
+    Eigenvalues are returned ascending; eigenvectors are the matching
+    columns of a unitary matrix.
     """
-    n = require_square(M, "hermitian_eig input")
+    require_square(M, "hermitian_eig input")
+    require_finite(M, "hermitian_eig input")
     require_hermitian(M, tol, "hermitian_eig input")
-    A = np.array(M, dtype=np.complex128)
-    V = np.eye(n, dtype=np.complex128)
-    norm = frob(A)
-    _jacobi_kernel(A, V, tol * max(norm, 1e-300), JACOBI_MAX_SWEEPS)
-    w = np.real(np.diag(A))
-    order = np.argsort(w, kind="stable")
-    return HermitianEig(eigenvalues=w[order], eigenvectors=V[:, order])
+    w, V = np.linalg.eigh(np.asarray(M, dtype=np.complex128))
+    return HermitianEig(eigenvalues=w, eigenvectors=V)
 
 
 def partial_trace_B(rho: np.ndarray, dimA: int, dimB: int,

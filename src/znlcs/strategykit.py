@@ -18,8 +18,8 @@ import numpy as np
 from . import groupkit
 from .gamekit import GameSpec
 from .ncpoly import NCPolynomial, apply_nc
-from .numerics import (DEFAULT_TOL, adjoint, frob, hermitian_eig,
-                       partial_trace_B, random_order_n_observable, rng)
+from .numerics import (DEFAULT_TOL, adjoint, frob, random_order_n_observable,
+                       require_finite, rng)
 
 SCHMIDT_RANK_THRESHOLD = 1e-9
 
@@ -179,15 +179,21 @@ class SchmidtData:
 
 def schmidt(state: np.ndarray, dimA: int, dimB: int) -> SchmidtData:
     """Schmidt coefficients (nonincreasing), rank, and base-2 entanglement
-    entropy, from the eigenvalues of the reduced density matrix."""
+    entropy, as the singular values of the state reshaped to dimA x dimB.
+
+    Their squares are the eigenvalues of the reduced density matrix
+    Tr_B |psi><psi|.
+    """
     state = np.asarray(state, dtype=np.complex128)
+    if state.size != dimA * dimB:
+        raise ValueError(
+            f"state has {state.size} entries, expected dimA*dimB = "
+            f"{dimA * dimB}")
+    require_finite(state, "state")
     if abs(np.linalg.norm(state) - 1.0) > 1e-10:
         raise ValueError("state must be a unit vector")
-    rho = np.outer(state, state.conj())
-    rhoA = partial_trace_B(rho, dimA, dimB)
-    eigs = hermitian_eig(rhoA).eigenvalues
-    lam2 = np.clip(eigs[::-1], 0.0, None)
-    coeffs = np.sqrt(lam2)
+    coeffs = np.linalg.svd(state.reshape(dimA, dimB), compute_uv=False)
+    lam2 = coeffs ** 2
     kept = lam2[coeffs > SCHMIDT_RANK_THRESHOLD]
     entropy = float(-np.sum(kept * np.log2(kept)))
     return SchmidtData(coefficients=coeffs,

@@ -68,6 +68,24 @@ def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    ("game classical --n 1", "--n"),
+    ("game classical --n 3 --m1 3", "--m1"),
+    ("game classical --n 3 --m2 -1", "--m2"),
+    ("strategy value --n 1", "--n"),
+    ("strategy entropy --n-max 1", "--n-max"),
+    ("bias spectrum --n 0", "--n"),
+    ("group enumerate --n 0", "--n"),
+    ("npa export --n 1 --out unused.dat-s", "--n"),
+])
+def test_bad_input_exits_2_without_traceback(capsys, argv, flag):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}:" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_seed_env_default(monkeypatch):
     monkeypatch.setenv("ZNLCS_SEED", "12345")
     from znlcs.cli import _seed_default

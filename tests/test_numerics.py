@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from znlcs.numerics import (dirichlet_kernel, hermitian_eig, partial_trace_A,
                             partial_trace_B, random_order_n_observable,
@@ -44,6 +46,46 @@ def test_hermitian_eig_reconstructs(dim):
     assert np.all(np.diff(w) >= -1e-12)
     # Cross-check against numpy's eigensolver.
     assert np.allclose(w, np.linalg.eigvalsh(H), atol=1e-8 * scale)
+
+
+def _random_hermitian(dim, gen):
+    M = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    return M + M.conj().T
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(dim=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+       degenerate=st.booleans())
+def test_hermitian_eig_properties(dim, seed, degenerate):
+    gen = rng(seed)
+    if degenerate:
+        # Every eigenvalue of kron(H, I_3) has multiplicity 3.
+        H = np.kron(_random_hermitian(max(1, dim // 3), gen), np.eye(3))
+    else:
+        H = _random_hermitian(dim, gen)
+    eig = hermitian_eig(H)
+    V, w = eig.eigenvectors, eig.eigenvalues
+    d = H.shape[0]
+    scale = max(np.linalg.norm(H), 1.0)
+    assert np.linalg.norm(V @ np.diag(w) @ V.conj().T - H) < 1e-10 * scale
+    assert np.linalg.norm(V.conj().T @ V - np.eye(d)) < 1e-10
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.allclose(w, np.linalg.eigvalsh(H), atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_hermitian_eig_rejects_non_finite(bad):
+    H = np.eye(3, dtype=complex)
+    H[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eig(H)
+
+
+def test_hermitian_eig_rejects_non_hermitian_and_non_square():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eig(np.zeros((2, 3)))
 
 
 def test_partial_trace_product_state():

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
 from znlcs.ncpoly import NCPolynomial
-from znlcs.numerics import partial_trace_B
-from znlcs.strategykit import (Strategy, canonical_state, canonical_strategy,
+from znlcs.numerics import partial_trace_B, rng
+from znlcs.strategykit import (SCHMIDT_RANK_THRESHOLD, Strategy,
+                               canonical_state, canonical_strategy,
                                canonical_value_formula, check_state_relation,
                                observable_to_pvm,
                                psi_representation_residuals, random_strategy,
@@ -80,6 +83,50 @@ def test_schmidt_canonical_state():
         sd = schmidt(canonical_state(n), n, n)
         assert sd.rank == n
         assert 0.0 < sd.entropy <= math.log2(n) + 1e-12
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(dims=st.sampled_from([(2, 5), (5, 3), (4, 4)]),
+       terms=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_schmidt_matches_reduced_density_matrix(dims, terms, seed):
+    # A sum of `terms` random product states has Schmidt rank
+    # min(terms, dimA, dimB).
+    dimA, dimB = dims
+    gen = rng(seed)
+
+    def vec(d):
+        return gen.normal(size=d) + 1j * gen.normal(size=d)
+
+    psi = sum(np.kron(vec(dimA), vec(dimB)) for _ in range(terms))
+    psi /= np.linalg.norm(psi)
+    sd = schmidt(psi, dimA, dimB)
+    c = sd.coefficients
+    # Oracle: eigenvalues of Tr_B |psi><psi|, nonincreasing; any beyond
+    # min(dimA, dimB) are zero.
+    lam = np.linalg.eigvalsh(
+        partial_trace_B(np.outer(psi, psi.conj()), dimA, dimB))[::-1]
+    k = min(dimA, dimB)
+    assert len(c) == k
+    assert np.allclose(c ** 2, lam[:k], atol=1e-12)
+    assert np.allclose(lam[k:], 0.0, atol=1e-12)
+    assert np.all(np.diff(c) <= 0.0)
+    assert np.sum(c ** 2) == pytest.approx(1.0, abs=1e-12)
+    assert sd.rank == min(terms, k)
+    assert sd.rank == int(np.sum(c > SCHMIDT_RANK_THRESHOLD))
+    kept = c[:sd.rank] ** 2
+    assert sd.entropy == pytest.approx(float(-np.sum(kept * np.log2(kept))),
+                                       abs=1e-12)
+
+
+def test_schmidt_rejects_bad_states():
+    psi = np.ones(6, dtype=complex) / np.sqrt(6)
+    with pytest.raises(ValueError, match="dimA\\*dimB"):
+        schmidt(psi, 2, 2)
+    with pytest.raises(ValueError, match="unit vector"):
+        schmidt(2 * psi, 2, 3)
+    psi[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        schmidt(psi, 2, 3)
 
 
 def test_strategy_json_round_trip():
