@@ -282,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = sub.add_parser("group").add_subparsers(dest="sub", required=True)
     ge = group.add_parser("enumerate")
     ge.add_argument("--n", type=_int_at_least(1), required=True)
-    ge.set_defaults(func=cmd_group_enumerate)
+    ge.set_defaults(func=cmd_group_enumerate, subparser=ge)
     gn = group.add_parser("normal-form")
     gn.add_argument("--n", type=_int_at_least(1), required=True)
-    gn.set_defaults(func=cmd_group_normal_form)
+    gn.set_defaults(func=cmd_group_normal_form, subparser=gn)
 
     sos = sub.add_parser("sos").add_subparsers(dest="sub", required=True)
     so = sos.add_parser("verify")
@@ -333,6 +333,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                     args.subparser.error(
                         f"argument --{flag}: must lie in [0, {args.n}), "
                         f"got {value}")
+        if (args.func in (cmd_group_enumerate, cmd_group_normal_form)
+                and groupkit.group_order_exceeds_cap(args.n)):
+            args.subparser.error(
+                f"argument --n: the group of order n^2 2^(n-1) exceeds "
+                f"the enumeration cap {groupkit.ENUMERATION_CAP_DEFAULT} "
+                f"elements, got {args.n}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version.
         return int(exc.code or 0)

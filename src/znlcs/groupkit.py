@@ -5,18 +5,34 @@ products of the canonical observables) is a monomial matrix whose nonzero
 entries are powers of z = e^{i pi / 2n}. Such a matrix is stored exactly as
 a cyclic shift amount plus a vector of phase exponents mod 4n, so group
 closure, orders, and relator checks involve no floating point at all.
+
+A single element is a ``MonomialUnitary``. Bulk work runs on batches: m
+elements of dimension n are one unsigned integer array ``rows[m, n + 1]``
+whose column 0 holds the shifts (mod n) and columns 1..n the phases
+(mod 4n), i.e. ``rows[:, 0]`` is shift[m] and ``rows[:, 1:]`` is
+phases[m, n]. The dtype (uint8 up to n = 32) holds the sum of two reduced
+entries, so a product with a fixed element is one gather, one add and one
+conditional subtract of the modulus. Rows are equal exactly
+when their bytes are, which is what closures dedupe on, and a catalogue
+sorts its rows lexicographically, the order of ``MonomialUnitary.key()``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 ENUMERATION_CAP_DEFAULT = 10**6
+
+# Products formed per batched step of GroupCatalogue.center_size and
+# multiplication_table, which bounds their memory for large catalogues.
+_BLOCK_PRODUCTS = 1 << 16
 
 # A word is a sequence of (generator name, exponent) pairs over P0, P1, J.
 GroupWord = Tuple[Tuple[str, int], ...]
@@ -61,10 +77,16 @@ class MonomialUnitary:
         return MonomialUnitary(n, -self.shift, phases)
 
     def power(self, e: int) -> "MonomialUnitary":
+        """self^e by square-and-multiply (negative e via the inverse)."""
         base = self if e >= 0 else self.inverse()
         out = MonomialUnitary.identity(self.n)
-        for _ in range(abs(e)):
-            out = out @ base
+        e = abs(e)
+        while e:
+            if e & 1:
+                out = out @ base
+            e >>= 1
+            if e:
+                base = base @ base
         return out
 
     def key(self) -> Tuple[int, Tuple[int, ...]]:
@@ -85,6 +107,80 @@ class MonomialUnitary:
                 return m
             cur = cur @ self
         raise RuntimeError("order exceeds 4n^2 bound")
+
+
+# ---------------------------------------------------------------------------
+# Batches of elements as integer rows
+# ---------------------------------------------------------------------------
+
+def _row_dtype(n: int) -> np.dtype:
+    """Narrowest unsigned dtype holding 8n - 2, the largest sum of two
+    reduced row entries."""
+    return np.min_scalar_type(8 * n - 2)
+
+
+def pack_rows(elements: Iterable[MonomialUnitary], n: int) -> np.ndarray:
+    """The rows of elements of dimension n, in order."""
+    values = []
+    for g in elements:
+        if g.n != n:
+            raise ValueError("elements must share dimension n")
+        values.append((g.shift,) + g.phases)
+    rows = np.array(values, dtype=_row_dtype(n))
+    return rows.reshape(len(values), n + 1)
+
+
+def unpack_row(row: np.ndarray) -> MonomialUnitary:
+    shift, *phases = row.tolist()
+    return MonomialUnitary(len(phases), shift, tuple(phases))
+
+
+def _moduli(n: int, dtype: np.dtype) -> np.ndarray:
+    return np.array([n] + [4 * n] * n, dtype=dtype)
+
+
+def _read_shifted(rows: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """Each row with phase k read from phase (k + by) % n; the shift column
+    is kept. ``by`` is an integer array of shape (..., 1) that broadcasts
+    against ``rows``."""
+    n = rows.shape[-1] - 1
+    cols = 1 + (np.arange(n) + by) % n
+    index = np.concatenate([np.zeros_like(cols[..., :1]), cols], axis=-1)
+    return np.take_along_axis(rows, index, axis=-1)
+
+
+def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products a @ b (apply b first) of two batches that broadcast
+    against each other: shift a.shift + b.shift and
+    phases[k] = b.phases[k] + a.phases[(k + b.shift) % n]."""
+    out = _read_shifted(a, b[..., :1].astype(np.intp)) + b
+    mod = _moduli(a.shape[-1] - 1, out.dtype)
+    np.subtract(out, mod, out=out, where=out >= mod)
+    return out
+
+
+def invert_rows(rows: np.ndarray) -> np.ndarray:
+    """Row-wise inverses: shift -shift and
+    phases[k] = -phases[(k - shift) % n]."""
+    mod = _moduli(rows.shape[-1] - 1, rows.dtype)
+    out = mod - _read_shifted(rows, -rows[..., :1].astype(np.intp))
+    out[out == mod] = 0
+    return out
+
+
+def _row_keys(rows: np.ndarray) -> List[bytes]:
+    """The bytes of each row: equal exactly when the elements are."""
+    flat = np.ascontiguousarray(rows).reshape(-1, rows.shape[-1])
+    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))
+                     ).ravel().tolist()
+
+
+def group_order_exceeds_cap(n: int) -> bool:
+    """Whether n^2 2^(n-1), the order of the canonical group and the number
+    of its normal forms, exceeds ENUMERATION_CAP_DEFAULT (decided without
+    forming 2^(n-1) for large n)."""
+    cap = ENUMERATION_CAP_DEFAULT
+    return n > cap.bit_length() or n * n * 2 ** (n - 1) > cap
 
 
 # ---------------------------------------------------------------------------
@@ -150,49 +246,83 @@ def evaluate_word_matrix(word: GroupWord,
 # ---------------------------------------------------------------------------
 
 class GroupCatalogue:
-    """Closure of a generator set: canonical element list plus product maps."""
+    """A finite group of monomial unitaries as rows sorted by key, with
+    product maps into the sorted positions. ``elements`` and ``index`` are
+    built on first use."""
 
-    def __init__(self, elements: List[MonomialUnitary]):
-        self.elements = sorted(elements, key=lambda g: g.key())
-        self.index = {g.key(): i for i, g in enumerate(self.elements)}
+    def __init__(self, rows: np.ndarray):
+        self.n = rows.shape[1] - 1
+        self.rows = rows[np.lexsort(rows.T[::-1])]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
+
+    @cached_property
+    def elements(self) -> List[MonomialUnitary]:
+        return [unpack_row(row) for row in self.rows]
+
+    @cached_property
+    def index(self) -> Dict[Tuple[int, Tuple[int, ...]], int]:
+        return {g.key(): i for i, g in enumerate(self.elements)}
+
+    @cached_property
+    def _positions(self) -> Dict[bytes, int]:
+        return {key: i for i, key in enumerate(_row_keys(self.rows))}
+
+    def _locate(self, rows: np.ndarray) -> np.ndarray:
+        """Positions of catalogue members given as rows (any leading
+        shape); KeyError for a row outside the catalogue."""
+        positions = self._positions
+        found = [positions[key] for key in _row_keys(rows)]
+        return np.array(found, dtype=np.int64).reshape(rows.shape[:-1])
 
     def product(self, i: int, j: int) -> int:
-        return self.index[(self.elements[i] @ self.elements[j]).key()]
+        return int(self._locate(compose_rows(self.rows[i], self.rows[j])))
 
     def inverse(self, i: int) -> int:
-        return self.index[self.elements[i].inverse().key()]
+        return int(self._locate(invert_rows(self.rows[i])))
 
     def multiplication_table(self, max_size: int = 2048) -> np.ndarray:
-        m = len(self.elements)
+        m = len(self)
         if m > max_size:
             raise ValueError(
                 f"table of {m}x{m} entries exceeds max_size {max_size}")
         table = np.empty((m, m), dtype=np.int64)
-        for i in range(m):
-            for j in range(m):
-                table[i, j] = self.product(i, j)
+        step = max(1, _BLOCK_PRODUCTS // m)
+        for start in range(0, m, step):
+            block = self.rows[start:start + step, None, :]
+            table[start:start + step] = self._locate(
+                compose_rows(block, self.rows[None, :, :]))
         return table
 
     def element_orders(self) -> List[int]:
         return [g.order() for g in self.elements]
 
     def center_size(self) -> int:
-        gens = [g for g in self.elements]
-        count = 0
-        for g in self.elements:
-            if all((g @ h).key() == (h @ g).key() for h in gens):
-                count += 1
-        return count
+        """Number of elements that commute with every element. Candidates
+        are tested against a block of elements at a time and dropped at
+        their first failure. The blocks run from the largest shift down:
+        elements of nonzero shift rule out most candidates at once, while
+        the diagonal ones, which sort first, commute with one another."""
+        central = self.rows
+        others = self.rows[::-1]
+        start = 0
+        while start < len(self):
+            stop = start + max(1, _BLOCK_PRODUCTS // len(central))
+            a = central[:, None, :]
+            b = others[None, start:stop, :]
+            commutes = (compose_rows(a, b) == compose_rows(b, a)).all(
+                axis=(1, 2))
+            central = central[commutes]
+            start = stop
+        return len(central)
 
     def to_json(self) -> str:
         return json.dumps({
-            "n": self.elements[0].n if self.elements else 0,
+            "n": self.n,
             "elements": [
-                {"shift": g.shift, "phases": list(g.phases)}
-                for g in self.elements
+                {"shift": shift, "phases": phases}
+                for shift, *phases in self.rows.tolist()
             ],
         })
 
@@ -207,57 +337,78 @@ class GroupCatalogue:
 
 def enumerate_group(generators: Sequence[MonomialUnitary],
                     cap: int = ENUMERATION_CAP_DEFAULT) -> GroupCatalogue:
-    """Breadth-first closure of the generators under exact products."""
+    """Breadth-first closure of the generators under exact products.
+
+    Each layer multiplies the whole frontier by every generator and inverse
+    at once. That set is closed under inverses, so a product of layer d lies
+    in layer d - 1, d or d + 1: the next layer is the set of product rows
+    not in the last two layers. The cap is checked once per layer.
+    """
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].n
-    if any(g.n != n for g in generators):
-        raise ValueError("generators must share dimension")
-    gens = list(generators) + [g.inverse() for g in generators]
-    seen = {MonomialUnitary.identity(n).key(): MonomialUnitary.identity(n)}
-    frontier = [MonomialUnitary.identity(n)]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                prod = g @ h
-                if prod.key() not in seen:
-                    seen[prod.key()] = prod
-                    nxt.append(prod)
-                    if len(seen) > cap:
-                        raise RuntimeError(
-                            f"enumeration cap {cap} exceeded "
-                            f"({len(seen)} elements so far)")
-        frontier = nxt
-    return GroupCatalogue(list(seen.values()))
+    gens = pack_rows(generators, n)
+    steps = np.concatenate([gens, invert_rows(gens)])[None, :, :]
+    frontier = pack_rows([MonomialUnitary.identity(n)], n)
+    layers = [frontier]
+    size = 1
+    previous: set = set()
+    current = set(_row_keys(frontier))
+    while len(frontier):
+        fresh = set(_row_keys(compose_rows(frontier[:, None, :], steps)))
+        fresh -= current
+        fresh -= previous
+        previous, current = current, fresh
+        frontier = np.frombuffer(b"".join(fresh), dtype=gens.dtype
+                                 ).reshape(-1, n + 1)
+        layers.append(frontier)
+        size += len(frontier)
+        if size > cap:
+            raise RuntimeError(
+                f"enumeration cap {cap} exceeded ({size} elements so far)")
+    return GroupCatalogue(np.concatenate(layers))
 
 
 # ---------------------------------------------------------------------------
 # Normal forms and presentation checks
 # ---------------------------------------------------------------------------
 
-def normal_form_words(n: int, variant: str = "standard") -> List[GroupWord]:
-    """All n*n*2^(n-1) candidate normal-form words over J, P0, P1.
+def _check_variant(n: int, variant: str) -> None:
+    if variant == "alt" and n != 3:
+        raise ValueError("the alt normal form is specific to n = 3")
 
-    "standard": J^i P0^j prod_k (P0^k P1^{-k})^{q_k} for k = 1..n-1.
+
+def _normal_form_factor(k: int, variant: str) -> GroupWord:
+    """The k-th optional factor: P0^k P1^{-k}, or P0^{-1} P1 for k = 2 of
+    the alt form."""
+    if variant == "alt" and k == 2:
+        return (("P0", -1), ("P1", 1))
+    return (("P0", k), ("P1", -k))
+
+
+def _normal_form_word(n: int, variant: str, index: int) -> GroupWord:
+    """Word number ``index`` of ``normal_form_words(n, variant)``."""
+    tails = 2 ** (n - 1)
+    i, j, mask = index // (n * tails), (index // tails) % n, index % tails
+    word: List[Tuple[str, int]] = [("J", i), ("P0", j)]
+    for k in range(1, n):
+        if (mask >> (k - 1)) & 1:
+            word += _normal_form_factor(k, variant)
+    return tuple(word)
+
+
+def normal_form_words(n: int, variant: str = "standard") -> List[GroupWord]:
+    """All n*n*2^(n-1) candidate normal-form words over J, P0, P1, with i
+    outermost and the mask innermost.
+
+    "standard": J^i P0^j prod_k (P0^k P1^{-k})^{q_k} for k = 1..n-1, where
+    q_k is bit k - 1 of the mask.
     "alt" (n = 3 only): J^i P0^j (P0 P1^{-1})^{q1} (P0^{-1} P1)^{q2},
     the form under which the induced maps below are defined.
     """
-    if variant == "alt" and n != 3:
-        raise ValueError("the alt normal form is specific to n = 3")
-    words = []
-    for i in range(n):
-        for j in range(n):
-            for mask in range(2 ** (n - 1)):
-                word: List[Tuple[str, int]] = [("J", i), ("P0", j)]
-                for k in range(1, n):
-                    if (mask >> (k - 1)) & 1:
-                        if variant == "alt" and k == 2:
-                            word += [("P0", -1), ("P1", 1)]
-                        else:
-                            word += [("P0", k), ("P1", -k)]
-                words.append(tuple(word))
-    return words
+    _check_variant(n, variant)
+    return [_normal_form_word(n, variant, index)
+            for index in range(n * n * 2 ** (n - 1))]
 
 
 def alice_images(n: int) -> Dict[str, MonomialUnitary]:
@@ -271,22 +422,60 @@ def bob_images(n: int) -> Dict[str, MonomialUnitary]:
     return {"P0": b0.inverse(), "P1": b1, "J": scalar_j(n)}
 
 
-def normal_form_enumerate(n: int, variant: str = "standard"
-                          ) -> List[Tuple[GroupWord, MonomialUnitary]]:
+class NormalForms(SequenceABC):
+    """The (word, element) pairs of ``normal_form_enumerate`` in word
+    order. The elements are held as rows; each pair is built on access."""
+
+    def __init__(self, n: int, variant: str, rows: np.ndarray):
+        self.n = n
+        self.variant = variant
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: int) -> Tuple[GroupWord, MonomialUnitary]:
+        row = self.rows[index]
+        word = _normal_form_word(self.n, self.variant, index % len(self))
+        return word, unpack_row(row)
+
+
+def normal_form_enumerate(n: int, variant: str = "standard") -> NormalForms:
     """Evaluate every normal-form word on (A0, A1, z^4 I) and assert the
-    results are pairwise distinct (each word names a distinct element)."""
+    results are pairwise distinct (each word names a distinct element).
+
+    The 2^(n-1) tails, products of the optional factors, are built as
+    prefix products with one more factor per mask bit, and then
+    left-multiplied by the n^2 heads J^i P0^j. A word count above
+    ENUMERATION_CAP_DEFAULT is refused before any of it.
+    """
+    if group_order_exceeds_cap(n):
+        raise RuntimeError(
+            f"{n}^2 * 2^{n - 1} normal forms exceed the enumeration cap "
+            f"{ENUMERATION_CAP_DEFAULT}")
+    _check_variant(n, variant)
     images = alice_images(n)
-    out = []
-    seen: Dict[Tuple[int, Tuple[int, ...]], GroupWord] = {}
-    for word in normal_form_words(n, variant):
-        g = evaluate_word(word, images, n)
-        if g.key() in seen:
-            raise RuntimeError(
-                f"normal-form collision: {word} and {seen[g.key()]} "
-                f"evaluate to the same element")
-        seen[g.key()] = word
-        out.append((word, g))
-    return out
+    tails = pack_rows([MonomialUnitary.identity(n)], n)
+    for k in range(1, n):
+        factor = evaluate_word(_normal_form_factor(k, variant), images, n)
+        tails = np.concatenate(
+            [tails, compose_rows(tails, pack_rows([factor], n))])
+    heads = pack_rows([evaluate_word((("J", i), ("P0", j)), images, n)
+                       for i in range(n) for j in range(n)], n)
+    rows = compose_rows(heads[:, None, :], tails[None, :, :]
+                        ).reshape(-1, n + 1)
+    keys = _row_keys(rows)
+    if len(set(keys)) < len(keys):
+        first: Dict[bytes, int] = {}
+        for index, key in enumerate(keys):
+            if key in first:
+                raise RuntimeError(
+                    f"normal-form collision: "
+                    f"{_normal_form_word(n, variant, index)} and "
+                    f"{_normal_form_word(n, variant, first[key])} "
+                    f"evaluate to the same element")
+            first[key] = index
+    return NormalForms(n, variant, rows)
 
 
 def presentation_relators(n: int, side: str = "A") -> List[GroupWord]:
@@ -349,7 +538,7 @@ def groups_equal_as_sets(n: int) -> bool:
     j = scalar_j(n)
     ga = enumerate_group([a0, a1, j])
     gb = enumerate_group([b0, b1, j])
-    return set(ga.index) == set(gb.index)
+    return np.array_equal(ga.rows, gb.rows)
 
 
 # ---------------------------------------------------------------------------

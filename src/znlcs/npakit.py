@@ -15,7 +15,7 @@ import numpy as np
 
 from .biaskit import bias_polynomial
 from .gamekit import ModNGameParams
-from .ncpoly import Letter, Word, canonical_word, eval_nc
+from .ncpoly import Letter, NCPolynomial, Word, canonical_word, eval_nc
 from .strategykit import Strategy
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,11 @@ def randomized_reduce(letters_seq: Sequence[Letter], n: int,
 @dataclass
 class MomentProblem:
     """Moment-matrix data: indexed words, one variable per conjugate pair of
-    reduced words, and the bias objective over those variables."""
+    reduced words, and the bias objective over those variables.
+
+    ``cell_class[r, c]`` is the class id of the moment-matrix cell
+    reduce(words[r]^* words[c]) and ``cell_conj[r, c]`` marks a cell holding
+    the conjugate of its class variable."""
 
     n: int
     level: int
@@ -97,6 +101,8 @@ class MomentProblem:
     class_keys: List[Word]
     moment_index: Dict[Word, Tuple[int, bool]] = field(repr=False)
     objective: Dict[int, complex] = field(repr=False)
+    cell_class: np.ndarray = field(repr=False)
+    cell_conj: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -132,10 +138,13 @@ def build_moment_problem(p: ModNGameParams, level: int) -> MomentProblem:
                 index[member] = (key_to_id[key], flag and member != key)
         return index[w]
 
-    for u in words:
+    cell_class = np.empty((len(words), len(words)), dtype=np.int64)
+    cell_conj = np.empty((len(words), len(words)), dtype=bool)
+    for r, u in enumerate(words):
         ua = word_adjoint(u, n)
-        for v in words:
-            register(canonical_word(ua + v, n))
+        for c, v in enumerate(words):
+            cell_class[r, c], cell_conj[r, c] = register(
+                canonical_word(ua + v, n))
 
     objective: Dict[int, complex] = {}
     for w, coeff in bias_polynomial(p).terms.items():
@@ -146,7 +155,8 @@ def build_moment_problem(p: ModNGameParams, level: int) -> MomentProblem:
         objective[cid] = objective.get(cid, 0.0) + c
     return MomentProblem(n=n, level=level, words=words,
                          class_keys=class_keys, moment_index=index,
-                         objective=objective)
+                         objective=objective, cell_class=cell_class,
+                         cell_conj=cell_conj)
 
 
 def strategy_moments(mp: MomentProblem, s: Strategy) -> Dict[int, complex]:
@@ -155,7 +165,6 @@ def strategy_moments(mp: MomentProblem, s: Strategy) -> Dict[int, complex]:
     assignment = s.assignment()
     out: Dict[int, complex] = {}
     for cid, key in enumerate(mp.class_keys):
-        from .ncpoly import NCPolynomial
         M = eval_nc(NCPolynomial(mp.n, {key: 1.0}, _canonical=True),
                     assignment, s.dimA, s.dimB)
         out[cid] = complex(np.vdot(s.state, M @ s.state))
@@ -165,15 +174,10 @@ def strategy_moments(mp: MomentProblem, s: Strategy) -> Dict[int, complex]:
 def moment_matrix(mp: MomentProblem,
                   moments: Dict[int, complex]) -> np.ndarray:
     """Assemble M[u, v] from a moment-variable valuation."""
-    N = mp.size
-    M = np.zeros((N, N), dtype=np.complex128)
-    for r, u in enumerate(mp.words):
-        ua = word_adjoint(u, mp.n)
-        for c, v in enumerate(mp.words):
-            w = canonical_word(ua + v, mp.n)
-            cid, conj = mp.moment_index[w]
-            y = moments[cid]
-            M[r, c] = np.conj(y) if conj else y
+    y = np.array([moments[cid] for cid in range(len(mp.class_keys))],
+                 dtype=np.complex128)
+    M = y[mp.cell_class]
+    M[mp.cell_conj] = M[mp.cell_conj].conj()
     return M
 
 
@@ -227,31 +231,6 @@ class SDPAProblem:
         return "\n".join(lines) + "\n"
 
 
-def _real_embedding_entries(G: np.ndarray) -> List[Tuple[int, int, float]]:
-    """Upper-triangle entries (1-indexed) of [[Re G, -Im G], [Im G, Re G]]
-    for Hermitian G."""
-    N = G.shape[0]
-    out = []
-    for r in range(N):
-        for c in range(N):
-            re = float(np.real(G[r, c]))
-            im = float(np.imag(G[r, c]))
-            if re != 0.0 and r <= c:
-                out.append((r + 1, c + 1, re))
-                if r != c:
-                    out.append((N + r + 1, N + c + 1, re))
-                else:
-                    out.append((N + r + 1, N + c + 1, re))
-            if im != 0.0:
-                # -Im in the upper-right block; row r, col N + c.
-                out.append((r + 1, N + c + 1, -im))
-    # collapse duplicate diagonal handling
-    merged: Dict[Tuple[int, int], float] = {}
-    for r, c, v in out:
-        merged[(r, c)] = merged.get((r, c), 0.0) + v
-    return [(r, c, v) for (r, c), v in sorted(merged.items()) if v != 0.0]
-
-
 def sdpa_from_moment_problem(mp: MomentProblem) -> SDPAProblem:
     """Real SDPA form of the relaxation.
 
@@ -270,22 +249,21 @@ def sdpa_from_moment_problem(mp: MomentProblem) -> SDPAProblem:
     var_pos = {vk: k + 1 for k, vk in enumerate(var_ids)}
     nvars = len(var_ids)
 
-    # Coefficient matrix of each variable inside the complex moment matrix.
-    coeff: Dict[Tuple[int, str], np.ndarray] = {
-        vk: np.zeros((N, N), dtype=np.complex128) for vk in var_ids}
-    for r, u in enumerate(mp.words):
-        ua = word_adjoint(u, n)
-        for c, v in enumerate(mp.words):
-            w = canonical_word(ua + v, n)
-            cid, conj = mp.moment_index[w]
-            coeff[(cid, "re")][r, c] += 1.0
-            if (cid, "im") in coeff:
-                coeff[(cid, "im")][r, c] += -1j if conj else 1j
-
+    # Cell (r, c) holds y = x_re + i x_im, or its conjugate, so in the real
+    # embedding [[Re, -Im], [Im, Re]] it puts x_re at (r, c) and
+    # (N + r, N + c), and -Im = -x_im (+x_im if conjugate) at (r, N + c);
+    # upper triangle, 1-indexed.
     entries: Dict[Tuple[int, int, int, int], float] = {}
-    for vk, G in coeff.items():
-        for r, c, value in _real_embedding_entries(G):
-            entries[(var_pos[vk], 1, r, c)] = value
+    for r, (classes, conjs) in enumerate(zip(mp.cell_class.tolist(),
+                                             mp.cell_conj.tolist())):
+        for c, (cid, conj) in enumerate(zip(classes, conjs)):
+            if r <= c:
+                re = var_pos[(cid, "re")]
+                entries[(re, 1, r + 1, c + 1)] = 1.0
+                entries[(re, 1, N + r + 1, N + c + 1)] = 1.0
+            im = var_pos.get((cid, "im"))
+            if im is not None:
+                entries[(im, 1, r + 1, N + c + 1)] = 1.0 if conj else -1.0
 
     # Normalization block: x_e - 1 >= 0 and 1 - x_e >= 0.
     empty_id = mp.moment_index[()][0]

@@ -77,6 +77,9 @@ def test_unknown_command_exits_2(capsys):
     ("bias spectrum --n 0", "--n"),
     ("group enumerate --n 0", "--n"),
     ("npa export --n 1 --out unused.dat-s", "--n"),
+    ("group enumerate --n 14", "--n"),
+    ("group normal-form --n 14", "--n"),
+    ("group normal-form --n 1000000000000", "--n"),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv, flag):
     assert main(argv.split()) == 2

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,31 @@ def test_sdpa_header_structure(tmp_path):
     assert nvars >= 1
     assert int(data[1]) == 2  # two blocks
     assert len(data[3].split()) == nvars
+
+
+# SHA-256 of the whole export file of `npa export --n 3 --level L`, taken
+# from the exporter that embedded one dense coefficient matrix per
+# variable; the one-pass exporter must reproduce it byte for byte.
+SDPA_N3_SHA256 = {
+    1: "e05f0dae25561b90f711b9f6e4d30add7648e6c489ed55307cfd0ca10da59686",
+    2: "4e938a01513debc05c085e88c2fd5392b9b0601fb55ee4f344a8e76c5466790b",
+}
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_sdpa_export_bytes_pinned(tmp_path, level):
+    mp = build_moment_problem(ModNGameParams(3, 0, 1), level)
+    path = tmp_path / "g3.dat-s"
+    export_sdpa(mp, str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == SDPA_N3_SHA256[level]
+
+
+@pytest.mark.parametrize("n,level", [(2, 2), (3, 1)])
+def test_cell_table_matches_word_reduction(n, level):
+    mp = build_moment_problem(ModNGameParams(n, 0, 1), level)
+    for r, u in enumerate(mp.words):
+        for c, v in enumerate(mp.words):
+            w = canonical_word(word_adjoint(u, n) + v, n)
+            assert (mp.cell_class[r, c], mp.cell_conj[r, c]) == \
+                mp.moment_index[w]
