@@ -146,19 +146,15 @@ def verify_operator_solution(lcs: BinaryLCS, sol: OperatorSolution,
 # The magic square and its glued double
 # ---------------------------------------------------------------------------
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
 def magic_square_observables() -> List[np.ndarray]:
     """The nine two-qubit observables of the standard square, row-major."""
     return [
-        _kron(PAULI_I, PAULI_Z), _kron(PAULI_Z, PAULI_I),
-        _kron(PAULI_Z, PAULI_Z),
-        _kron(PAULI_X, PAULI_I), _kron(PAULI_I, PAULI_X),
-        _kron(PAULI_X, PAULI_X),
-        _kron(PAULI_X, PAULI_Z), _kron(PAULI_Z, PAULI_X),
-        _kron(PAULI_Y, PAULI_Y),
+        np.kron(PAULI_I, PAULI_Z), np.kron(PAULI_Z, PAULI_I),
+        np.kron(PAULI_Z, PAULI_Z),
+        np.kron(PAULI_X, PAULI_I), np.kron(PAULI_I, PAULI_X),
+        np.kron(PAULI_X, PAULI_X),
+        np.kron(PAULI_X, PAULI_Z), np.kron(PAULI_Z, PAULI_X),
+        np.kron(PAULI_Y, PAULI_Y),
     ]
 
 

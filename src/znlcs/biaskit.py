@@ -16,8 +16,9 @@ import numpy as np
 
 from .gamekit import ModNGameParams
 from .ncpoly import NCPolynomial, eval_nc
-from .numerics import hermitian_defect, hermitian_eig
-from .strategykit import Strategy, canonical_state, canonical_strategy
+from .numerics import complex_to_json, hermitian_defect, hermitian_eig
+from .strategykit import (Strategy, canonical_state, canonical_strategy,
+                          canonical_value_formula)
 
 CLUSTER_TOL = 1e-7
 
@@ -29,14 +30,10 @@ def bias_polynomial(p: ModNGameParams) -> NCPolynomial:
     omega = np.exp(2j * np.pi / n)
     terms = {}
     for i in range(1, n):
-        terms[(("A", 0, i), ("B", 0, n - i))] = \
-            terms.get((("A", 0, i), ("B", 0, n - i)), 0) + 1.0
-        terms[(("A", 0, i), ("B", 1, i))] = \
-            terms.get((("A", 0, i), ("B", 1, i)), 0) + omega ** (-i * p.m1)
-        terms[(("A", 1, i), ("B", 0, n - i))] = \
-            terms.get((("A", 1, i), ("B", 0, n - i)), 0) + 1.0
-        terms[(("A", 1, i), ("B", 1, i))] = \
-            terms.get((("A", 1, i), ("B", 1, i)), 0) + omega ** (-i * p.m2)
+        terms[(("A", 0, i), ("B", 0, n - i))] = 1.0
+        terms[(("A", 0, i), ("B", 1, i))] = omega ** (-i * p.m1)
+        terms[(("A", 1, i), ("B", 0, n - i))] = 1.0
+        terms[(("A", 1, i), ("B", 1, i))] = omega ** (-i * p.m2)
     return NCPolynomial(n, terms)
 
 
@@ -68,8 +65,8 @@ class BiasReport:
         return json.dumps({
             "topEigenvalue": self.top_eigenvalue,
             "multiplicity": self.multiplicity,
-            "topEigenvector": None if self.top_eigenvector is None else [
-                [float(c.real), float(c.imag)] for c in self.top_eigenvector],
+            "topEigenvector": None if self.top_eigenvector is None
+            else complex_to_json(self.top_eigenvector),
             "predictedValue": self.predicted_value,
         })
 
@@ -111,6 +108,6 @@ def write_value_table(path: str, n_max: int = 40) -> None:
                          "formula_value"])
         for n in range(2, n_max + 1):
             lam = bias_eigenvalue_formula(n)
-            formula = 0.5 + 1.0 / (2 * n * math.sin(math.pi / (2 * n)))
+            formula = canonical_value_formula(n)
             writer.writerow([n, f"{lam:.12f}", f"{lam / (4 * n) + 1 / n:.12f}",
                              f"{formula:.12f}"])

@@ -146,8 +146,8 @@ def cmd_group_enumerate(args) -> int:
     rep = Report("group enumerate", {"n": args.n})
     a0, a1 = groupkit.alice_generators(args.n)
     cat = groupkit.enumerate_group([a0, a1])
-    expected = args.n * args.n * 2 ** (args.n - 1)
-    rep.result("group_order", len(cat), tolerance=0.0, target=expected)
+    rep.result("group_order", len(cat), tolerance=0.0,
+               target=groupkit.group_order(args.n))
     failures = groupkit.verify_presentation(args.n, "A")
     rep.result("failed_relators", len(failures), tolerance=0.0, target=0)
     return rep.finish()
@@ -156,9 +156,8 @@ def cmd_group_enumerate(args) -> int:
 def cmd_group_normal_form(args) -> int:
     rep = Report("group normal-form", {"n": args.n})
     pairs = groupkit.normal_form_enumerate(args.n)
-    expected = args.n * args.n * 2 ** (args.n - 1)
     rep.result("distinct_normal_forms", len(pairs), tolerance=0.0,
-               target=expected)
+               target=groupkit.group_order(args.n))
     return rep.finish()
 
 
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sos = sub.add_parser("sos").add_subparsers(dest="sub", required=True)
     so = sos.add_parser("verify")
     so.add_argument("--cert", choices=["chsh", "g3"], required=True)
-    so.add_argument("--trials", type=int, default=100)
+    so.add_argument("--trials", type=_int_at_least(1), default=100)
     so.add_argument("--seed", type=int, default=_seed_default())
     so.set_defaults(func=cmd_sos_verify)
 

@@ -30,6 +30,9 @@ import numpy as np
 
 ENUMERATION_CAP_DEFAULT = 10**6
 
+# Largest catalogue whose m x m multiplication table is built.
+MULTIPLICATION_TABLE_MAX = 2048
+
 # Products formed per batched step of GroupCatalogue.center_size and
 # multiplication_table, which bounds their memory for large catalogues.
 _BLOCK_PRODUCTS = 1 << 16
@@ -175,12 +178,17 @@ def _row_keys(rows: np.ndarray) -> List[bytes]:
                      ).ravel().tolist()
 
 
+def group_order(n: int) -> int:
+    """n^2 2^(n-1), the order of the canonical group and the number of its
+    normal forms."""
+    return n * n * 2 ** (n - 1)
+
+
 def group_order_exceeds_cap(n: int) -> bool:
-    """Whether n^2 2^(n-1), the order of the canonical group and the number
-    of its normal forms, exceeds ENUMERATION_CAP_DEFAULT (decided without
-    forming 2^(n-1) for large n)."""
+    """Whether group_order(n) exceeds ENUMERATION_CAP_DEFAULT (decided
+    without forming 2^(n-1) for large n)."""
     cap = ENUMERATION_CAP_DEFAULT
-    return n > cap.bit_length() or n * n * 2 ** (n - 1) > cap
+    return n > cap.bit_length() or group_order(n) > cap
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +277,7 @@ class GroupCatalogue:
     def _positions(self) -> Dict[bytes, int]:
         return {key: i for i, key in enumerate(_row_keys(self.rows))}
 
-    def _locate(self, rows: np.ndarray) -> np.ndarray:
+    def locate(self, rows: np.ndarray) -> np.ndarray:
         """Positions of catalogue members given as rows (any leading
         shape); KeyError for a row outside the catalogue."""
         positions = self._positions
@@ -277,21 +285,23 @@ class GroupCatalogue:
         return np.array(found, dtype=np.int64).reshape(rows.shape[:-1])
 
     def product(self, i: int, j: int) -> int:
-        return int(self._locate(compose_rows(self.rows[i], self.rows[j])))
+        return int(self.locate(compose_rows(self.rows[i], self.rows[j])))
 
     def inverse(self, i: int) -> int:
-        return int(self._locate(invert_rows(self.rows[i])))
+        return int(self.locate(invert_rows(self.rows[i])))
 
-    def multiplication_table(self, max_size: int = 2048) -> np.ndarray:
+    def multiplication_table(self) -> np.ndarray:
+        """table[i, j] is the position of element i times element j."""
         m = len(self)
-        if m > max_size:
+        if m > MULTIPLICATION_TABLE_MAX:
             raise ValueError(
-                f"table of {m}x{m} entries exceeds max_size {max_size}")
+                f"table of {m}x{m} entries exceeds the size bound "
+                f"{MULTIPLICATION_TABLE_MAX}")
         table = np.empty((m, m), dtype=np.int64)
         step = max(1, _BLOCK_PRODUCTS // m)
         for start in range(0, m, step):
             block = self.rows[start:start + step, None, :]
-            table[start:start + step] = self._locate(
+            table[start:start + step] = self.locate(
                 compose_rows(block, self.rows[None, :, :]))
         return table
 
@@ -326,9 +336,8 @@ class GroupCatalogue:
             ],
         })
 
-    def write_multiplication_csv(self, path: str,
-                                 max_size: int = 2048) -> None:
-        table = self.multiplication_table(max_size)
+    def write_multiplication_csv(self, path: str) -> None:
+        table = self.multiplication_table()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             for row in table:
@@ -408,18 +417,12 @@ def normal_form_words(n: int, variant: str = "standard") -> List[GroupWord]:
     """
     _check_variant(n, variant)
     return [_normal_form_word(n, variant, index)
-            for index in range(n * n * 2 ** (n - 1))]
+            for index in range(group_order(n))]
 
 
 def alice_images(n: int) -> Dict[str, MonomialUnitary]:
     a0, a1 = alice_generators(n)
     return {"P0": a0, "P1": a1, "J": scalar_j(n)}
-
-
-def bob_images(n: int) -> Dict[str, MonomialUnitary]:
-    """Substitution P0 -> B0^*, P1 -> B1, J -> omega I (exact)."""
-    b0, b1 = bob_generators(n)
-    return {"P0": b0.inverse(), "P1": b1, "J": scalar_j(n)}
 
 
 class NormalForms(SequenceABC):
@@ -505,8 +508,7 @@ def verify_presentation(n: int, side: str = "A") -> List[GroupWord]:
     """Evaluate each relator exactly; returns the (ideally empty) list of
     failing relators."""
     if side == "A":
-        a0, a1 = alice_generators(n)
-        images = {"P0": a0, "P1": a1, "J": scalar_j(n)}
+        images = alice_images(n)
     else:
         b0, b1 = bob_generators(n)
         images = {"P0": b0, "P1": b1, "J": scalar_j(n)}

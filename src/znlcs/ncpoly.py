@@ -40,6 +40,11 @@ def canonical_word(letters: Iterable[Letter], n: int) -> Word:
     return _merge_run(a_part, n) + _merge_run(b_part, n)
 
 
+def word_adjoint(w: Word, n: int) -> Word:
+    """The reduced word of w^*: letters reversed, exponents negated."""
+    return canonical_word([(p, i, -e) for p, i, e in reversed(w)], n)
+
+
 class NCPolynomial:
     """Complex-coefficient polynomial in the letters A0, A1, B0, B1."""
 
@@ -109,8 +114,7 @@ class NCPolynomial:
     def adjoint(self) -> "NCPolynomial":
         out: Dict[Word, complex] = {}
         for w, c in self.terms.items():
-            rw = canonical_word(
-                [(p, i, -e) for (p, i, e) in reversed(w)], self.n)
+            rw = word_adjoint(w, self.n)
             out[rw] = out.get(rw, 0.0) + np.conj(c)
         return NCPolynomial(self.n, out, _canonical=True)
 

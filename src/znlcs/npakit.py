@@ -15,7 +15,8 @@ import numpy as np
 
 from .biaskit import bias_polynomial
 from .gamekit import ModNGameParams
-from .ncpoly import Letter, NCPolynomial, Word, canonical_word, eval_nc
+from .ncpoly import (Letter, NCPolynomial, Word, canonical_word, eval_nc,
+                     word_adjoint)
 from .strategykit import Strategy
 
 # ---------------------------------------------------------------------------
@@ -26,10 +27,6 @@ def letters(n: int) -> List[Letter]:
     """All single letters: party, operator index, exponent 1..n-1."""
     return [(p, i, e)
             for p in ("A", "B") for i in (0, 1) for e in range(1, n)]
-
-
-def word_adjoint(w: Word, n: int) -> Word:
-    return canonical_word([(p, i, -e) for p, i, e in reversed(w)], n)
 
 
 def generate_words(n: int, level: int) -> List[Word]:

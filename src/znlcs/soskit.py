@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .gamekit import ModNGameParams
 from .ncpoly import NCPolynomial, eval_nc
-from .numerics import random_order_n_observable, rng
+from .numerics import complex_to_json, random_order_n_observable, rng
 from .strategykit import Strategy, check_state_relation
 
 
@@ -37,7 +37,7 @@ class SOSCertificate:
     def to_json(self) -> str:
         def poly(p: NCPolynomial):
             return [
-                {"coeff": [c.real, c.imag],
+                {"coeff": complex_to_json(c),
                  "word": [[pl, idx, e] for pl, idx, e in w]}
                 for w, c in sorted(p.terms.items())
             ]
@@ -50,18 +50,14 @@ class SOSCertificate:
         })
 
 
-def _poly(n: int, terms: Dict[tuple, complex]) -> NCPolynomial:
-    return NCPolynomial(n, terms)
-
-
 def certificate_chsh() -> SOSCertificate:
     """2 sqrt(2) I - (A0B0 + A0B1 + A1B0 - A1B1)
     = (sqrt2/4)(A0 + A1 - sqrt2 B0)^2 + (sqrt2/4)(A0 - A1 - sqrt2 B1)^2."""
     r2 = math.sqrt(2.0)
-    t1 = _poly(2, {(("A", 0, 1),): 1.0, (("A", 1, 1),): 1.0,
-                   (("B", 0, 1),): -r2})
-    t2 = _poly(2, {(("A", 0, 1),): 1.0, (("A", 1, 1),): -1.0,
-                   (("B", 1, 1),): -r2})
+    t1 = NCPolynomial(2, {(("A", 0, 1),): 1.0, (("A", 1, 1),): 1.0,
+                          (("B", 0, 1),): -r2})
+    t2 = NCPolynomial(2, {(("A", 0, 1),): 1.0, (("A", 1, 1),): -1.0,
+                          (("B", 1, 1),): -r2})
     return SOSCertificate(order=2, lam=2 * r2,
                           squares=((r2 / 4, t1), (r2 / 4, t2)))
 
@@ -77,14 +73,14 @@ def certificate_g3() -> SOSCertificate:
     lam3 = (14.0 - math.sqrt(21.0)) / 344.0
     lam4 = 7.0 / 86.0
 
-    s1 = _poly(3, {(("A", 0, 1),): 1.0, (("A", 1, 1),): w,
-                   (("B", 0, 1),): wc, (("B", 1, 2),): w})
-    s2 = _poly(3, {(("A", 0, 2),): 1.0, (("A", 1, 2),): wc,
-                   (("B", 0, 2),): w, (("B", 1, 1),): wc})
+    s1 = NCPolynomial(3, {(("A", 0, 1),): 1.0, (("A", 1, 1),): w,
+                          (("B", 0, 1),): wc, (("B", 1, 2),): w})
+    s2 = NCPolynomial(3, {(("A", 0, 2),): 1.0, (("A", 1, 2),): wc,
+                          (("B", 0, 2),): w, (("B", 1, 1),): wc})
 
     def t_poly(c_a0b0c, c_a0cb0, c_a0b1, c_a0cb1c,
                c_a1b0c, c_a1cb0, c_a1b1, c_a1cb1c) -> NCPolynomial:
-        return _poly(3, {
+        return NCPolynomial(3, {
             (("A", 0, 1), ("B", 0, 2)): c_a0b0c,
             (("A", 0, 2), ("B", 0, 1)): c_a0cb0,
             (("A", 0, 1), ("B", 1, 1)): c_a0b1,
@@ -121,6 +117,8 @@ def verify_sos_identity(cert: SOSCertificate, bias: NCPolynomial,
     """
     if cert.order != bias.n:
         raise ValueError("certificate and bias order mismatch")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     n = cert.order
     gen = rng(seed)
     worst = 0.0
@@ -151,7 +149,7 @@ def annihilation_residuals(cert: SOSCertificate,
 def h3_polynomial(conjugated: bool = False) -> NCPolynomial:
     """H = omega (A0 A1 A0 + A0^* A1 + A1 A0^*), or its adjoint H^*."""
     w = np.exp(2j * np.pi / 3)
-    H = _poly(3, {
+    H = NCPolynomial(3, {
         (("A", 0, 1), ("A", 1, 1), ("A", 0, 1)): w,
         (("A", 0, 2), ("A", 1, 1)): w,
         (("A", 1, 1), ("A", 0, 2)): w,
@@ -167,7 +165,7 @@ def derived_relations_g3() -> List[Tuple[str, NCPolynomial]]:
     one = NCPolynomial.one(3)
 
     def p(terms):
-        return _poly(3, terms)
+        return NCPolynomial(3, terms)
 
     rels: List[Tuple[str, NCPolynomial]] = [
         ("pairing_1", p({(("A", 0, 1), ("B", 0, 2)): 1,

@@ -11,14 +11,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import groupkit
 from .gamekit import GameSpec
 from .ncpoly import NCPolynomial, apply_nc
-from .numerics import (DEFAULT_TOL, adjoint, frob, random_order_n_observable,
+from .numerics import (adjoint, complex_from_json, complex_to_json, frob,
+                       random_order_n_observable, random_state,
                        require_finite, rng)
 
 SCHMIDT_RANK_THRESHOLD = 1e-9
@@ -69,30 +70,21 @@ class Strategy:
         return out
 
     def to_json(self) -> str:
-        def mat(M: np.ndarray):
-            return [[[float(c.real), float(c.imag)] for c in row]
-                    for row in M]
-
         return json.dumps({
             "order": self.order, "dimA": self.dimA, "dimB": self.dimB,
-            "aliceObs": [mat(M) for M in self.alice_obs],
-            "bobObs": [mat(M) for M in self.bob_obs],
-            "state": [[float(c.real), float(c.imag)] for c in self.state],
+            "aliceObs": [complex_to_json(M) for M in self.alice_obs],
+            "bobObs": [complex_to_json(M) for M in self.bob_obs],
+            "state": complex_to_json(self.state),
         })
 
     @classmethod
     def from_json(cls, text: str) -> "Strategy":
         d = json.loads(text)
-
-        def mat(entries):
-            return np.array([[complex(re, im) for re, im in row]
-                             for row in entries])
-
         return cls(
             order=d["order"], dimA=d["dimA"], dimB=d["dimB"],
-            alice_obs=tuple(mat(M) for M in d["aliceObs"]),
-            bob_obs=tuple(mat(M) for M in d["bobObs"]),
-            state=np.array([complex(re, im) for re, im in d["state"]]),
+            alice_obs=tuple(complex_from_json(M) for M in d["aliceObs"]),
+            bob_obs=tuple(complex_from_json(M) for M in d["bobObs"]),
+            state=complex_from_json(d["state"]),
         )
 
 
@@ -207,69 +199,46 @@ def check_state_relation(s: Strategy, L: NCPolynomial) -> float:
     return float(np.linalg.norm(out))
 
 
-def check_psi_representation(
-        elements: Sequence[Hashable],
-        product: Callable[[Hashable, Hashable], Hashable],
-        f: Mapping[Hashable, np.ndarray],
-        state: np.ndarray, dimA: int, dimB: int,
-        side: str = "A") -> float:
-    """Max over pairs (x, y) of ||f(x) f(y) |psi> - f(xy) |psi>||.
+def psi_representation_residuals(s: Strategy) -> Tuple[float, float]:
+    """(Alice, Bob) state-restricted homomorphism residuals: the max over
+    element pairs (x, y) of the canonical group of
+    ||f(x) f(y) |psi> - f(xy) |psi>||.
 
-    ``side`` selects whether f acts on the first or second tensor factor.
-    """
-    psi = np.asarray(state).reshape(dimA, dimB)
-
-    def act(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return M @ v if side == "A" else v @ M.T
-
-    worst = 0.0
-    for x in elements:
-        fx = f[x]
-        for y in elements:
-            lhs = act(fx, act(f[y], psi))
-            rhs = act(f[product(x, y)], psi)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
-
-
-def induced_group_maps(s: Strategy):
-    """The maps f_A, f_B induced by a strategy on the abstract group of the
-    canonical observables.
-
-    Each group element is named by its normal-form word; f_A substitutes
-    (P0, P1, J) -> (A0, A1, omega I) and f_B -> (B0^*, B1, omega I). Returns
-    (element keys, exact product function, f_A, f_B).
+    Each element is named by its normal-form word; f_A substitutes
+    (P0, P1, J) -> (A0, A1, omega I) and f_B -> (B0^*, B1, omega I), which
+    acts on the second tensor factor. The products xy come from the group's
+    exact multiplication table, so groups above its size bound raise
+    ValueError before any matrix is formed.
     """
     n = s.order
     variant = "alt" if n == 3 else "standard"
-    pairs = groupkit.normal_form_enumerate(n, variant)
+    rows = groupkit.normal_form_enumerate(n, variant).rows
+    cat = groupkit.GroupCatalogue(rows)
+    table = cat.multiplication_table()
+    positions = cat.locate(rows)
+    words = groupkit.normal_form_words(n, variant)
     omega = np.exp(2j * np.pi / n)
-    a_images = {"P0": s.alice_obs[0], "P1": s.alice_obs[1],
-                "J": omega * np.eye(s.dimA)}
-    b_images = {"P0": adjoint(s.bob_obs[0]), "P1": s.bob_obs[1],
-                "J": omega * np.eye(s.dimB)}
-    by_key = {g.key(): g for _, g in pairs}
-    keys = list(by_key)
-    f_a = {g.key(): groupkit.evaluate_word_matrix(w, a_images)
-           for w, g in pairs}
-    f_b = {g.key(): groupkit.evaluate_word_matrix(w, b_images)
-           for w, g in pairs}
-
-    def product(x, y):
-        return (by_key[x] @ by_key[y]).key()
-
-    return keys, product, f_a, f_b
-
-
-def psi_representation_residuals(s: Strategy) -> Tuple[float, float]:
-    """(Alice, Bob) state-restricted homomorphism residuals over all element
-    pairs of the canonical group."""
-    keys, product, f_a, f_b = induced_group_maps(s)
-    res_a = check_psi_representation(
-        keys, product, f_a, s.state, s.dimA, s.dimB, side="A")
-    res_b = check_psi_representation(
-        keys, product, f_b, s.state, s.dimA, s.dimB, side="B")
-    return res_a, res_b
+    psi = s.state.reshape(s.dimA, s.dimB)
+    # f acting on the second factor sends psi to psi f^T = (f psi^T)^T, so
+    # Bob's side is Alice's computation on psi^T.
+    sides = (
+        ({"P0": s.alice_obs[0], "P1": s.alice_obs[1],
+          "J": omega * np.eye(s.dimA)}, psi),
+        ({"P0": adjoint(s.bob_obs[0]), "P1": s.bob_obs[1],
+          "J": omega * np.eye(s.dimB)}, psi.T),
+    )
+    residuals = []
+    for images, state in sides:
+        dim = state.shape[0]
+        f = np.empty((len(cat), dim, dim), dtype=np.complex128)
+        f[positions] = [groupkit.evaluate_word_matrix(w, images)
+                        for w in words]
+        f_psi = f @ state
+        residuals.append(max(
+            float(np.linalg.norm(fx @ f_psi - f_psi[products],
+                                 axis=(1, 2)).max())
+            for fx, products in zip(f, table)))
+    return residuals[0], residuals[1]
 
 
 def random_strategy(n: int, dimA: int, dimB: int, seed: int) -> Strategy:
@@ -278,8 +247,6 @@ def random_strategy(n: int, dimA: int, dimB: int, seed: int) -> Strategy:
     gen = rng(seed)
     obs = [random_order_n_observable(n, d, int(gen.integers(2 ** 63)))
            for d in (dimA, dimA, dimB, dimB)]
-    v = gen.standard_normal(dimA * dimB) + 1j * gen.standard_normal(
-        dimA * dimB)
     return Strategy(order=n, dimA=dimA, dimB=dimB,
                     alice_obs=(obs[0], obs[1]), bob_obs=(obs[2], obs[3]),
-                    state=v / np.linalg.norm(v))
+                    state=random_state(dimA * dimB, gen))

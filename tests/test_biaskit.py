@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from znlcs.biaskit import (bias_eigenvalue_formula, bias_operator,
+from znlcs.biaskit import (BiasReport, bias_eigenvalue_formula, bias_operator,
                            bias_polynomial, bias_spectrum, bias_value,
                            eigenrelation_residual, write_value_table)
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
@@ -95,3 +95,19 @@ def test_value_table_csv(tmp_path):
     last = rows[-1].split(",")
     assert int(last[0]) == 6
     assert float(last[2]) == pytest.approx(float(last[3]), abs=1e-9)
+
+
+def test_bias_report_json_pinned():
+    # Recorded from the element-by-element encoder the codec replaced.
+    report = BiasReport(top_eigenvalue=6.0, multiplicity=1,
+                        top_eigenvector=np.array([0.1 + 0.2j, -0.0, 1j / 3]),
+                        predicted_value=5 / 6)
+    assert report.to_json() == (
+        '{"topEigenvalue": 6.0, "multiplicity": 1, "topEigenvector": '
+        '[[0.1, 0.2], [-0.0, 0.0], [0.0, 0.3333333333333333]], '
+        '"predictedValue": 0.8333333333333334}')
+    report = BiasReport(top_eigenvalue=4.0, multiplicity=2,
+                        top_eigenvector=None, predicted_value=0.75)
+    assert report.to_json() == (
+        '{"topEigenvalue": 4.0, "multiplicity": 2, "topEigenvector": null, '
+        '"predictedValue": 0.75}')

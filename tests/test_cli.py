@@ -80,6 +80,7 @@ def test_unknown_command_exits_2(capsys):
     ("group enumerate --n 14", "--n"),
     ("group normal-form --n 14", "--n"),
     ("group normal-form --n 1000000000000", "--n"),
+    ("sos verify --cert chsh --trials 0", "--trials"),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv, flag):
     assert main(argv.split()) == 2

@@ -1,11 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from znlcs.numerics import (dirichlet_kernel, hermitian_eig, partial_trace_A,
+from znlcs.numerics import (complex_from_json, complex_to_json,
+                            dirichlet_kernel, hermitian_eig, partial_trace_A,
                             partial_trace_B, random_order_n_observable,
                             random_state, random_unitary, rng)
 
@@ -145,3 +148,17 @@ def test_random_order_n_observable(order, dim):
 def test_random_state_normalized():
     v = random_state(9, rng(2))
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(a=arrays(np.complex128, array_shapes(min_dims=1, max_dims=3),
+                elements=st.complex_numbers(allow_nan=False,
+                                            allow_infinity=False)))
+def test_complex_json_round_trip_is_bit_exact(a):
+    text = json.dumps(complex_to_json(a))
+    back = complex_from_json(json.loads(text))
+    assert back.dtype == np.complex128
+    assert back.shape == a.shape
+    # Compare bits, so signed zeros count.
+    assert back.tobytes() == a.tobytes()
+    assert json.dumps(complex_to_json(back)) == text

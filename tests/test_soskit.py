@@ -96,3 +96,24 @@ def test_certificate_json():
     assert d["lambda"] == pytest.approx(6.0)
     assert len(d["squares"]) == 8
     assert all(sq["weight"] > 0 for sq in d["squares"])
+
+
+def test_certificate_json_pinned():
+    # Recorded from the element-by-element encoder the codec replaced.
+    assert certificate_chsh().to_json() == (
+        '{"order": 2, "lambda": 2.8284271247461903, "squares": '
+        '[{"weight": 0.3535533905932738, "terms": '
+        '[{"coeff": [1.0, 0.0], "word": [["A", 0, 1]]}, '
+        '{"coeff": [1.0, 0.0], "word": [["A", 1, 1]]}, '
+        '{"coeff": [-1.4142135623730951, 0.0], "word": [["B", 0, 1]]}]}, '
+        '{"weight": 0.3535533905932738, "terms": '
+        '[{"coeff": [1.0, 0.0], "word": [["A", 0, 1]]}, '
+        '{"coeff": [-1.0, 0.0], "word": [["A", 1, 1]]}, '
+        '{"coeff": [-1.4142135623730951, 0.0], "word": [["B", 1, 1]]}]}]}')
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_sos_identity_rejects_no_trials(trials):
+    bias = bias_polynomial(ModNGameParams(2, 0, 1))
+    with pytest.raises(ValueError, match="trials"):
+        verify_sos_identity(certificate_chsh(), bias, trials, seed=5)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
+from znlcs.groupkit import evaluate_word_matrix, normal_form_enumerate
 from znlcs.ncpoly import NCPolynomial
 from znlcs.numerics import partial_trace_B, rng
 from znlcs.strategykit import (SCHMIDT_RANK_THRESHOLD, Strategy,
@@ -175,3 +176,77 @@ def test_random_strategy_valid_and_seeded():
     s2 = random_strategy(3, 3, 4, 99)
     assert np.allclose(s.state, s2.state)
     assert np.allclose(s.alice_obs[0], s2.alice_obs[0])
+
+
+def _reference_psi_residuals(s):
+    """The pairwise definition with scalar group products: the max over
+    element pairs (x, y) of ||f(x) f(y)|psi> - f(xy)|psi>||, for f_A on the
+    first tensor factor and f_B on the second."""
+    n = s.order
+    pairs = normal_form_enumerate(n, "alt" if n == 3 else "standard")
+    element = {g.key(): g for _, g in pairs}
+    omega = np.exp(2j * np.pi / n)
+    psi = s.state.reshape(s.dimA, s.dimB)
+    sides = (
+        ({"P0": s.alice_obs[0], "P1": s.alice_obs[1],
+          "J": omega * np.eye(s.dimA)}, lambda M, v: M @ v),
+        ({"P0": s.bob_obs[0].conj().T, "P1": s.bob_obs[1],
+          "J": omega * np.eye(s.dimB)}, lambda M, v: v @ M.T),
+    )
+    out = []
+    for images, act in sides:
+        f = {g.key(): evaluate_word_matrix(w, images) for w, g in pairs}
+        out.append(max(
+            float(np.linalg.norm(
+                act(f[x], act(f[y], psi))
+                - act(f[(element[x] @ element[y]).key()], psi)))
+            for x in f for y in f))
+    return tuple(out)
+
+
+def _corrupted_bob(n):
+    s = canonical_strategy(n)
+    return Strategy(order=n, dimA=n, dimB=n, alice_obs=s.alice_obs,
+                    bob_obs=(s.bob_obs[0], s.bob_obs[0]), state=s.state)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("case", [
+    canonical_strategy,
+    _corrupted_bob,
+    lambda n: random_strategy(n, n, n + 1, 31 + n),
+    lambda n: random_strategy(n, n + 1, n, 47 + n),
+], ids=["canonical", "corrupted_bob", "random_a", "random_b"])
+def test_psi_representation_matches_pairwise_reference(n, case):
+    s = case(n)
+    assert np.allclose(psi_representation_residuals(s),
+                       _reference_psi_residuals(s), rtol=0.0, atol=1e-12)
+
+
+def test_psi_representation_canonical_n4():
+    res_a, res_b = psi_representation_residuals(canonical_strategy(4))
+    assert res_a < 1e-9
+    assert res_b < 1e-9
+
+
+def test_psi_representation_refuses_groups_over_table_bound():
+    # n = 7: 3136 elements, over the 2048-element multiplication table.
+    with pytest.raises(ValueError, match="size bound"):
+        psi_representation_residuals(canonical_strategy(7))
+
+
+def test_strategy_json_pinned():
+    # Recorded from the element-by-element encoder the codec replaced.
+    s = Strategy(order=2, dimA=1, dimB=2,
+                 alice_obs=(np.array([[1.0]]), np.array([[-1.0]])),
+                 bob_obs=(np.array([[0, 1], [1, 0]]),
+                          np.array([[0.5 + 0.1j, -0.0], [1 / 3, -2.5e-7j]])),
+                 state=np.array([0.6, -0.8j]))
+    text = s.to_json()
+    assert text == (
+        '{"order": 2, "dimA": 1, "dimB": 2, "aliceObs": [[[[1.0, 0.0]]], '
+        '[[[-1.0, 0.0]]]], "bobObs": [[[[0.0, 0.0], [1.0, 0.0]], '
+        '[[1.0, 0.0], [0.0, 0.0]]], [[[0.5, 0.1], [-0.0, 0.0]], '
+        '[[0.3333333333333333, 0.0], [-0.0, -2.5e-07]]]], '
+        '"state": [[0.6, 0.0], [-0.0, -0.8]]}')
+    assert Strategy.from_json(text).to_json() == text
