@@ -18,8 +18,6 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from . import __version__, bcskit, biaskit, groupkit, npakit, soskit
 from .gamekit import ModNGameParams, classical_value, make_mod_n_game
 from .strategykit import (canonical_state, canonical_strategy,
@@ -182,9 +180,6 @@ def cmd_sos_verify(args) -> int:
 
 def cmd_relations_check(args) -> int:
     rep = Report("relations check", {"n": args.n})
-    if args.n != 3:
-        print("only the n = 3 relation catalogue ships", file=sys.stderr)
-        return 2
     s = canonical_strategy(3)
     from .strategykit import check_state_relation
     worst = 0.0
@@ -214,9 +209,6 @@ def cmd_bcs(args) -> int:
             rep.result(f"{name}_strategy_value", value, tolerance=1e-9,
                        target=1.0)
     if args.witness:
-        if args.system != "glued":
-            print("--witness applies to the glued system", file=sys.stderr)
-            return 2
         inner, trace, anticomm = bcskit.nonrigidity_witness()
         rep.result("inner_product", inner, tolerance=1e-9, target=0.5)
         rep.result("trace", trace, tolerance=1e-9, target=4.0)
@@ -296,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     rel = sub.add_parser("relations").add_subparsers(dest="sub",
                                                      required=True)
     rc = rel.add_parser("check")
-    rc.add_argument("--n", type=int, default=3)
+    rc.add_argument("--n", type=int, choices=[3], default=3)
     rc.set_defaults(func=cmd_relations_check)
 
     bcs = sub.add_parser("bcs").add_subparsers(dest="system", required=True)
@@ -304,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         b = bcs.add_parser(name)
         b.add_argument("--check", action="store_true")
         b.add_argument("--witness", action="store_true")
-        b.set_defaults(func=cmd_bcs, system=name)
+        b.set_defaults(func=cmd_bcs, system=name, subparser=b)
 
     npa = sub.add_parser("npa").add_subparsers(dest="sub", required=True)
     ne = npa.add_parser("export")
@@ -338,6 +330,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"argument --n: the group of order n^2 2^(n-1) exceeds "
                 f"the enumeration cap {groupkit.ENUMERATION_CAP_DEFAULT} "
                 f"elements, got {args.n}")
+        if args.func is cmd_bcs and args.witness and args.system != "glued":
+            args.subparser.error(
+                "argument --witness: applies to the glued system only")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version.
         return int(exc.code or 0)

@@ -8,6 +8,7 @@ structurally) and adjacent powers of the same operator are merged.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
@@ -138,33 +139,66 @@ class NCPolynomial:
         return " + ".join(parts) if parts else "0"
 
 
+def _letter_powers(poly: NCPolynomial,
+                   assignment: Mapping[Tuple[str, int], np.ndarray]
+                   ) -> Dict[Letter, np.ndarray]:
+    """Each (operator, exponent) power that poly's words use, computed once.
+
+    Keys are letters with the exponent reduced mod n; operators may carry
+    leading batch axes, which np.linalg.matrix_power keeps."""
+    powers: Dict[Letter, np.ndarray] = {}
+    for word in poly.terms:
+        for player, idx, exp in word:
+            letter = (player, idx, exp % poly.n)
+            if letter in powers:
+                continue
+            key = (player, idx)
+            if key not in assignment:
+                raise KeyError(f"assignment missing operator {key}")
+            powers[letter] = np.linalg.matrix_power(assignment[key], letter[2])
+    return powers
+
+
 def eval_nc(poly: NCPolynomial,
             assignment: Mapping[Tuple[str, int], np.ndarray],
             dimA: int, dimB: int) -> np.ndarray:
     """Evaluate on a tensor-product assignment: A letters act as M (x) I,
-    B letters as I (x) M. Returns a (dimA*dimB)-dimensional matrix."""
+    B letters as I (x) M.
+
+    Operators are (..., d, d) arrays whose leading batch axes broadcast
+    together (none for a single assignment); the result is
+    (..., dimA*dimB, dimA*dimB). The sum over terms c_k (P_k (x) Q_k) is
+    one matmul (dimA^2, K) @ (K, dimB^2) followed by an axis swap."""
+    powers = _letter_powers(poly, assignment)
+    batch = np.broadcast_shapes(
+        *(np.shape(M)[:-2] for M in assignment.values()))
     dim = dimA * dimB
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for word, coeff in poly.terms.items():
-        pa = np.eye(dimA, dtype=np.complex128)
-        pb = np.eye(dimB, dtype=np.complex128)
-        for player, idx, exp in word:
-            key = (player, idx)
-            if key not in assignment:
-                raise KeyError(f"assignment missing operator {key}")
-            M = np.linalg.matrix_power(assignment[key], exp % poly.n)
-            if player == "A":
-                pa = pa @ M
-            else:
-                pb = pb @ M
-        total += coeff * np.kron(pa, pb)
-    return total
+    if not poly.terms:
+        return np.zeros(batch + (dim, dim), dtype=np.complex128)
+
+    def product(word: Word, player: str, d: int) -> np.ndarray:
+        mats = [powers[(p, idx, exp % poly.n)] for p, idx, exp in word
+                if p == player]
+        return reduce(np.matmul, mats) if mats else np.eye(d)
+
+    K = len(poly.terms)
+    P = np.empty(batch + (dimA, dimA, K), dtype=np.complex128)
+    Q = np.empty(batch + (K, dimB, dimB), dtype=np.complex128)
+    for k, word in enumerate(poly.terms):
+        P[..., k] = product(word, "A", dimA)
+        Q[..., k, :, :] = product(word, "B", dimB)
+    P *= np.fromiter(poly.terms.values(), dtype=np.complex128, count=K)
+    Z = P.reshape(batch + (dimA * dimA, K)) @ Q.reshape(
+        batch + (K, dimB * dimB))
+    Z = Z.reshape(batch + (dimA, dimA, dimB, dimB))
+    return Z.swapaxes(-3, -2).reshape(batch + (dim, dim))
 
 
 def apply_nc(poly: NCPolynomial,
              assignment: Mapping[Tuple[str, int], np.ndarray],
              state: np.ndarray, dimA: int, dimB: int) -> np.ndarray:
     """Apply the evaluated polynomial to a bipartite state vector."""
+    powers = _letter_powers(poly, assignment)
     psi = state.reshape(dimA, dimB)
     out = np.zeros_like(psi)
     for word, coeff in poly.terms.items():
@@ -172,7 +206,7 @@ def apply_nc(poly: NCPolynomial,
         # B letters act on the column index; word order within a player is
         # right-to-left on the state.
         for player, idx, exp in reversed(word):
-            M = np.linalg.matrix_power(assignment[(player, idx)], exp % poly.n)
+            M = powers[(player, idx, exp % poly.n)]
             if player == "A":
                 cur = M @ cur
             else:

@@ -122,30 +122,50 @@ def dirichlet_kernel(m: int, x: float) -> float:
     return math.sin((m + 0.5) * x) / (2.0 * math.pi * half)
 
 
+def _unitary_from_gaussian(G: np.ndarray) -> np.ndarray:
+    """The Q factor of G = QR with the phases of diag(R) divided out, so the
+    result is determined by G. Works on stacks (..., d, d)."""
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
+
+
 def random_unitary(dim: int, gen: np.random.Generator) -> np.ndarray:
     """Haar-ish unitary from QR of a complex Gaussian matrix."""
     G = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(G)
-    # Fix the phase convention so the result is determined by the stream.
-    d = np.diag(R)
-    return Q * (d / np.abs(d))
+    return _unitary_from_gaussian(G)
 
 
-def random_order_n_observable(order: int, dim: int, seed: int) -> np.ndarray:
-    """Random generalized observable U with U^order = I, deterministic in seed.
+def random_order_n_observables(order: int, dim: int, seeds) -> np.ndarray:
+    """Stack (len(seeds), dim, dim) of random generalized observables U with
+    U^order = I, each deterministic in its seed.
 
     U = V diag(omega^e) V* with uniform eigenvalue exponents e and V a
-    seeded random unitary.
+    random unitary. Each seed has its own PCG64 stream, drawn exponents
+    first, then the Gaussian matrix behind V; the QR step runs on the
+    whole stack.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    gen = rng(seed)
-    exps = gen.integers(0, order, size=dim)
-    V = random_unitary(dim, gen)
+    seeds = list(seeds)
+    exps = np.empty((len(seeds), dim), dtype=np.int64)
+    G = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    for t, seed in enumerate(seeds):
+        gen = rng(seed)
+        exps[t] = gen.integers(0, order, size=dim)
+        G[t] = (gen.standard_normal((dim, dim))
+                + 1j * gen.standard_normal((dim, dim)))
+    V = _unitary_from_gaussian(G)
     omega = np.exp(2j * np.pi / order)
-    return (V * (omega ** exps)) @ adjoint(V)
+    return (V * (omega ** exps)[:, None, :]) @ V.conj().swapaxes(-1, -2)
+
+
+def random_order_n_observable(order: int, dim: int, seed: int) -> np.ndarray:
+    """Random generalized observable U with U^order = I, deterministic in
+    seed: the one-seed case of ``random_order_n_observables``."""
+    return random_order_n_observables(order, dim, [seed])[0]
 
 
 def random_state(dim: int, gen: np.random.Generator) -> np.ndarray:

@@ -11,14 +11,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .gamekit import ModNGameParams
 from .ncpoly import NCPolynomial, eval_nc
-from .numerics import complex_to_json, random_order_n_observable, rng
+from .numerics import complex_to_json, random_order_n_observables, rng
 from .strategykit import Strategy, check_state_relation
+
+# Trials evaluated together by verify_sos_identity. Small, so that a block's
+# stacked (2n)^2-dimensional operators stay a few hundred kB and the peak
+# memory of a run does not grow with the block.
+BLOCK_TRIALS = 8
+
+_OPERATORS = (("A", 0), ("A", 1), ("B", 0), ("B", 1))
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,9 @@ def verify_sos_identity(cert: SOSCertificate, bias: NCPolynomial,
 
     Each trial draws four independent random order-n observables at a
     dimension sampled from {n, 2n}; two sizes guard against coincidences
-    tied to a single dimension.
+    tied to a single dimension. All draws come from one seeded stream, in
+    trial order; trials of one dimension are then evaluated together, in
+    blocks of BLOCK_TRIALS.
     """
     if cert.order != bias.n:
         raise ValueError("certificate and bias order mismatch")
@@ -121,21 +130,26 @@ def verify_sos_identity(cert: SOSCertificate, bias: NCPolynomial,
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = cert.order
     gen = rng(seed)
-    worst = 0.0
+    by_dim: Dict[int, List[List[int]]] = {}
     for _ in range(trials):
         dim = int(gen.choice([n, 2 * n]))
-        assignment = {
-            key: random_order_n_observable(n, dim, int(gen.integers(2 ** 63)))
-            for key in (("A", 0), ("A", 1), ("B", 0), ("B", 1))
-        }
-        total_dim = dim * dim
-        lhs = cert.lam * np.eye(total_dim) - eval_nc(
-            bias, assignment, dim, dim)
-        rhs = np.zeros((total_dim, total_dim), dtype=np.complex128)
-        for weight, p in cert.squares:
-            T = eval_nc(p, assignment, dim, dim)
-            rhs += weight * (T.conj().T @ T)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+        by_dim.setdefault(dim, []).append(
+            [int(gen.integers(2 ** 63)) for _ in _OPERATORS])
+    worst = 0.0
+    for dim, seeds in by_dim.items():
+        eye = np.eye(dim * dim)
+        for lo in range(0, len(seeds), BLOCK_TRIALS):
+            block = seeds[lo:lo + BLOCK_TRIALS]
+            assignment = {
+                key: random_order_n_observables(n, dim, [s[j] for s in block])
+                for j, key in enumerate(_OPERATORS)
+            }
+            diff = cert.lam * eye - eval_nc(bias, assignment, dim, dim)
+            for weight, p in cert.squares:
+                T = eval_nc(p, assignment, dim, dim)
+                diff -= weight * (T.conj().swapaxes(-1, -2) @ T)
+            worst = max(worst, float(
+                np.linalg.norm(diff, axis=(-2, -1)).max()))
     return worst
 
 

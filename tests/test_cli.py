@@ -81,6 +81,8 @@ def test_unknown_command_exits_2(capsys):
     ("group normal-form --n 14", "--n"),
     ("group normal-form --n 1000000000000", "--n"),
     ("sos verify --cert chsh --trials 0", "--trials"),
+    ("relations check --n 4", "--n"),
+    ("bcs magic-square --witness", "--witness"),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv, flag):
     assert main(argv.split()) == 2

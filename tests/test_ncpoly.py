@@ -1,7 +1,48 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from znlcs.ncpoly import NCPolynomial, apply_nc, canonical_word, eval_nc
-from znlcs.numerics import random_order_n_observable, random_state, rng
+from znlcs.numerics import (random_order_n_observable,
+                            random_order_n_observables, random_state, rng)
+
+KEYS = (("A", 0), ("A", 1), ("B", 0), ("B", 1))
+
+
+def _eval_nc_reference(poly, assignment, dimA, dimB):
+    """Per-term evaluation: sum_k c_k kron(P_k, Q_k) on one assignment."""
+    dim = dimA * dimB
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for word, coeff in poly.terms.items():
+        pa = np.eye(dimA, dtype=np.complex128)
+        pb = np.eye(dimB, dtype=np.complex128)
+        for player, idx, exp in word:
+            M = np.linalg.matrix_power(assignment[(player, idx)],
+                                       exp % poly.n)
+            if player == "A":
+                pa = pa @ M
+            else:
+                pb = pb @ M
+        total += coeff * np.kron(pa, pb)
+    return total
+
+
+def _apply_nc_reference(poly, assignment, state, dimA, dimB):
+    """apply_nc with a matrix power taken at every letter occurrence."""
+    psi = state.reshape(dimA, dimB)
+    out = np.zeros_like(psi)
+    for word, coeff in poly.terms.items():
+        cur = psi
+        for player, idx, exp in reversed(word):
+            M = np.linalg.matrix_power(assignment[(player, idx)],
+                                       exp % poly.n)
+            if player == "A":
+                cur = M @ cur
+            else:
+                cur = cur @ M.T
+        out = out + coeff * cur
+    return out.reshape(dimA * dimB)
 
 
 def test_canonical_word_sorts_and_merges():
@@ -26,10 +67,13 @@ def test_polynomial_ring_axioms():
     assert (x + y).adjoint().adjoint() == x + y
 
 
-def _random_assignment(n, dim, seed):
+def _random_assignment(n, dim, seed, dimB=None):
+    """Alice's operators at dim, Bob's at dimB (default dim)."""
     gen = rng(seed)
-    return {key: random_order_n_observable(n, dim, int(gen.integers(2**31)))
-            for key in (("A", 0), ("A", 1), ("B", 0), ("B", 1))}
+    dims = {"A": dim, "B": dim if dimB is None else dimB}
+    return {key: random_order_n_observable(n, dims[key[0]],
+                                           int(gen.integers(2**31)))
+            for key in KEYS}
 
 
 def test_eval_is_multiplicative():
@@ -72,3 +116,83 @@ def test_letters_of_different_players_commute_under_eval():
     lhs = eval_nc(ab, assign, dim, dim)
     rhs = eval_nc(ba, assign, dim, dim)
     assert np.linalg.norm(lhs - rhs) < 1e-12
+
+
+def _mixed_polynomial(n):
+    """A constant, single letters, and multi-letter words on both sides."""
+    return NCPolynomial(n, {
+        (): 0.5,
+        (("A", 1, 1),): -1.0,
+        (("A", 0, 1), ("A", 1, 2), ("B", 1, 1)): 2.0 - 1j,
+        (("B", 0, 2), ("B", 1, 1)): 1j,
+        (("A", 1, 1), ("A", 0, 1), ("B", 0, 1), ("B", 1, 2)): 0.25,
+    })
+
+
+@pytest.mark.parametrize("dimA,dimB", [(2, 3), (3, 2), (1, 4), (3, 3)])
+def test_eval_matches_per_term_kron_reference(dimA, dimB):
+    n = 3
+    assign = _random_assignment(n, dimA, 41, dimB)
+    p = _mixed_polynomial(n)
+    got = eval_nc(p, assign, dimA, dimB)
+    assert got.shape == (dimA * dimB, dimA * dimB)
+    ref = _eval_nc_reference(p, assign, dimA, dimB)
+    assert np.linalg.norm(got - ref) < 1e-12
+    const = eval_nc(NCPolynomial.one(n, 2.0 - 1j), assign, dimA, dimB)
+    assert np.array_equal(const, (2.0 - 1j) * np.eye(dimA * dimB))
+    zero = eval_nc(NCPolynomial.zero(n), assign, dimA, dimB)
+    assert zero.shape == (dimA * dimB, dimA * dimB)
+    assert not zero.any()
+
+
+def test_eval_and_apply_name_the_missing_operator():
+    n, dim = 3, 2
+    assign = _random_assignment(n, dim, 43)
+    del assign[("B", 1)]
+    p = NCPolynomial.letter(n, "A", 0) * NCPolynomial.letter(n, "B", 1)
+    with pytest.raises(KeyError, match="missing operator"):
+        eval_nc(p, assign, dim, dim)
+    with pytest.raises(KeyError, match="missing operator"):
+        apply_nc(p, assign, random_state(dim * dim, rng(3)), dim, dim)
+
+
+def test_apply_is_bit_identical_to_per_letter_powers():
+    n, dimA, dimB = 3, 2, 3
+    assign = _random_assignment(n, dimA, 47, dimB)
+    state = random_state(dimA * dimB, rng(5))
+    p = _mixed_polynomial(n)
+    assert np.array_equal(apply_nc(p, assign, state, dimA, dimB),
+                          _apply_nc_reference(p, assign, state, dimA, dimB))
+
+
+_LETTER = st.tuples(st.sampled_from("AB"), st.integers(0, 1),
+                    st.integers(0, 4))
+_TERMS = st.lists(
+    st.tuples(st.lists(_LETTER, max_size=4),
+              st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                 allow_infinity=False)),
+    max_size=6)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(n=st.integers(2, 4), dimA=st.integers(1, 3), dimB=st.integers(1, 3),
+       batch=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       seed=st.integers(0, 2**32 - 1), terms=_TERMS)
+def test_eval_on_a_stack_equals_the_stack_of_evaluations(
+        n, dimA, dimB, batch, seed, terms):
+    p = NCPolynomial(n, {tuple(word): c for word, c in terms})
+    gen = rng(seed)
+    size = int(np.prod(batch))
+    assign = {}
+    for key in KEYS:
+        d = dimA if key[0] == "A" else dimB
+        seeds = gen.integers(2**63, size=size).tolist()
+        assign[key] = random_order_n_observables(n, d, seeds).reshape(
+            tuple(batch) + (d, d))
+    got = eval_nc(p, assign, dimA, dimB)
+    dim = dimA * dimB
+    assert got.shape == tuple(batch) + (dim, dim)
+    for t in np.ndindex(*batch):
+        one = eval_nc(p, {k: v[t] for k, v in assign.items()}, dimA, dimB)
+        assert np.linalg.norm(got[t] - one) <= 1e-12 * max(
+            1.0, np.linalg.norm(one))

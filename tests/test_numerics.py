@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from znlcs.numerics import (complex_from_json, complex_to_json,
                             dirichlet_kernel, hermitian_eig, partial_trace_A,
                             partial_trace_B, random_order_n_observable,
-                            random_state, random_unitary, rng)
+                            random_order_n_observables, random_state,
+                            random_unitary, rng)
 
 
 def test_dirichlet_closed_form_matches_direct_sum():
@@ -143,6 +144,34 @@ def test_random_order_n_observable(order, dim):
     if dim == 1 and order == 2:
         assert abs(abs(U[0, 0]) - 1.0) < 1e-12
         assert abs(U[0, 0].imag) < 1e-12
+
+
+def _observable_reference(order, dim, seed):
+    """One observable from its own stream: exponents, then the Gaussian."""
+    gen = rng(seed)
+    exps = gen.integers(0, order, size=dim)
+    G = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    Q, R = np.linalg.qr(G)
+    V = Q * (np.diag(R) / np.abs(np.diag(R)))
+    omega = np.exp(2j * np.pi / order)
+    return (V * (omega ** exps)) @ V.conj().T
+
+
+@pytest.mark.parametrize("order,dim", [(2, 1), (2, 4), (3, 3), (3, 6),
+                                       (5, 7)])
+def test_random_order_n_observables_stack(order, dim):
+    seeds = [3, 2**63 - 1, 17, 17, 0]
+    U = random_order_n_observables(order, dim, seeds)
+    assert U.shape == (len(seeds), dim, dim)
+    eye = np.eye(dim)
+    for t, seed in enumerate(seeds):
+        one = random_order_n_observable(order, dim, seed)
+        assert np.abs(U[t] - one).max() < 1e-14
+        assert np.abs(U[t] - _observable_reference(order, dim, seed)).max() \
+            < 1e-14
+        assert np.linalg.norm(U[t].conj().T @ U[t] - eye) < 1e-12
+        assert np.linalg.norm(
+            np.linalg.matrix_power(U[t], order) - eye) < 1e-12
 
 
 def test_random_state_normalized():

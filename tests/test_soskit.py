@@ -3,16 +3,105 @@ import json
 import numpy as np
 import pytest
 
+from znlcs import soskit
 from znlcs.biaskit import bias_polynomial
 from znlcs.gamekit import ModNGameParams
 from znlcs.ncpoly import eval_nc
-from znlcs.numerics import random_order_n_observable, rng
-from znlcs.soskit import (SOSCertificate, annihilation_residuals,
-                          certificate_chsh, certificate_g3,
-                          derived_relations_g3, h3_polynomial,
-                          verify_sos_identity)
+from znlcs.numerics import (random_order_n_observable,
+                            random_order_n_observables, rng)
+from znlcs.soskit import (BLOCK_TRIALS, SOSCertificate,
+                          annihilation_residuals, certificate_chsh,
+                          certificate_g3, derived_relations_g3,
+                          h3_polynomial, verify_sos_identity)
 from znlcs.strategykit import (canonical_strategy, check_state_relation,
                                random_strategy)
+
+
+def _verify_reference(cert, bias, trials, seed):
+    """verify_sos_identity one trial at a time, each draw in stream order."""
+    n = cert.order
+    gen = rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        dim = int(gen.choice([n, 2 * n]))
+        assignment = {
+            key: random_order_n_observable(n, dim, int(gen.integers(2 ** 63)))
+            for key in (("A", 0), ("A", 1), ("B", 0), ("B", 1))
+        }
+        total_dim = dim * dim
+        lhs = cert.lam * np.eye(total_dim) - eval_nc(
+            bias, assignment, dim, dim)
+        rhs = np.zeros((total_dim, total_dim), dtype=np.complex128)
+        for weight, p in cert.squares:
+            T = eval_nc(p, assignment, dim, dim)
+            rhs += weight * (T.conj().T @ T)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+def _corrupted_g3():
+    cert = certificate_g3()
+    squares = list(cert.squares)
+    w, p = squares[-1]
+    squares[-1] = (w + 1e-3, p)
+    return SOSCertificate(order=3, lam=cert.lam, squares=tuple(squares))
+
+
+TRIAL_COUNTS = sorted({1, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1,
+                       2 * BLOCK_TRIALS + 1, 100})
+
+
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+@pytest.mark.parametrize("cert", [certificate_chsh(), certificate_g3()],
+                         ids=["chsh", "g3"])
+def test_verify_matches_per_trial_reference(cert, trials):
+    bias = bias_polynomial(ModNGameParams(cert.order, 0, 1))
+    got = verify_sos_identity(cert, bias, trials, seed=trials)
+    ref = _verify_reference(cert, bias, trials, seed=trials)
+    assert abs(got - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+def test_verify_corrupted_matches_per_trial_reference(trials):
+    # Far from 0 and different in every trial, the corrupted residual must
+    # match the per-trial maximum in relative terms, not only absolutely.
+    bad = _corrupted_g3()
+    bias = bias_polynomial(ModNGameParams(3, 0, 1))
+    got = verify_sos_identity(bad, bias, trials, seed=trials)
+    ref = _verify_reference(bad, bias, trials, seed=trials)
+    assert ref > 1e-4
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+def test_verify_evaluates_each_trial_once(monkeypatch, trials):
+    # Record the observable seeds of every block: each trial's four seeds,
+    # drawn after its dimension, must be evaluated exactly once, at that
+    # dimension, in blocks of at most BLOCK_TRIALS.
+    calls = []
+
+    def record(order, dim, seeds):
+        calls.append((dim, list(seeds)))
+        return random_order_n_observables(order, dim, seeds)
+
+    monkeypatch.setattr(soskit, "random_order_n_observables", record)
+    cert = certificate_chsh()
+    verify_sos_identity(cert, bias_polynomial(ModNGameParams(2, 0, 1)),
+                        trials, seed=trials)
+    gen = rng(trials)
+    want = []
+    for _ in range(trials):
+        dim = int(gen.choice([2, 4]))
+        want.append((dim, tuple(int(gen.integers(2 ** 63))
+                                for _ in range(4))))
+    got = []
+    for i in range(0, len(calls), 4):
+        group = calls[i:i + 4]
+        dim = group[0][0]
+        assert all(d == dim for d, _ in group)
+        assert 1 <= len(group[0][1]) <= BLOCK_TRIALS
+        got += [(dim, t) for t in zip(*(s for _, s in group))]
+    assert sorted(got) == sorted(want)
 
 
 def test_chsh_certificate_identity():
@@ -29,11 +118,7 @@ def test_g3_certificate_identity():
 
 def test_corrupted_certificate_detected():
     # Negative control: nudging one weight must break the identity.
-    cert = certificate_g3()
-    squares = list(cert.squares)
-    w, p = squares[-1]
-    squares[-1] = (w + 1e-3, p)
-    bad = SOSCertificate(order=3, lam=cert.lam, squares=tuple(squares))
+    bad = _corrupted_g3()
     bias = bias_polynomial(ModNGameParams(3, 0, 1))
     assert verify_sos_identity(bad, bias, trials=5, seed=5) > 1e-4
 
