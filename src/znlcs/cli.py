@@ -5,6 +5,10 @@ their tolerances, pass flags, seed, wall time) to stdout and exits 0 when
 every asserted check passes, 1 when a check fails, 2 on usage errors.
 CSV and SDPA outputs go to --out paths. The environment variable
 ``ZNLCS_SEED`` supplies the default seed.
+
+The other ``znlcs`` modules load on first use (see ``znlcs/__init__.py``),
+so a command runs only the code it needs, and the report's wall time
+includes loading the modules (and numpy) that the command uses.
 """
 
 from __future__ import annotations
@@ -18,12 +22,10 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from . import __version__, bcskit, biaskit, groupkit, npakit, soskit
-from .gamekit import ModNGameParams, classical_value, make_mod_n_game
-from .strategykit import (canonical_state, canonical_strategy,
-                          canonical_value_formula,
-                          psi_representation_residuals, schmidt,
-                          strategy_value_direct)
+# Modules, not names: each is a lazy module (see ``znlcs/__init__.py``),
+# loaded when a command first reads one of its attributes.
+from . import (__version__, bcskit, biaskit, gamekit, groupkit, npakit,
+               soskit, strategykit)
 
 DEFAULT_SEED = 20210
 
@@ -81,8 +83,9 @@ class Report:
 def cmd_game_classical(args) -> int:
     rep = Report("game classical",
                  {"n": args.n, "m1": args.m1, "m2": args.m2})
-    game = make_mod_n_game(ModNGameParams(args.n, args.m1, args.m2))
-    value, pairs = classical_value(game)
+    game = gamekit.make_mod_n_game(
+        gamekit.ModNGameParams(args.n, args.m1, args.m2))
+    value, pairs = gamekit.classical_value(game)
     rep.result("classical_value", value)
     rep.result("optimal_pair_count", pairs)
     return rep.finish()
@@ -90,13 +93,14 @@ def cmd_game_classical(args) -> int:
 
 def cmd_strategy_value(args) -> int:
     rep = Report("strategy value", {"n": args.n, "via": args.via})
-    s = canonical_strategy(args.n)
-    p = ModNGameParams(args.n, 0, 1)
+    s = strategykit.canonical_strategy(args.n)
+    p = gamekit.ModNGameParams(args.n, 0, 1)
     if args.via == "bias":
         value = biaskit.bias_value(p, s)
     else:
-        value = strategy_value_direct(make_mod_n_game(p), s)
-    formula = canonical_value_formula(args.n)
+        value = strategykit.strategy_value_direct(
+            gamekit.make_mod_n_game(p), s)
+    formula = strategykit.canonical_value_formula(args.n)
     rep.result("value", value, tolerance=1e-9, target=formula)
     rep.result("formula_value", formula)
     return rep.finish()
@@ -107,9 +111,9 @@ def cmd_strategy_entropy(args) -> int:
                  {"nMax": args.n_max, "out": args.out})
     rows = []
     for n in range(2, args.n_max + 1):
-        sd = schmidt(canonical_state(n), n, n)
+        sd = strategykit.schmidt(strategykit.canonical_state(n), n, n)
         ratio = sd.entropy / math.log2(n)
-        rows.append((n, canonical_value_formula(n), ratio))
+        rows.append((n, strategykit.canonical_value_formula(n), ratio))
         if sd.rank != n:
             rep.result(f"schmidt_rank_n{n}", sd.rank, target=n,
                        tolerance=0.0, ok=False)
@@ -126,14 +130,14 @@ def cmd_strategy_entropy(args) -> int:
 
 def cmd_bias_spectrum(args) -> int:
     rep = Report("bias spectrum", {"n": args.n})
-    p = ModNGameParams(args.n, 0, 1)
-    report = biaskit.bias_spectrum(p, canonical_strategy(args.n))
+    p = gamekit.ModNGameParams(args.n, 0, 1)
+    report = biaskit.bias_spectrum(p, strategykit.canonical_strategy(args.n))
     formula = biaskit.bias_eigenvalue_formula(args.n)
     rep.result("top_eigenvalue", report.top_eigenvalue, tolerance=1e-9,
                target=formula)
     rep.result("multiplicity", report.multiplicity)
     rep.result("predicted_value", report.predicted_value, tolerance=1e-9,
-               target=canonical_value_formula(args.n))
+               target=strategykit.canonical_value_formula(args.n))
     rep.result("eigenrelation_residual",
                biaskit.eigenrelation_residual(args.n), tolerance=1e-9,
                target=0.0)
@@ -169,10 +173,10 @@ def cmd_sos_verify(args) -> int:
     else:
         cert = soskit.certificate_g3()
         tol = 1e-8
-    bias = biaskit.bias_polynomial(ModNGameParams(cert.order, 0, 1))
+    bias = biaskit.bias_polynomial(gamekit.ModNGameParams(cert.order, 0, 1))
     residual = soskit.verify_sos_identity(cert, bias, args.trials, args.seed)
     rep.result("identity_residual", residual, tolerance=tol, target=0.0)
-    s = canonical_strategy(cert.order)
+    s = strategykit.canonical_strategy(cert.order)
     worst = max(r for _, r in soskit.annihilation_residuals(cert, s))
     rep.result("annihilation_residual", worst, tolerance=1e-9, target=0.0)
     return rep.finish()
@@ -180,11 +184,10 @@ def cmd_sos_verify(args) -> int:
 
 def cmd_relations_check(args) -> int:
     rep = Report("relations check", {"n": args.n})
-    s = canonical_strategy(3)
-    from .strategykit import check_state_relation
+    s = strategykit.canonical_strategy(3)
     worst = 0.0
     for name, poly in soskit.derived_relations_g3():
-        r = check_state_relation(s, poly)
+        r = strategykit.check_state_relation(s, poly)
         rep.result(f"relation_{name}", r, tolerance=1e-9, target=0.0)
         worst = max(worst, r)
     rep.result("worst_residual", worst, tolerance=1e-9, target=0.0)
@@ -220,7 +223,7 @@ def cmd_bcs(args) -> int:
 def cmd_npa_export(args) -> int:
     rep = Report("npa export",
                  {"n": args.n, "level": args.level, "out": args.out})
-    mp = npakit.build_moment_problem(ModNGameParams(args.n, 0, 1),
+    mp = npakit.build_moment_problem(gamekit.ModNGameParams(args.n, 0, 1),
                                      args.level)
     prob = npakit.export_sdpa(mp, args.out)
     reparsed = npakit.parse_sdpa(args.out)
@@ -234,7 +237,8 @@ def cmd_npa_export(args) -> int:
 
 def cmd_psirep_check(args) -> int:
     rep = Report("psirep check", {"n": args.n})
-    res_a, res_b = psi_representation_residuals(canonical_strategy(args.n))
+    res_a, res_b = strategykit.psi_representation_residuals(
+        strategykit.canonical_strategy(args.n))
     rep.result("alice_residual", res_a, tolerance=1e-9, target=0.0)
     rep.result("bob_residual", res_b, tolerance=1e-9, target=0.0)
     return rep.finish()
@@ -324,6 +328,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                     args.subparser.error(
                         f"argument --{flag}: must lie in [0, {args.n}), "
                         f"got {value}")
+            # The mod-n game: two questions a player, n answers each.
+            work = gamekit.classical_work(2, 2, args.n, args.n)
+            if work > gamekit.CLASSICAL_BUDGET_DEFAULT:
+                args.subparser.error(
+                    f"argument --n: the classical search needs ~{work:.2e} "
+                    f"payoff evaluations, over the budget of "
+                    f"{gamekit.CLASSICAL_BUDGET_DEFAULT:.0e}, got {args.n}")
         if (args.func in (cmd_group_enumerate, cmd_group_normal_form)
                 and groupkit.group_order_exceeds_cap(args.n)):
             args.subparser.error(

@@ -216,6 +216,16 @@ def _best_response_numpy(W: np.ndarray) -> Tuple[float, int]:
     return best, best_count
 
 
+def classical_work(nA: int, nB: int, mA: int, mB: int) -> int:
+    """Payoff evaluations ``classical_value`` makes on a game of this shape:
+    the smaller player's function space, times nA * nB, times the other
+    player's answer count."""
+    count_A, count_B = mA ** nA, mB ** nB
+    if count_B <= count_A:
+        return count_B * nA * nB * mA
+    return count_A * nA * nB * mB
+
+
 def classical_value(g: GameSpec,
                     budget: int = CLASSICAL_BUDGET_DEFAULT
                     ) -> Tuple[float, int]:
@@ -227,22 +237,19 @@ def classical_value(g: GameSpec,
     best-responds per question (the payoff is additive across their
     questions), which also yields the exact count of optimal pairs.
 
-    Returns (value, count of maximizing deterministic pairs). Raises if the
-    estimated work exceeds ``budget`` elementary payoff evaluations.
+    Returns (value, count of maximizing deterministic pairs). Raises before
+    any search if ``classical_work`` exceeds ``budget``.
     """
-    count_B = g.mB ** g.nB
-    count_A = g.mA ** g.nA
-    W = g.distribution[:, :, None, None] * g.predicate
-    if count_B <= count_A:
-        work = count_B * g.nA * g.nB * g.mA
-    else:
-        # Swap roles so the kernel always enumerates the second player.
-        W = np.transpose(W, (1, 0, 3, 2))
-        work = count_A * g.nA * g.nB * g.mB
+    count_A, count_B = g.mA ** g.nA, g.mB ** g.nB
+    work = classical_work(g.nA, g.nB, g.mA, g.mB)
     if work > budget:
         raise ValueError(
             f"classical_value search needs ~{work:.2e} payoff evaluations "
             f"(space {count_A} x {count_B}), over the budget of {budget:.2e}")
+    W = g.distribution[:, :, None, None] * g.predicate
+    if count_B > count_A:
+        # Swap roles so the kernel always enumerates the second player.
+        W = np.transpose(W, (1, 0, 3, 2))
     value, pairs = _best_response_numpy(W)
     return float(value), int(pairs)
 

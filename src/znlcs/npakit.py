@@ -217,7 +217,9 @@ class SDPAProblem:
             "* moment relaxation export",
             "* complex Hermitian moment matrix embedded as the real block",
             "* [[Re, -Im], [Im, Re]] (doubling the block size); the final",
-            "* diagonal block pins the empty-word moment to 1.",
+            "* diagonal block pins the empty-word moment to 1. SDPA minimizes",
+            "* c.x, so c holds minus the bias: the optimum is minus the",
+            "* largest bias.",
             f"{self.nvars}",
             f"{len(self.block_sizes)}",
             " ".join(str(b) for b in self.block_sizes),
@@ -234,7 +236,8 @@ def sdpa_from_moment_problem(mp: MomentProblem) -> SDPAProblem:
     Variables are the real and imaginary parts of each moment class (the
     imaginary part is omitted when the class is self-adjoint). The moment
     block is the doubled real embedding; a 2-element diagonal block encodes
-    the normalization x_e = 1. Objective coefficients reproduce the bias.
+    the normalization x_e = 1. SDPA minimizes the objective, so its
+    coefficients reproduce minus the bias.
     """
     n = mp.n
     N = mp.size
@@ -270,11 +273,13 @@ def sdpa_from_moment_problem(mp: MomentProblem) -> SDPAProblem:
     entries[(0, 2, 1, 1)] = 1.0
     entries[(0, 2, 2, 2)] = -1.0
 
+    # -Re(c y) = -Re(c) x_re + Im(c) x_im. Accumulating from +0.0 by
+    # subtraction and addition never yields -0.0, so no "-0" token.
     objective = [0.0] * nvars
     for cid, c in mp.objective.items():
-        objective[var_pos[(cid, "re")] - 1] += float(np.real(c))
+        objective[var_pos[(cid, "re")] - 1] -= float(np.real(c))
         if (cid, "im") in var_pos:
-            objective[var_pos[(cid, "im")] - 1] += -float(np.imag(c))
+            objective[var_pos[(cid, "im")] - 1] += float(np.imag(c))
     return SDPAProblem(nvars=nvars, block_sizes=[2 * N, -2],
                        objective=objective, entries=entries)
 

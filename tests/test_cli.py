@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import znlcs
 from znlcs.cli import main
 
 
@@ -83,6 +88,7 @@ def test_unknown_command_exits_2(capsys):
     ("sos verify --cert chsh --trials 0", "--trials"),
     ("relations check --n 4", "--n"),
     ("bcs magic-square --witness", "--witness"),
+    ("game classical --n 300", "--n"),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv, flag):
     assert main(argv.split()) == 2
@@ -107,3 +113,44 @@ def test_deterministic_reports(capsys):
     r1.pop("wallTimeSeconds")
     r2.pop("wallTimeSeconds")
     assert r1 == r2
+
+
+# Runs ``python -m znlcs.cli ARGV...`` through runpy, as ``-m`` does, then
+# prints the names of the modules whose code ran (a lazy module not yet
+# loaded is not a plain ModuleType) as the last line of stderr.
+LOADED_MODULES = """
+import json, runpy, sys, types
+try:
+    runpy.run_module("znlcs.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(json.dumps(sorted(name for name, m in sys.modules.items()
+                            if type(m) is types.ModuleType)),
+          file=sys.stderr)
+"""
+
+
+def modules_loaded_by(*argv):
+    src = str(pathlib.Path(znlcs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # -W error: runpy warns if znlcs.cli is in sys.modules before it runs.
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c",
+         LOADED_MODULES, *argv],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def test_commands_load_only_the_modules_they_use():
+    code, loaded = modules_loaded_by("group", "enumerate", "--n", "2")
+    assert code == 0
+    assert "znlcs.groupkit" in loaded
+    assert not loaded & {"znlcs.npakit", "znlcs.soskit", "znlcs.bcskit"}
+
+    code, loaded = modules_loaded_by("game", "classical", "--n", "1")
+    assert code == 2
+    assert "numpy" not in loaded
+    # runpy runs the CLI as __main__, so no znlcs submodule ran at all.
+    assert not any(m.startswith("znlcs.") for m in loaded)

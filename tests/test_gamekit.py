@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from znlcs.gamekit import (GameSpec, LinearSystem, ModNGameParams,
                            _best_response_numpy, classical_value,
+                           classical_work,
                            make_lcs_game, make_mod_n_game,
                            mod_n_linear_system, relabel_answers)
 
@@ -57,6 +60,50 @@ def test_budget_guard():
     g = make_mod_n_game(ModNGameParams(5, 0, 1))
     with pytest.raises(ValueError, match="budget"):
         classical_value(g, budget=10)
+
+
+def test_budget_guard_is_the_work_estimate():
+    # The mod-n game's search costs 4n^3 evaluations; the budget admits
+    # exactly that much.
+    g = make_mod_n_game(ModNGameParams(4, 0, 1))
+    work = classical_work(g.nA, g.nB, g.mA, g.mB)
+    assert work == 4 * 4 ** 3
+    assert classical_value(g, budget=work)[0] == pytest.approx(0.75)
+    with pytest.raises(ValueError, match="budget"):
+        classical_value(g, budget=work - 1)
+
+
+@st.composite
+def tiny_games(draw):
+    """A random game with at most 3 questions and 3 answers a player.
+    Integer weights keep distinct strategy values 1/total apart, far above
+    the kernel's 1e-12 tie tolerance."""
+    nA, nB, mA, mB = (draw(st.integers(1, 3)) for _ in range(4))
+    weights = np.array(draw(st.lists(st.integers(0, 4), min_size=nA * nB,
+                                     max_size=nA * nB)), dtype=float)
+    weights[draw(st.integers(0, nA * nB - 1))] += 1
+    predicate = np.array(draw(st.lists(
+        st.booleans(), min_size=nA * nB * mA * mB,
+        max_size=nA * nB * mA * mB)))
+    return GameSpec(nA, nB, mA, mB,
+                    (weights / weights.sum()).reshape(nA, nB),
+                    predicate.reshape(nA, nB, mA, mB))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), g=tiny_games())
+def test_classical_value_property(data, g):
+    # Equal to the two-sided brute force, and invariant under relabelling
+    # either player's answers.
+    value, pairs = classical_value(g)
+    oracle_value, oracle_pairs = _brute_force_value(g)
+    assert value == pytest.approx(oracle_value, abs=1e-12)
+    assert pairs == oracle_pairs
+    permA = data.draw(st.permutations(range(g.mA)))
+    permB = data.draw(st.permutations(range(g.mB)))
+    relabelled = classical_value(relabel_answers(g, permA, permB))
+    assert relabelled[0] == pytest.approx(value, abs=1e-12)
+    assert relabelled[1] == pairs
 
 
 def test_relabel_answers_preserves_value():

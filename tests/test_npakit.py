@@ -101,12 +101,13 @@ def test_sdpa_header_structure(tmp_path):
     assert len(data[3].split()) == nvars
 
 
-# SHA-256 of the whole export file of `npa export --n 3 --level L`, taken
-# from the exporter that embedded one dense coefficient matrix per
-# variable; the one-pass exporter must reproduce it byte for byte.
+# SHA-256 of the whole export file of `npa export --n 3 --level L`. The
+# constraint lines are those of the exporter that embedded one dense
+# coefficient matrix per variable; the objective line holds minus the bias,
+# and the header says so.
 SDPA_N3_SHA256 = {
-    1: "e05f0dae25561b90f711b9f6e4d30add7648e6c489ed55307cfd0ca10da59686",
-    2: "4e938a01513debc05c085e88c2fd5392b9b0601fb55ee4f344a8e76c5466790b",
+    1: "a7ad2844da7656240c9fb8d5841678fd177615be346807a78d9dd0ca99972af8",
+    2: "26b7af227951cede7b785289d886a2b737fffac754fb97ac227d7a09e8371fee",
 }
 
 
@@ -117,6 +118,28 @@ def test_sdpa_export_bytes_pinned(tmp_path, level):
     export_sdpa(mp, str(path))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == SDPA_N3_SHA256[level]
+
+
+@pytest.mark.parametrize("n,level,bias", [(2, 1, 2 * np.sqrt(2)),
+                                           (3, 2, 6.0)])
+def test_sdpa_objective_is_minus_the_bias(tmp_path, n, level, bias):
+    # SDPA minimizes c.x, so at the canonical strategy's moments the parsed
+    # objective must read minus its bias, and no zero is written as "-0".
+    mp = build_moment_problem(ModNGameParams(n, 0, 1), level)
+    path = tmp_path / "g.dat-s"
+    export_sdpa(mp, str(path))
+    prob = parse_sdpa(str(path))
+    moments = strategy_moments(mp, canonical_strategy(n))
+    x = []
+    for cid, key in enumerate(mp.class_keys):
+        x.append(moments[cid].real)
+        if word_adjoint(key, n) != key:
+            x.append(moments[cid].imag)
+    assert len(x) == prob.nvars
+    assert np.dot(prob.objective, x) == pytest.approx(-bias, abs=1e-9)
+    objective_line = [ln for ln in path.read_text().splitlines()
+                      if not ln.startswith("*")][3]
+    assert "-0" not in objective_line.split()
 
 
 @pytest.mark.parametrize("n,level", [(2, 2), (3, 1)])
