@@ -21,6 +21,15 @@ from .strategykit import (Strategy, canonical_state, canonical_strategy,
                           canonical_value_formula)
 
 CLUSTER_TOL = 1e-7
+# Largest dense bias operator the CLI's spectrum builds: 64 MiB of
+# complex128, so n <= 45 for the canonical strategy (n^2 x n^2).
+SPECTRUM_BYTES_CAP = 1 << 26
+
+
+def operator_bytes(n: int) -> int:
+    """Bytes of the canonical strategy's dense bias operator: n^2 x n^2
+    complex128 entries, 16 n^4."""
+    return 16 * n ** 4
 
 
 def bias_polynomial(p: ModNGameParams) -> NCPolynomial:

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from znlcs.biaskit import (BiasReport, bias_eigenvalue_formula, bias_operator,
+from znlcs.biaskit import (SPECTRUM_BYTES_CAP, BiasReport,
+                           bias_eigenvalue_formula, bias_operator,
                            bias_polynomial, bias_spectrum, bias_value,
-                           eigenrelation_residual, write_value_table)
+                           eigenrelation_residual, operator_bytes,
+                           write_value_table)
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
 from znlcs.strategykit import (canonical_strategy, canonical_value_formula,
                                random_strategy, strategy_value_direct)
@@ -111,3 +113,12 @@ def test_bias_report_json_pinned():
     assert report.to_json() == (
         '{"topEigenvalue": 4.0, "multiplicity": 2, "topEigenvector": null, '
         '"predictedValue": 0.75}')
+
+
+def test_operator_bytes_is_the_dense_operator_size():
+    for n in (2, 3, 4):
+        B = bias_operator(ModNGameParams(n, 0, 1), canonical_strategy(n))
+        assert B.nbytes == operator_bytes(n)
+    # The CLI's cap admits n <= 45, well above the sizes the benchmark
+    # (n <= 10) and the README run.
+    assert operator_bytes(45) <= SPECTRUM_BYTES_CAP < operator_bytes(46)

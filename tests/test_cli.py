@@ -1,3 +1,6 @@
+import gc
+import hashlib
+import importlib
 import json
 import os
 import pathlib
@@ -5,8 +8,10 @@ import subprocess
 import sys
 
 import pytest
+from test_npakit import SDPA_N3_SHA256
 
 import znlcs
+import znlcs.cli
 from znlcs.cli import main
 
 
@@ -89,6 +94,7 @@ def test_unknown_command_exits_2(capsys):
     ("relations check --n 4", "--n"),
     ("bcs magic-square --witness", "--witness"),
     ("game classical --n 300", "--n"),
+    ("bias spectrum --n 200", "--n"),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv, flag):
     assert main(argv.split()) == 2
@@ -129,16 +135,20 @@ finally:
 """
 
 
-def modules_loaded_by(*argv):
+def subprocess_env():
+    """This process's environment with the tested ``znlcs`` importable."""
     src = str(pathlib.Path(znlcs.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def modules_loaded_by(*argv):
     # -W error: runpy warns if znlcs.cli is in sys.modules before it runs.
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c",
          LOADED_MODULES, *argv],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=subprocess_env(), capture_output=True, text=True, timeout=120)
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc.returncode, set(json.loads(proc.stderr.splitlines()[-1]))
 
@@ -154,3 +164,68 @@ def test_commands_load_only_the_modules_they_use():
     assert "numpy" not in loaded
     # runpy runs the CLI as __main__, so no znlcs submodule ran at all.
     assert not any(m.startswith("znlcs.") for m in loaded)
+
+
+def run_process(*args):
+    """``python ARGS...`` with the tested ``znlcs`` importable."""
+    return subprocess.run([sys.executable, *args], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_process_exit_keeps_every_output(tmp_path):
+    # python -m znlcs.cli exits through run(): outputs must be complete.
+    sdpa = tmp_path / "g3.dat-s"
+    proc = run_process("-m", "znlcs.cli", "npa", "export", "--n", "3",
+                       "--level", "2", "--out", str(sdpa))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
+    assert hashlib.sha256(sdpa.read_bytes()).hexdigest() == \
+        SDPA_N3_SHA256[2]
+
+    table = tmp_path / "entropy.csv"
+    proc = run_process("-m", "znlcs.cli", "strategy", "entropy",
+                       "--n-max", "5", "--out", str(table))
+    assert proc.returncode == 0, proc.stderr
+    assert len(table.read_text().splitlines()) == 5  # header + n = 2..5
+
+
+def test_process_bad_input_exits_2_without_traceback():
+    proc = run_process("-m", "znlcs.cli", "bias", "spectrum", "--n", "200")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: argument --n:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# Calls run() as the ``znlcs`` script does; an atexit handler, which must
+# still run, prints how many objects the collector holds frozen.
+FREEZE_AT_EXIT = """
+import atexit, gc, sys
+import znlcs.cli
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+sys.argv[1:] = ["game", "classical", "--n", "2"]
+znlcs.cli.run()
+"""
+
+
+def test_run_freezes_the_survivors_and_exits_with_main_code():
+    proc = run_process("-c", FREEZE_AT_EXIT)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
+    assert int(proc.stderr.splitlines()[-1]) > 0
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    code, _ = run(capsys, "game", "classical", "--n", "3")
+    assert code == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_script_entry_point_is_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["znlcs"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is znlcs.cli.run

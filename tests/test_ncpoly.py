@@ -196,3 +196,19 @@ def test_eval_on_a_stack_equals_the_stack_of_evaluations(
         one = eval_nc(p, {k: v[t] for k, v in assign.items()}, dimA, dimB)
         assert np.linalg.norm(got[t] - one) <= 1e-12 * max(
             1.0, np.linalg.norm(one))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(2, 4), dimA=st.integers(1, 3), dimB=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), p_terms=_TERMS, q_terms=_TERMS)
+def test_eval_is_a_star_homomorphism(n, dimA, dimB, seed, p_terms, q_terms):
+    p = NCPolynomial(n, {tuple(word): c for word, c in p_terms})
+    q = NCPolynomial(n, {tuple(word): c for word, c in q_terms})
+    assign = _random_assignment(n, dimA, seed, dimB)
+    P = eval_nc(p, assign, dimA, dimB)
+    Q = eval_nc(q, assign, dimA, dimB)
+    scale = max(1.0, np.linalg.norm(P) * np.linalg.norm(Q))
+    assert np.linalg.norm(eval_nc(p * q, assign, dimA, dimB) - P @ Q) \
+        <= 1e-12 * scale
+    assert np.linalg.norm(eval_nc(p.adjoint(), assign, dimA, dimB)
+                          - P.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(P))

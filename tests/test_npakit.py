@@ -2,13 +2,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from znlcs.gamekit import ModNGameParams
 from znlcs.ncpoly import canonical_word
-from znlcs.npakit import (build_moment_problem, export_sdpa, generate_words,
-                          letters, moment_matrix, objective_value,
-                          parse_sdpa, randomized_reduce, strategy_feasibility,
-                          strategy_moments, word_adjoint)
+from znlcs.npakit import (SDPAProblem, build_moment_problem, export_sdpa,
+                          generate_words, letters, moment_matrix,
+                          objective_value, parse_sdpa, randomized_reduce,
+                          strategy_feasibility, strategy_moments,
+                          word_adjoint)
 from znlcs.numerics import rng
 from znlcs.strategykit import canonical_strategy, random_strategy
 
@@ -85,6 +88,34 @@ def test_sdpa_round_trip(tmp_path):
         assert again.render() == prob.render()
         assert again.block_sizes[0] == 2 * mp.size
         assert again.block_sizes[1] == -2
+
+
+_SDPA_VALUE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sdpa_problems(draw):
+    """Arbitrary sparse SDPA data: at least one variable and one block."""
+    nvars = draw(st.integers(1, 6))
+    block_sizes = draw(st.lists(st.integers(-4, 4).filter(bool),
+                                min_size=1, max_size=3))
+    objective = draw(st.lists(_SDPA_VALUE, min_size=nvars, max_size=nvars))
+    keys = st.tuples(st.integers(0, nvars),
+                     st.integers(1, len(block_sizes)),
+                     st.integers(1, 4), st.integers(1, 4))
+    entries = draw(st.dictionaries(keys, _SDPA_VALUE, max_size=12))
+    return SDPAProblem(nvars, block_sizes, objective, entries)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(prob=sdpa_problems())
+def test_sdpa_render_parse_render_is_identical(tmp_path_factory, prob):
+    path = tmp_path_factory.mktemp("sdpa") / "p.dat-s"
+    text = prob.render()
+    path.write_text(text)
+    again = parse_sdpa(str(path))
+    assert (again.nvars, again.block_sizes) == (prob.nvars, prob.block_sizes)
+    assert again.render() == text
 
 
 def test_sdpa_header_structure(tmp_path):
