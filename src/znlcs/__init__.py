@@ -5,20 +5,23 @@ in ``sys.modules`` (and on this package) from the start, and its code, with
 what it imports (numpy too), runs only when one of its attributes is first
 read. So a command pays only for the modules it uses. ``cli`` is left out
 because ``python -m znlcs.cli`` warns when its module is already loaded.
+The submodules are the ``.py`` files of this directory, listed directly
+(``pkgutil.iter_modules`` would import ``inspect`` in every process).
 """
 
 import importlib.util
-import pkgutil
+import os
 import sys
 
 __version__ = "0.1.0"
 
-for _info in pkgutil.iter_modules(__path__, f"{__name__}."):
-    if _info.name == f"{__name__}.cli":
+for _file in sorted(os.listdir(__path__[0])):
+    _stem, _ext = os.path.splitext(_file)
+    if _ext != ".py" or _stem in ("__init__", "cli"):
         continue
-    _spec = _info.module_finder.find_spec(_info.name)
+    _spec = importlib.util.find_spec(f"{__name__}.{_stem}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)
-    sys.modules[_info.name] = _module
+    sys.modules[_spec.name] = _module
     _spec.loader.exec_module(_module)
-    globals()[_info.name.rpartition(".")[2]] = _module
+    globals()[_stem] = _module

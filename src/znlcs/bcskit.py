@@ -9,13 +9,13 @@ glued double are shipped with their known operator solutions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .gamekit import GameSpec, LinearSystem, make_lcs_game
 from .numerics import adjoint, frob
+from .records import Record
 
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -23,8 +23,7 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
-@dataclass(frozen=True)
-class BinaryLCS:
+class BinaryLCS(Record):
     """A system of sign constraints over +/-1 variables."""
 
     variable_count: int
@@ -88,8 +87,7 @@ class BinaryLCS:
         return out
 
 
-@dataclass(frozen=True)
-class OperatorSolution:
+class OperatorSolution(Record):
     """One binary observable per variable, all on a common dimension."""
 
     dim: int
@@ -100,8 +98,7 @@ class OperatorSolution:
             np.asarray(M, dtype=np.complex128) for M in self.observables))
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(Record):
     observable_defects: Tuple[Tuple[int, float], ...]
     commutation_defects: Tuple[Tuple[int, int, int, float], ...]
     product_defects: Tuple[Tuple[int, float], ...]
@@ -227,8 +224,7 @@ def glue_product(sol: OperatorSolution, lcs: BinaryLCS) -> np.ndarray:
 # Perfect strategies from operator solutions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LCSStrategy:
+class LCSStrategy(Record):
     """A strategy for a binary LCS game built from an operator solution.
 
     Alice's measurement for constraint i assigns a projector to each
@@ -385,8 +381,7 @@ def nonrigidity_witness() -> Tuple[float, float, float]:
 # Solution groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolutionGroupPresentation:
+class SolutionGroupPresentation(Record):
     """Generators g_1..g_s and the central sign J with the four relator
     families of the solution group."""
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .gamekit import ModNGameParams
 from .ncpoly import NCPolynomial, eval_nc
 from .numerics import complex_to_json, hermitian_defect, hermitian_eig
+from .records import Record
 from .strategykit import (Strategy, canonical_state, canonical_strategy,
                           canonical_value_formula)
 
@@ -63,8 +63,7 @@ def bias_value(p: ModNGameParams, s: Strategy) -> float:
     return float(np.real(np.vdot(s.state, B @ s.state))) / (4 * p.n) + 1.0 / p.n
 
 
-@dataclass(frozen=True)
-class BiasReport:
+class BiasReport(Record):
     top_eigenvalue: float
     multiplicity: int
     top_eigenvector: Optional[np.ndarray]

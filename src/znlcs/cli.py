@@ -4,12 +4,24 @@ Each invocation prints a JSON run report (command, parameters, results with
 their tolerances, pass flags, seed, wall time) to stdout and exits 0 when
 every asserted check passes, 1 when a check fails, 2 on usage errors.
 CSV and SDPA outputs go to --out paths. The environment variable
-``ZNLCS_SEED`` supplies the default seed.
+``ZNLCS_SEED`` supplies the default seed. ``COMMANDS`` declares every
+command once: its handler, its pre-flight check and its arguments.
 
 The other ``znlcs`` modules load on first use (see ``znlcs/__init__.py``),
-so a command runs only the code it needs, and the report's wall time
-includes loading the modules (and numpy) that the command uses. The
-interpreter's start and exit stay outside it.
+so a command runs only the code it needs. For every command the report's
+wall time starts when parsing ends: it covers the pre-flight check (such
+as a size bound), the work, and loading the modules (and numpy) that
+either uses. The interpreter's
+start and exit, and argparse, stay outside it.
+
+Besides its command's work, a process pays for starting the interpreter
+(about 0.09 s on a 2-vCPU Xeon), importing numpy (about 0.16 s; a usage
+error imports none), compiling the source of each module it loads when no
+bytecode cache is written (1-11 ms a module), and argparse. The records
+(``znlcs.records``) generate no code, so defining one costs microseconds,
+not the millisecond a dataclass costs, and ``build_parser(argv)`` builds
+the parsers of the command argv names only (about 2.5 ms against 6-7 ms
+for the full tree).
 
 ``run()`` is the process entry point (the ``znlcs`` script and ``python
 -m znlcs.cli``) and skips the interpreter's teardown collection;
@@ -26,7 +38,7 @@ import math
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 # Modules, not names: each is a lazy module (see ``znlcs/__init__.py``),
 # loaded when a command first reads one of its attributes.
@@ -54,15 +66,18 @@ def _seed_default() -> int:
 
 
 class Report:
+    """The JSON run report of one command. ``started`` is the
+    ``time.perf_counter()`` reading its wall time counts from."""
+
     def __init__(self, command: str, parameters: Dict[str, Any],
-                 seed: Optional[int] = None):
+                 started: float, seed: Optional[int] = None):
         self.data: Dict[str, Any] = {
             "command": command,
             "parameters": parameters,
             "seed": seed,
             "results": [],
         }
-        self.t0 = time.perf_counter()
+        self.t0 = started
 
     def result(self, name: str, value: Any, tolerance: Optional[float] = None,
                target: Any = None, ok: Optional[bool] = None) -> None:
@@ -88,7 +103,7 @@ class Report:
 
 def cmd_game_classical(args) -> int:
     rep = Report("game classical",
-                 {"n": args.n, "m1": args.m1, "m2": args.m2})
+                 {"n": args.n, "m1": args.m1, "m2": args.m2}, args.started)
     game = gamekit.make_mod_n_game(
         gamekit.ModNGameParams(args.n, args.m1, args.m2))
     value, pairs = gamekit.classical_value(game)
@@ -98,7 +113,8 @@ def cmd_game_classical(args) -> int:
 
 
 def cmd_strategy_value(args) -> int:
-    rep = Report("strategy value", {"n": args.n, "via": args.via})
+    rep = Report("strategy value", {"n": args.n, "via": args.via},
+                 args.started)
     s = strategykit.canonical_strategy(args.n)
     p = gamekit.ModNGameParams(args.n, 0, 1)
     if args.via == "bias":
@@ -114,7 +130,7 @@ def cmd_strategy_value(args) -> int:
 
 def cmd_strategy_entropy(args) -> int:
     rep = Report("strategy entropy",
-                 {"nMax": args.n_max, "out": args.out})
+                 {"nMax": args.n_max, "out": args.out}, args.started)
     rows = []
     for n in range(2, args.n_max + 1):
         sd = strategykit.schmidt(strategykit.canonical_state(n), n, n)
@@ -135,7 +151,7 @@ def cmd_strategy_entropy(args) -> int:
 
 
 def cmd_bias_spectrum(args) -> int:
-    rep = Report("bias spectrum", {"n": args.n})
+    rep = Report("bias spectrum", {"n": args.n}, args.started)
     p = gamekit.ModNGameParams(args.n, 0, 1)
     report = biaskit.bias_spectrum(p, strategykit.canonical_strategy(args.n))
     formula = biaskit.bias_eigenvalue_formula(args.n)
@@ -151,7 +167,7 @@ def cmd_bias_spectrum(args) -> int:
 
 
 def cmd_group_enumerate(args) -> int:
-    rep = Report("group enumerate", {"n": args.n})
+    rep = Report("group enumerate", {"n": args.n}, args.started)
     a0, a1 = groupkit.alice_generators(args.n)
     cat = groupkit.enumerate_group([a0, a1])
     rep.result("group_order", len(cat), tolerance=0.0,
@@ -162,7 +178,7 @@ def cmd_group_enumerate(args) -> int:
 
 
 def cmd_group_normal_form(args) -> int:
-    rep = Report("group normal-form", {"n": args.n})
+    rep = Report("group normal-form", {"n": args.n}, args.started)
     pairs = groupkit.normal_form_enumerate(args.n)
     rep.result("distinct_normal_forms", len(pairs), tolerance=0.0,
                target=groupkit.group_order(args.n))
@@ -170,9 +186,10 @@ def cmd_group_normal_form(args) -> int:
 
 
 def cmd_sos_verify(args) -> int:
+    seed = _seed_default() if args.seed is None else args.seed
     rep = Report("sos verify",
-                 {"cert": args.cert, "trials": args.trials},
-                 seed=args.seed)
+                 {"cert": args.cert, "trials": args.trials}, args.started,
+                 seed=seed)
     if args.cert == "chsh":
         cert = soskit.certificate_chsh()
         tol = 1e-9
@@ -180,7 +197,7 @@ def cmd_sos_verify(args) -> int:
         cert = soskit.certificate_g3()
         tol = 1e-8
     bias = biaskit.bias_polynomial(gamekit.ModNGameParams(cert.order, 0, 1))
-    residual = soskit.verify_sos_identity(cert, bias, args.trials, args.seed)
+    residual = soskit.verify_sos_identity(cert, bias, args.trials, seed)
     rep.result("identity_residual", residual, tolerance=tol, target=0.0)
     s = strategykit.canonical_strategy(cert.order)
     worst = max(r for _, r in soskit.annihilation_residuals(cert, s))
@@ -189,7 +206,7 @@ def cmd_sos_verify(args) -> int:
 
 
 def cmd_relations_check(args) -> int:
-    rep = Report("relations check", {"n": args.n})
+    rep = Report("relations check", {"n": args.n}, args.started)
     s = strategykit.canonical_strategy(3)
     worst = 0.0
     for name, poly in soskit.derived_relations_g3():
@@ -202,7 +219,8 @@ def cmd_relations_check(args) -> int:
 
 def cmd_bcs(args) -> int:
     rep = Report(f"bcs {args.system}",
-                 {"check": args.check, "witness": args.witness})
+                 {"check": args.check, "witness": args.witness},
+                 args.started)
     if args.system == "magic-square":
         lcs, sol = bcskit.magic_square()
         solutions = [("solution", sol)]
@@ -228,13 +246,14 @@ def cmd_bcs(args) -> int:
 
 def cmd_npa_export(args) -> int:
     rep = Report("npa export",
-                 {"n": args.n, "level": args.level, "out": args.out})
+                 {"n": args.n, "level": args.level, "out": args.out},
+                 args.started)
     mp = npakit.build_moment_problem(gamekit.ModNGameParams(args.n, 0, 1),
                                      args.level)
     prob = npakit.export_sdpa(mp, args.out)
     with open(args.out) as fh:
         written = fh.read()
-    reparsed = npakit.parse_sdpa(args.out)
+    reparsed = npakit.parse_sdpa(written)
     rep.result("moment_matrix_size", mp.size)
     rep.result("sdpa_block_size", prob.block_sizes[0])
     rep.result("round_trip_exact", int(reparsed.render() == written),
@@ -243,7 +262,7 @@ def cmd_npa_export(args) -> int:
 
 
 def cmd_psirep_check(args) -> int:
-    rep = Report("psirep check", {"n": args.n})
+    rep = Report("psirep check", {"n": args.n}, args.started)
     res_a, res_b = strategykit.psi_representation_residuals(
         strategykit.canonical_strategy(args.n))
     rep.result("alice_residual", res_a, tolerance=1e-9, target=0.0)
@@ -251,113 +270,147 @@ def cmd_psirep_check(args) -> int:
     return rep.finish()
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _classical_check(args) -> Optional[str]:
+    for flag in ("m1", "m2"):
+        value = getattr(args, flag)
+        if not 0 <= value < args.n:
+            return (f"argument --{flag}: must lie in [0, {args.n}), "
+                    f"got {value}")
+    # The mod-n game: two questions a player, n answers each.
+    work = gamekit.classical_work(2, 2, args.n, args.n)
+    if work > gamekit.CLASSICAL_BUDGET_DEFAULT:
+        return (f"argument --n: the classical search needs ~{work:.2e} "
+                f"payoff evaluations, over the budget of "
+                f"{gamekit.CLASSICAL_BUDGET_DEFAULT:.0e}, got {args.n}")
+    return None
+
+
+def _group_order_check(args) -> Optional[str]:
+    if groupkit.group_order_exceeds_cap(args.n):
+        return (f"argument --n: the group of order n^2 2^(n-1) exceeds "
+                f"the enumeration cap {groupkit.ENUMERATION_CAP_DEFAULT} "
+                f"elements, got {args.n}")
+    return None
+
+
+def _operator_size_check(args) -> Optional[str]:
+    """The dense n^2 x n^2 bias operator must fit the byte cap."""
+    size = biaskit.operator_bytes(args.n)
+    if size > biaskit.SPECTRUM_BYTES_CAP:
+        return (f"argument --n: the dense bias operator needs "
+                f"{size:.2e} bytes, over the cap of "
+                f"{biaskit.SPECTRUM_BYTES_CAP:.2e}, got {args.n}")
+    return None
+
+
+def _strategy_value_check(args) -> Optional[str]:
+    return _operator_size_check(args) if args.via == "bias" else None
+
+
+def _witness_check(args) -> Optional[str]:
+    if args.witness:
+        return "argument --witness: applies to the glued system only"
+    return None
+
+
+_BCS_FLAGS = [("--check", {"action": "store_true"}),
+              ("--witness", {"action": "store_true"})]
+
+# Every command, in the order of the help text: (group, command) ->
+# (handler, preflight, arguments). The pre-flight check, if any, runs after
+# parsing and before any work, and returns a usage error
+# ("argument --FLAG: ...") or None. Each argument is (flag, add_argument
+# keywords).
+COMMANDS = {
+    ("game", "classical"): (cmd_game_classical, _classical_check, [
+        ("--n", {"type": _int_at_least(2), "required": True}),
+        ("--m1", {"type": int, "default": 0}),
+        ("--m2", {"type": int, "default": 1})]),
+    ("strategy", "value"): (cmd_strategy_value, _strategy_value_check, [
+        ("--n", {"type": _int_at_least(2), "required": True}),
+        ("--via", {"choices": ["bias", "direct"], "default": "direct"})]),
+    ("strategy", "entropy"): (cmd_strategy_entropy, None, [
+        ("--n-max", {"type": _int_at_least(2), "default": 40}),
+        ("--out", {"default": None})]),
+    ("bias", "spectrum"): (cmd_bias_spectrum, _operator_size_check, [
+        ("--n", {"type": _int_at_least(2), "required": True})]),
+    ("group", "enumerate"): (cmd_group_enumerate, _group_order_check, [
+        ("--n", {"type": _int_at_least(1), "required": True})]),
+    ("group", "normal-form"): (cmd_group_normal_form, _group_order_check, [
+        ("--n", {"type": _int_at_least(1), "required": True})]),
+    ("sos", "verify"): (cmd_sos_verify, None, [
+        ("--cert", {"choices": ["chsh", "g3"], "required": True}),
+        ("--trials", {"type": _int_at_least(1), "default": 100}),
+        # None: ZNLCS_SEED, read when the command runs.
+        ("--seed", {"type": int, "default": None})]),
+    ("relations", "check"): (cmd_relations_check, None, [
+        ("--n", {"type": int, "choices": [3], "default": 3})]),
+    ("bcs", "magic-square"): (cmd_bcs, _witness_check, _BCS_FLAGS),
+    ("bcs", "glued"): (cmd_bcs, None, _BCS_FLAGS),
+    ("npa", "export"): (cmd_npa_export, None, [
+        ("--n", {"type": _int_at_least(2), "required": True}),
+        ("--level", {"type": int, "choices": [1, 2], "default": 1}),
+        ("--out", {"required": True})]),
+    ("psirep", "check"): (cmd_psirep_check, None, [
+        ("--n", {"type": int, "choices": [2, 3], "required": True})]),
+}
+GROUPS = list(dict.fromkeys(group for group, _ in COMMANDS))
+# The namespace attribute naming a group's command; "sub" unless listed.
+COMMAND_DEST = {"bcs": "system"}
+
+
+def _named_command(argv: Optional[Sequence[str]]):
+    """The (group, command) that argv names, or None when it names none or
+    asks for help or the version."""
+    if argv is None or len(argv) < 2 or tuple(argv[:2]) not in COMMANDS:
+        return None
+    if any(arg in ("-h", "--help", "--version") for arg in argv):
+        return None
+    return argv[0], argv[1]
+
+
+def build_parser(argv: Optional[Sequence[str]] = None
+                 ) -> argparse.ArgumentParser:
+    """The argparse tree for argv: the group and command argv names, and no
+    other, or every command (the full tree) when argv names none, asks for
+    help or the version, or is None. Argparse builds each parser at a
+    cost, so one command's tree starts faster; it parses, and errs, as the
+    full tree does."""
+    named = _named_command(argv)
     parser = argparse.ArgumentParser(
         prog="znlcs",
         description="Mod-n nonlocal games: values, groups, certificates.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    game = sub.add_parser("game").add_subparsers(dest="sub", required=True)
-    g = game.add_parser("classical")
-    g.add_argument("--n", type=_int_at_least(2), required=True)
-    g.add_argument("--m1", type=int, default=0)
-    g.add_argument("--m2", type=int, default=1)
-    g.set_defaults(func=cmd_game_classical, subparser=g)
-
-    strat = sub.add_parser("strategy").add_subparsers(dest="sub",
-                                                      required=True)
-    sv = strat.add_parser("value")
-    sv.add_argument("--n", type=_int_at_least(2), required=True)
-    sv.add_argument("--via", choices=["bias", "direct"], default="direct")
-    sv.set_defaults(func=cmd_strategy_value)
-    se = strat.add_parser("entropy")
-    se.add_argument("--n-max", type=_int_at_least(2), default=40)
-    se.add_argument("--out", default=None)
-    se.set_defaults(func=cmd_strategy_entropy)
-
-    bias = sub.add_parser("bias").add_subparsers(dest="sub", required=True)
-    bs = bias.add_parser("spectrum")
-    bs.add_argument("--n", type=_int_at_least(2), required=True)
-    bs.set_defaults(func=cmd_bias_spectrum, subparser=bs)
-
-    group = sub.add_parser("group").add_subparsers(dest="sub", required=True)
-    ge = group.add_parser("enumerate")
-    ge.add_argument("--n", type=_int_at_least(1), required=True)
-    ge.set_defaults(func=cmd_group_enumerate, subparser=ge)
-    gn = group.add_parser("normal-form")
-    gn.add_argument("--n", type=_int_at_least(1), required=True)
-    gn.set_defaults(func=cmd_group_normal_form, subparser=gn)
-
-    sos = sub.add_parser("sos").add_subparsers(dest="sub", required=True)
-    so = sos.add_parser("verify")
-    so.add_argument("--cert", choices=["chsh", "g3"], required=True)
-    so.add_argument("--trials", type=_int_at_least(1), default=100)
-    so.add_argument("--seed", type=int, default=_seed_default())
-    so.set_defaults(func=cmd_sos_verify)
-
-    rel = sub.add_parser("relations").add_subparsers(dest="sub",
-                                                     required=True)
-    rc = rel.add_parser("check")
-    rc.add_argument("--n", type=int, choices=[3], default=3)
-    rc.set_defaults(func=cmd_relations_check)
-
-    bcs = sub.add_parser("bcs").add_subparsers(dest="system", required=True)
-    for name in ("magic-square", "glued"):
-        b = bcs.add_parser(name)
-        b.add_argument("--check", action="store_true")
-        b.add_argument("--witness", action="store_true")
-        b.set_defaults(func=cmd_bcs, system=name, subparser=b)
-
-    npa = sub.add_parser("npa").add_subparsers(dest="sub", required=True)
-    ne = npa.add_parser("export")
-    ne.add_argument("--n", type=_int_at_least(2), required=True)
-    ne.add_argument("--level", type=int, choices=[1, 2], default=1)
-    ne.add_argument("--out", required=True)
-    ne.set_defaults(func=cmd_npa_export)
-
-    psi = sub.add_parser("psirep").add_subparsers(dest="sub", required=True)
-    pc = psi.add_parser("check")
-    pc.add_argument("--n", type=int, choices=[2, 3], required=True)
-    pc.set_defaults(func=cmd_psirep_check)
-
+    # With one group registered, the usage still names every group, as
+    # argparse's own usage of the full tree does.
+    groups = parser.add_subparsers(
+        dest="group", required=True,
+        metavar=None if named is None else "{%s}" % ",".join(GROUPS))
+    commands = {}
+    for (group, sub), (handler, preflight, arguments) in COMMANDS.items():
+        if named not in (None, (group, sub)):
+            continue
+        if group not in commands:
+            commands[group] = groups.add_parser(group).add_subparsers(
+                dest=COMMAND_DEST.get(group, "sub"), required=True)
+        leaf = commands[group].add_parser(sub)
+        for flag, options in arguments:
+            leaf.add_argument(flag, **options)
+        leaf.set_defaults(func=handler, preflight=preflight, subparser=leaf)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-        if args.func is cmd_game_classical:
-            for flag in ("m1", "m2"):
-                value = getattr(args, flag)
-                if not 0 <= value < args.n:
-                    args.subparser.error(
-                        f"argument --{flag}: must lie in [0, {args.n}), "
-                        f"got {value}")
-            # The mod-n game: two questions a player, n answers each.
-            work = gamekit.classical_work(2, 2, args.n, args.n)
-            if work > gamekit.CLASSICAL_BUDGET_DEFAULT:
-                args.subparser.error(
-                    f"argument --n: the classical search needs ~{work:.2e} "
-                    f"payoff evaluations, over the budget of "
-                    f"{gamekit.CLASSICAL_BUDGET_DEFAULT:.0e}, got {args.n}")
-        if (args.func in (cmd_group_enumerate, cmd_group_normal_form)
-                and groupkit.group_order_exceeds_cap(args.n)):
-            args.subparser.error(
-                f"argument --n: the group of order n^2 2^(n-1) exceeds "
-                f"the enumeration cap {groupkit.ENUMERATION_CAP_DEFAULT} "
-                f"elements, got {args.n}")
-        if args.func is cmd_bias_spectrum:
-            size = biaskit.operator_bytes(args.n)
-            if size > biaskit.SPECTRUM_BYTES_CAP:
-                args.subparser.error(
-                    f"argument --n: the dense bias operator needs "
-                    f"{size:.2e} bytes, over the cap of "
-                    f"{biaskit.SPECTRUM_BYTES_CAP:.2e}, got {args.n}")
-        if args.func is cmd_bcs and args.witness and args.system != "glued":
-            args.subparser.error(
-                "argument --witness: applies to the glued system only")
+        args = build_parser(argv).parse_args(argv)
+        # Every command's report clock starts here, so its wall time
+        # covers the check and the modules the check loads.
+        args.started = time.perf_counter()
+        problem = args.preflight(args) if args.preflight else None
+        if problem:
+            args.subparser.error(problem)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version.
         return int(exc.code or 0)

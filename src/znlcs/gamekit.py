@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .records import Record
+
 CLASSICAL_BUDGET_DEFAULT = 10**8
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class GameSpec(Record):
     """A finite two-player game (question sets, distribution, predicate).
 
     ``distribution`` is an (nA, nB) probability table and ``predicate`` a
@@ -67,8 +67,7 @@ class GameSpec:
         )
 
 
-@dataclass(frozen=True)
-class ModNGameParams:
+class ModNGameParams(Record):
     """Parameters of the two-equation game over Z_n: x0x1 = w^m1 / w^m2."""
 
     n: int
@@ -82,8 +81,7 @@ class ModNGameParams:
             raise ValueError("m1, m2 must lie in [0, n)")
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """Linear equations over Z_n in multiplicative form.
 
     Each equation is (variables, exponents, rhs): sum_k exponents[k] *
@@ -91,8 +89,7 @@ class LinearSystem:
     """
 
     modulus: int
-    equations: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...] = field(
-        default=())
+    equations: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...] = ()
 
     def __post_init__(self):
         if self.modulus < 2:

@@ -22,11 +22,12 @@ from __future__ import annotations
 import csv
 import json
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
+
+from .records import Record
 
 ENUMERATION_CAP_DEFAULT = 10**6
 
@@ -41,8 +42,7 @@ _BLOCK_PRODUCTS = 1 << 16
 GroupWord = Tuple[Tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class MonomialUnitary:
+class MonomialUnitary(Record):
     """U e_k = z^{phases[k]} e_{(k+shift) mod n} with z = e^{i pi/2n}.
 
     shift lives mod n, each phase exponent mod 4n; composition and inverse
@@ -547,8 +547,7 @@ def groups_equal_as_sets(n: int) -> bool:
 # Irreducible representations of the n = 3 group
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Irrep:
+class Irrep(Record):
     name: str
     degree: int
     images: Dict[str, np.ndarray]

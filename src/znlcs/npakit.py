@@ -8,7 +8,7 @@ solving the SDP is left to external tools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import io
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -17,6 +17,7 @@ from .biaskit import bias_polynomial
 from .gamekit import ModNGameParams
 from .ncpoly import (Letter, NCPolynomial, Word, canonical_word, eval_nc,
                      word_adjoint)
+from .records import Record
 from .strategykit import Strategy
 
 # ---------------------------------------------------------------------------
@@ -83,8 +84,7 @@ def randomized_reduce(letters_seq: Sequence[Letter], n: int,
 # Moment problems
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MomentProblem:
+class MomentProblem(Record):
     """Moment-matrix data: indexed words, one variable per conjugate pair of
     reduced words, and the bias objective over those variables.
 
@@ -96,10 +96,10 @@ class MomentProblem:
     level: int
     words: List[Word]
     class_keys: List[Word]
-    moment_index: Dict[Word, Tuple[int, bool]] = field(repr=False)
-    objective: Dict[int, complex] = field(repr=False)
-    cell_class: np.ndarray = field(repr=False)
-    cell_conj: np.ndarray = field(repr=False)
+    moment_index: Dict[Word, Tuple[int, bool]]
+    objective: Dict[int, complex]
+    cell_class: np.ndarray
+    cell_conj: np.ndarray
 
     @property
     def size(self) -> int:
@@ -202,8 +202,7 @@ def strategy_feasibility(mp: MomentProblem, s: Strategy,
 # SDPA export
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SDPAProblem:
+class SDPAProblem(Record):
     """Parsed sparse SDPA data: variable count, block sizes, objective, and
     entries keyed (matrix index, block, row, col) -> value."""
 
@@ -291,18 +290,19 @@ def export_sdpa(mp: MomentProblem, destination: str) -> SDPAProblem:
     return prob
 
 
-def parse_sdpa(path: str) -> SDPAProblem:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    body = [ln for ln in lines if ln and not ln.startswith("*")]
-    nvars = int(body[0])
-    nblocks = int(body[1])
-    block_sizes = [int(t) for t in body[2].split()]
+def parse_sdpa(text: str) -> SDPAProblem:
+    """The SDPA problem written in ``text`` (a ``.dat-s`` file's content),
+    read one line at a time."""
+    lines = (ln.rstrip("\n") for ln in io.StringIO(text))
+    body = (ln for ln in lines if ln and not ln.startswith("*"))
+    nvars = int(next(body))
+    nblocks = int(next(body))
+    block_sizes = [int(t) for t in next(body).split()]
     if len(block_sizes) != nblocks:
         raise ValueError("block size count mismatch")
-    objective = [float(t) for t in body[3].split()]
+    objective = [float(t) for t in next(body).split()]
     entries: Dict[Tuple[int, int, int, int], float] = {}
-    for ln in body[4:]:
+    for ln in body:
         mat, block, row, col, value = ln.split()
         entries[(int(mat), int(block), int(row), int(col))] = float(value)
     return SDPAProblem(nvars=nvars, block_sizes=block_sizes,

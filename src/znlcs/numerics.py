@@ -12,9 +12,10 @@ produce the same stream, so every "random" test object is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .records import Record
 
 DEFAULT_TOL = 1e-9
 
@@ -57,8 +58,7 @@ def require_hermitian(M: np.ndarray, tol: float, name: str = "matrix") -> None:
         )
 
 
-@dataclass(frozen=True)
-class HermitianEig:
+class HermitianEig(Record):
     """Eigendecomposition M = V diag(w) V* with w ascending."""
 
     eigenvalues: np.ndarray

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from .gamekit import ModNGameParams
 from .ncpoly import NCPolynomial, eval_nc
 from .numerics import complex_to_json, random_order_n_observables, rng
+from .records import Record
 from .strategykit import Strategy, check_state_relation
 
 # Trials evaluated together by verify_sos_identity. Small, so that a block's
@@ -28,8 +28,7 @@ BLOCK_TRIALS = 8
 _OPERATORS = (("A", 0), ("A", 1), ("B", 0), ("B", 1))
 
 
-@dataclass(frozen=True)
-class SOSCertificate:
+class SOSCertificate(Record):
     """lam I - bias = sum of weight * square^* square over order-n
     observables."""
 

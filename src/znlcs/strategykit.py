@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -21,12 +20,12 @@ from .ncpoly import NCPolynomial, apply_nc
 from .numerics import (adjoint, complex_from_json, complex_to_json, frob,
                        random_order_n_observable, random_state,
                        require_finite, rng)
+from .records import Record
 
 SCHMIDT_RANK_THRESHOLD = 1e-9
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Record):
     """Observables of order n for each player plus a shared bipartite state."""
 
     order: int
@@ -162,8 +161,7 @@ def strategy_value_direct(g: GameSpec, s: Strategy,
     return value
 
 
-@dataclass(frozen=True)
-class SchmidtData:
+class SchmidtData(Record):
     coefficients: np.ndarray
     rank: int
     entropy: float

@@ -224,7 +224,7 @@ def test_13_npa_structure(tmp_path):
     mp = build_moment_problem(ModNGameParams(3, 0, 1), 1)
     path = tmp_path / "g3.dat-s"
     prob = export_sdpa(mp, str(path))
-    assert parse_sdpa(str(path)).render() == prob.render()
+    assert parse_sdpa(path.read_text()).render() == prob.render()
 
 
 @_verdict(14, "self-testing consequences (property checks)")

@@ -6,13 +6,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from test_npakit import SDPA_N3_SHA256
 
 import znlcs
 import znlcs.cli
-from znlcs.cli import main
+from znlcs.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -78,7 +79,7 @@ def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
-@pytest.mark.parametrize("argv,flag", [
+BAD_INPUT = [
     ("game classical --n 1", "--n"),
     ("game classical --n 3 --m1 3", "--m1"),
     ("game classical --n 3 --m2 -1", "--m2"),
@@ -95,13 +96,92 @@ def test_unknown_command_exits_2(capsys):
     ("bcs magic-square --witness", "--witness"),
     ("game classical --n 300", "--n"),
     ("bias spectrum --n 200", "--n"),
-])
+    ("strategy value --n 200 --via bias", "--n"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_INPUT)
 def test_bad_input_exits_2_without_traceback(capsys, argv, flag):
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument {flag}:" in captured.err
     assert "Traceback" not in captured.err
+
+
+# One valid argv per command; then argvs the named-command tree must not
+# serve (no arguments, an unknown group or command, help, the version) and
+# argvs whose error argparse reports with the root's usage.
+EVERY_COMMAND = [
+    "game classical --n 3 --m1 1", "strategy value --n 2 --via bias",
+    "strategy entropy --n-max 3 --out t.csv", "bias spectrum --n 2",
+    "group enumerate --n 2", "group normal-form --n 2",
+    "sos verify --cert chsh --trials 2 --seed 5", "relations check",
+    "bcs magic-square --check", "bcs glued --check --witness",
+    "npa export --n 2 --level 2 --out t.dat-s", "psirep check --n 2",
+]
+EDGE_CASES = [
+    "", "frobnicate", "game frobnicate", "bcs", "-h", "--help", "game -h",
+    "bcs -h", "game classical -h", "npa export --help", "--version",
+    "game classical --n 3 --version", "game classical --n 3 --bogus",
+]
+
+
+def test_every_command_is_in_the_corpus():
+    named = {tuple(argv.split()[:2]) for argv in EVERY_COMMAND}
+    assert named == set(znlcs.cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_every_command_passes(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # for the --out files
+    code, report = run(capsys, *argv.split())
+    assert code == 0
+    assert report["pass"] is True
+
+
+def parse_outcome(capsys, parser, argv):
+    """Exit code, stdout, stderr and namespace of parser.parse_args(argv);
+    the command's own parser is compared by its prog and help."""
+    try:
+        namespace, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    if namespace is not None:
+        leaf = namespace.pop("subparser")
+        namespace["subparser"] = (leaf.prog, leaf.format_help())
+    return code, captured.out, captured.err, namespace
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND + EDGE_CASES
+                         + [argv for argv, _ in BAD_INPUT])
+def test_named_command_tree_parses_as_the_full_tree(capsys, argv):
+    argv = argv.split()
+    lean = parse_outcome(capsys, build_parser(argv), argv)
+    assert lean == parse_outcome(capsys, build_parser(), argv)
+
+
+def test_named_command_tree_holds_that_command_only(capsys):
+    parser = build_parser(["npa", "export", "--n", "2", "--out", "t"])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["game", "classical", "--n", "3"])
+    assert "invalid choice: 'game'" in capsys.readouterr().err
+
+
+def test_report_clock_covers_the_check(capsys, monkeypatch):
+    # Only the size check of bias spectrum reads operator_bytes; the
+    # report's wall time must count it, as it counts the command's work.
+    size = znlcs.biaskit.operator_bytes
+
+    def slow_size(n):
+        time.sleep(0.05)
+        return size(n)
+
+    monkeypatch.setattr(znlcs.biaskit, "operator_bytes", slow_size)
+    code, report = run(capsys, "bias", "spectrum", "--n", "2")
+    assert code == 0
+    assert report["wallTimeSeconds"] >= 0.05
 
 
 def test_seed_env_default(monkeypatch):
@@ -158,12 +238,14 @@ def test_commands_load_only_the_modules_they_use():
     assert code == 0
     assert "znlcs.groupkit" in loaded
     assert not loaded & {"znlcs.npakit", "znlcs.soskit", "znlcs.bcskit"}
+    assert "dataclasses" not in loaded
 
     code, loaded = modules_loaded_by("game", "classical", "--n", "1")
     assert code == 2
     assert "numpy" not in loaded
     # runpy runs the CLI as __main__, so no znlcs submodule ran at all.
     assert not any(m.startswith("znlcs.") for m in loaded)
+    assert not loaded & {"inspect", "dataclasses"}
 
 
 def run_process(*args):

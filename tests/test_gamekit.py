@@ -120,6 +120,18 @@ def test_game_json_round_trip():
     assert np.allclose(g.distribution, g2.distribution)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(g=tiny_games())
+def test_game_json_round_trip_is_exact(g):
+    back = GameSpec.from_json(g.to_json())
+    assert (back.nA, back.nB, back.mA, back.mB) == (g.nA, g.nB, g.mA, g.mB)
+    assert back.distribution.dtype == np.float64
+    assert back.distribution.tobytes() == g.distribution.tobytes()
+    assert back.predicate.dtype == bool
+    assert np.array_equal(back.predicate, g.predicate)
+    assert back.to_json() == g.to_json()
+
+
 def test_linear_system_satisfying_assignments_lexicographic():
     sys = mod_n_linear_system(ModNGameParams(3, 1, 2))
     sols = sys.satisfying_assignments(0)

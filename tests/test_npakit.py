@@ -84,7 +84,7 @@ def test_sdpa_round_trip(tmp_path):
         mp = build_moment_problem(ModNGameParams(n, 0, 1), level)
         path = tmp_path / f"g{n}_l{level}.dat-s"
         prob = export_sdpa(mp, str(path))
-        again = parse_sdpa(str(path))
+        again = parse_sdpa(path.read_text())
         assert again.render() == prob.render()
         assert again.block_sizes[0] == 2 * mp.size
         assert again.block_sizes[1] == -2
@@ -113,7 +113,7 @@ def test_sdpa_render_parse_render_is_identical(tmp_path_factory, prob):
     path = tmp_path_factory.mktemp("sdpa") / "p.dat-s"
     text = prob.render()
     path.write_text(text)
-    again = parse_sdpa(str(path))
+    again = parse_sdpa(path.read_text())
     assert (again.nvars, again.block_sizes) == (prob.nvars, prob.block_sizes)
     assert again.render() == text
 
@@ -159,7 +159,7 @@ def test_sdpa_objective_is_minus_the_bias(tmp_path, n, level, bias):
     mp = build_moment_problem(ModNGameParams(n, 0, 1), level)
     path = tmp_path / "g.dat-s"
     export_sdpa(mp, str(path))
-    prob = parse_sdpa(str(path))
+    prob = parse_sdpa(path.read_text())
     moments = strategy_moments(mp, canonical_strategy(n))
     x = []
     for cid, key in enumerate(mp.class_keys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
 from znlcs.groupkit import evaluate_word_matrix, normal_form_enumerate
@@ -250,3 +251,33 @@ def test_strategy_json_pinned():
         '[[0.3333333333333333, 0.0], [-0.0, -2.5e-07]]]], '
         '"state": [[0.6, 0.0], [-0.0, -0.8]]}')
     assert Strategy.from_json(text).to_json() == text
+
+
+_ENTRY = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def strategies(draw):
+    """Any Strategy record: two square arrays a player and a state, with
+    arbitrary finite complex entries (nothing requires them admissible)."""
+    dimA, dimB = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    square = [arrays(np.complex128, (d, d), elements=_ENTRY)
+              for d in (dimA, dimA, dimB, dimB)]
+    a0, a1, b0, b1 = (draw(s) for s in square)
+    state = draw(arrays(np.complex128, dimA * dimB, elements=_ENTRY))
+    return Strategy(draw(st.integers(2, 5)), dimA, dimB, (a0, a1), (b0, b1),
+                    state)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(s=strategies())
+def test_strategy_json_round_trip_is_bit_exact(s):
+    back = Strategy.from_json(s.to_json())
+    assert (back.order, back.dimA, back.dimB) == (s.order, s.dimA, s.dimB)
+    for got, want in zip(back.alice_obs + back.bob_obs + (back.state,),
+                         s.alice_obs + s.bob_obs + (s.state,)):
+        assert got.dtype == np.complex128
+        assert got.shape == want.shape
+        # Compare bits, so signed zeros count.
+        assert got.tobytes() == want.tobytes()
+    assert back.to_json() == s.to_json()
