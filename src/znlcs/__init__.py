@@ -7,6 +7,15 @@ read. So a command pays only for the modules it uses. ``cli`` is left out
 because ``python -m znlcs.cli`` warns when its module is already loaded.
 The submodules are the ``.py`` files of this directory, listed directly
 (``pkgutil.iter_modules`` would import ``inspect`` in every process).
+
+Sibling-import rule: a submodule imports its siblings as modules,
+``from . import ncpoly``, and names what it uses at the call site,
+``ncpoly.eval_nc(...)``. Binding the module object does not load it, so a
+sibling loads only when one of its functions runs; ``from .ncpoly import
+eval_nc`` would load it with the importer. Two name imports remain, of code
+that runs when the importer loads: ``from .records import Record``, the
+base of every record class, and ``groupkit``'s import of ``monomial``'s
+element type and generators, which it re-exports.
 """
 
 import importlib.util

@@ -13,8 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .gamekit import GameSpec, LinearSystem, make_lcs_game
-from .numerics import adjoint, frob
+from . import gamekit, numerics
 from .records import Record
 
 PAULI_I = np.eye(2, dtype=np.complex128)
@@ -65,16 +64,16 @@ class BinaryLCS(Record):
             cons.append((variables, sign))
         return cls(variable_count=max_var, constraints=tuple(cons))
 
-    def to_linear_system(self) -> LinearSystem:
+    def to_linear_system(self) -> gamekit.LinearSystem:
         """Additive Z_2 form: sign +1 -> rhs 0, sign -1 -> rhs 1."""
-        return LinearSystem(
+        return gamekit.LinearSystem(
             modulus=2,
             equations=tuple(
                 (variables, (1,) * len(variables), 0 if sign == 1 else 1)
                 for variables, sign in self.constraints))
 
-    def to_game(self) -> GameSpec:
-        return make_lcs_game(self.to_linear_system())
+    def to_game(self) -> gamekit.GameSpec:
+        return gamekit.make_lcs_game(self.to_linear_system())
 
     def satisfying_signs(self, index: int) -> List[Tuple[int, ...]]:
         """+/-1 assignments to the constraint's variables with the right
@@ -118,7 +117,8 @@ def verify_operator_solution(lcs: BinaryLCS, sol: OperatorSolution,
     eye = np.eye(sol.dim)
     obs_defects = []
     for j, M in enumerate(sol.observables):
-        defect = max(frob(M - adjoint(M)), frob(M @ M - eye))
+        defect = max(numerics.frob(M - numerics.adjoint(M)),
+                     numerics.frob(M @ M - eye))
         if defect > tol:
             obs_defects.append((j, defect))
     comm_defects = []
@@ -126,13 +126,13 @@ def verify_operator_solution(lcs: BinaryLCS, sol: OperatorSolution,
     for i, (variables, sign) in enumerate(lcs.constraints):
         for a, b in itertools.combinations(variables, 2):
             Ma, Mb = sol.observables[a], sol.observables[b]
-            defect = frob(Ma @ Mb - Mb @ Ma)
+            defect = numerics.frob(Ma @ Mb - Mb @ Ma)
             if defect > tol:
                 comm_defects.append((i, a, b, defect))
         prod = eye
         for v in variables:
             prod = prod @ sol.observables[v]
-        defect = frob(prod - sign * eye)
+        defect = numerics.frob(prod - sign * eye)
         if defect > tol:
             prod_defects.append((i, defect))
     return SolutionReport(tuple(obs_defects), tuple(comm_defects),
@@ -373,7 +373,7 @@ def nonrigidity_witness() -> Tuple[float, float, float]:
     psi = maximally_entangled(E.dim).reshape(E.dim, E.dim)
     inner = float(np.real(np.vdot(psi, (e5 @ e1) @ psi)))
     trace = float(np.real(np.trace(e1 @ e5)))
-    anticomm = frob(f1 @ f5 + f5 @ f1)
+    anticomm = numerics.frob(f1 @ f5 + f5 @ f1)
     return inner, trace, anticomm
 
 
@@ -423,5 +423,5 @@ def solution_group_defect(lcs: BinaryLCS, sol: OperatorSolution) -> float:
         M = eye
         for name in rel:
             M = M @ images[name]
-        worst = max(worst, frob(M - eye))
+        worst = max(worst, numerics.frob(M - eye))
     return worst

@@ -6,19 +6,14 @@ B is the bias operator, so value claims reduce to spectral claims about B.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from typing import Optional
 
 import numpy as np
 
-from .gamekit import ModNGameParams
-from .ncpoly import NCPolynomial, eval_nc
-from .numerics import complex_to_json, hermitian_defect, hermitian_eig
+from . import gamekit, ncpoly, numerics, strategykit
 from .records import Record
-from .strategykit import (Strategy, canonical_state, canonical_strategy,
-                          canonical_value_formula)
 
 CLUSTER_TOL = 1e-7
 # Largest dense bias operator the CLI's spectrum builds: 64 MiB of
@@ -32,7 +27,7 @@ def operator_bytes(n: int) -> int:
     return 16 * n ** 4
 
 
-def bias_polynomial(p: ModNGameParams) -> NCPolynomial:
+def bias_polynomial(p: gamekit.ModNGameParams) -> ncpoly.NCPolynomial:
     """B = sum_{i=1}^{n-1} A0^i B0^{-i} + w^{-i m1} A0^i B1^i
     + A1^i B0^{-i} + w^{-i m2} A1^i B1^i."""
     n = p.n
@@ -43,21 +38,22 @@ def bias_polynomial(p: ModNGameParams) -> NCPolynomial:
         terms[(("A", 0, i), ("B", 1, i))] = omega ** (-i * p.m1)
         terms[(("A", 1, i), ("B", 0, n - i))] = 1.0
         terms[(("A", 1, i), ("B", 1, i))] = omega ** (-i * p.m2)
-    return NCPolynomial(n, terms)
+    return ncpoly.NCPolynomial(n, terms)
 
 
-def bias_operator(p: ModNGameParams, s: Strategy) -> np.ndarray:
+def bias_operator(p: gamekit.ModNGameParams,
+                  s: strategykit.Strategy) -> np.ndarray:
     """Evaluate the bias polynomial on a strategy's observables."""
     if s.order != p.n:
         raise ValueError("strategy order does not match game modulus")
-    B = eval_nc(bias_polynomial(p), s.assignment(), s.dimA, s.dimB)
-    defect = hermitian_defect(B)
+    B = ncpoly.eval_nc(bias_polynomial(p), s.assignment(), s.dimA, s.dimB)
+    defect = numerics.hermitian_defect(B)
     if defect > 1e-10 * max(1.0, float(np.linalg.norm(B))):
         raise ValueError(f"bias operator has Hermitian defect {defect:.3e}")
     return (B + B.conj().T) / 2
 
 
-def bias_value(p: ModNGameParams, s: Strategy) -> float:
+def bias_value(p: gamekit.ModNGameParams, s: strategykit.Strategy) -> float:
     """Winning probability via the bias: <psi|B|psi>/(4n) + 1/n."""
     B = bias_operator(p, s)
     return float(np.real(np.vdot(s.state, B @ s.state))) / (4 * p.n) + 1.0 / p.n
@@ -74,16 +70,17 @@ class BiasReport(Record):
             "topEigenvalue": self.top_eigenvalue,
             "multiplicity": self.multiplicity,
             "topEigenvector": None if self.top_eigenvector is None
-            else complex_to_json(self.top_eigenvector),
+            else numerics.complex_to_json(self.top_eigenvector),
             "predictedValue": self.predicted_value,
         })
 
 
-def bias_spectrum(p: ModNGameParams, s: Strategy) -> BiasReport:
+def bias_spectrum(p: gamekit.ModNGameParams,
+                  s: strategykit.Strategy) -> BiasReport:
     """Top eigenvalue of the bias operator, its multiplicity (eigenvalues
     clustered at 1e-7), and the eigenvector when it is unique."""
     B = bias_operator(p, s)
-    eig = hermitian_eig(B)
+    eig = numerics.hermitian_eig(B)
     w = eig.eigenvalues
     top = float(w[-1])
     mult = int(np.sum(w > top - CLUSTER_TOL))
@@ -101,21 +98,23 @@ def bias_eigenvalue_formula(n: int) -> float:
 def eigenrelation_residual(n: int) -> float:
     """||B_n |psi_n> - (2n - 4 + 2/sin(pi/2n)) |psi_n>|| for the canonical
     strategy."""
-    s = canonical_strategy(n)
-    B = bias_operator(ModNGameParams(n, 0, 1), s)
-    psi = canonical_state(n)
+    s = strategykit.canonical_strategy(n)
+    B = bias_operator(gamekit.ModNGameParams(n, 0, 1), s)
+    psi = strategykit.canonical_state(n)
     return float(np.linalg.norm(B @ psi - bias_eigenvalue_formula(n) * psi))
 
 
 def write_value_table(path: str, n_max: int = 40) -> None:
     """CSV of (n, top bias eigenvalue via formula, predicted value, direct
     formula value) for n = 2..n_max."""
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "top_eigenvalue", "predicted_value",
                          "formula_value"])
         for n in range(2, n_max + 1):
             lam = bias_eigenvalue_formula(n)
-            formula = canonical_value_formula(n)
+            formula = strategykit.canonical_value_formula(n)
             writer.writerow([n, f"{lam:.12f}", f"{lam / (4 * n) + 1 / n:.12f}",
                              f"{formula:.12f}"])

@@ -14,14 +14,31 @@ as a size bound), the work, and loading the modules (and numpy) that
 either uses. The interpreter's
 start and exit, and argparse, stay outside it.
 
+Modules each command loads, besides ``cli`` and ``records``:
+
+    game classical     gamekit
+    strategy value     strategykit monomial numerics gamekit
+                       (--via bias adds biaskit ncpoly)
+    strategy entropy   strategykit numerics
+    bias spectrum      biaskit strategykit monomial ncpoly numerics gamekit
+    group *            groupkit monomial
+    sos verify         soskit biaskit strategykit monomial ncpoly numerics
+                       gamekit
+    relations check    soskit strategykit monomial ncpoly numerics
+    bcs *              bcskit numerics
+    npa export         npakit biaskit ncpoly gamekit
+    psirep check       strategykit groupkit monomial numerics
+
 Besides its command's work, a process pays for starting the interpreter
 (about 0.09 s on a 2-vCPU Xeon), importing numpy (about 0.16 s; a usage
-error imports none), compiling the source of each module it loads when no
-bytecode cache is written (1-11 ms a module), and argparse. The records
-(``znlcs.records``) generate no code, so defining one costs microseconds,
-not the millisecond a dataclass costs, and ``build_parser(argv)`` builds
-the parsers of the command argv names only (about 2.5 ms against 6-7 ms
-for the full tree).
+error imports none), compiling the source of every module it loads when
+no bytecode cache is written (0.4-3.5 ms a module; about 12 % of a
+benchmark pass while each module loaded every sibling it named, 9-10 %
+with the load sets above), and
+argparse. The records (``znlcs.records``) generate no code, so defining
+one costs microseconds, not the millisecond a dataclass costs, and
+``build_parser(argv)`` builds the parsers of the command argv names only
+(about 2.5 ms against 6-7 ms for the full tree).
 
 ``run()`` is the process entry point (the ``znlcs`` script and ``python
 -m znlcs.cli``) and skips the interpreter's teardown collection;
@@ -31,7 +48,6 @@ for the full tree).
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import math
@@ -140,6 +156,8 @@ def cmd_strategy_entropy(args) -> int:
             rep.result(f"schmidt_rank_n{n}", sd.rank, target=n,
                        tolerance=0.0, ok=False)
     if args.out:
+        import csv
+
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "value", "entropy_ratio"])

@@ -1,12 +1,11 @@
 """Exact enumeration of the monomial-unitary groups behind the mod-n games.
 
-Every operator in play (cyclic shifts, sign flips, the scalar z^4 I, and all
-products of the canonical observables) is a monomial matrix whose nonzero
-entries are powers of z = e^{i pi / 2n}. Such a matrix is stored exactly as
-a cyclic shift amount plus a vector of phase exponents mod 4n, so group
-closure, orders, and relator checks involve no floating point at all.
+Every element is a monomial unitary, stored exactly as a cyclic shift plus
+phase exponents mod 4n (see ``monomial``), so group closure, orders, and
+relator checks involve no floating point at all.
 
-A single element is a ``MonomialUnitary``. Bulk work runs on batches: m
+``monomial`` owns single elements: ``MonomialUnitary`` and the canonical
+generators, which this module re-exports. This module owns batches: m
 elements of dimension n are one unsigned integer array ``rows[m, n + 1]``
 whose column 0 holds the shifts (mod n) and columns 1..n the phases
 (mod 4n), i.e. ``rows[:, 0]`` is shift[m] and ``rows[:, 1:]`` is
@@ -19,14 +18,16 @@ sorts its rows lexicographically, the order of ``MonomialUnitary.key()``.
 
 from __future__ import annotations
 
-import csv
-import json
 from collections.abc import Sequence as SequenceABC
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+# Names, not the module: the element type and generators are part of this
+# module's interface, and every function here uses them.
+from .monomial import (MonomialUnitary, alice_generators, bob_generators,
+                       scalar_j, shift_x, sign_d)
 from .records import Record
 
 ENUMERATION_CAP_DEFAULT = 10**6
@@ -40,76 +41,6 @@ _BLOCK_PRODUCTS = 1 << 16
 
 # A word is a sequence of (generator name, exponent) pairs over P0, P1, J.
 GroupWord = Tuple[Tuple[str, int], ...]
-
-
-class MonomialUnitary(Record):
-    """U e_k = z^{phases[k]} e_{(k+shift) mod n} with z = e^{i pi/2n}.
-
-    shift lives mod n, each phase exponent mod 4n; composition and inverse
-    stay in these coordinates exactly.
-    """
-
-    n: int
-    shift: int
-    phases: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.phases) != self.n:
-            raise ValueError("phase vector length must equal the dimension")
-        object.__setattr__(self, "shift", self.shift % self.n)
-        object.__setattr__(
-            self, "phases", tuple(p % (4 * self.n) for p in self.phases))
-
-    @classmethod
-    def identity(cls, n: int) -> "MonomialUnitary":
-        return cls(n, 0, (0,) * n)
-
-    def __matmul__(self, other: "MonomialUnitary") -> "MonomialUnitary":
-        """Matrix product self @ other (apply ``other`` first)."""
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        n = self.n
-        phases = tuple(
-            other.phases[k] + self.phases[(k + other.shift) % n]
-            for k in range(n))
-        return MonomialUnitary(n, self.shift + other.shift, phases)
-
-    def inverse(self) -> "MonomialUnitary":
-        n = self.n
-        phases = tuple(-self.phases[(k - self.shift) % n] for k in range(n))
-        return MonomialUnitary(n, -self.shift, phases)
-
-    def power(self, e: int) -> "MonomialUnitary":
-        """self^e by square-and-multiply (negative e via the inverse)."""
-        base = self if e >= 0 else self.inverse()
-        out = MonomialUnitary.identity(self.n)
-        e = abs(e)
-        while e:
-            if e & 1:
-                out = out @ base
-            e >>= 1
-            if e:
-                base = base @ base
-        return out
-
-    def key(self) -> Tuple[int, Tuple[int, ...]]:
-        return (self.shift, self.phases)
-
-    def to_matrix(self) -> np.ndarray:
-        n = self.n
-        z = np.exp(1j * np.pi / (2 * n))
-        M = np.zeros((n, n), dtype=np.complex128)
-        for k in range(n):
-            M[(k + self.shift) % n, k] = z ** self.phases[k]
-        return M
-
-    def order(self) -> int:
-        cur = self
-        for m in range(1, 4 * self.n * self.n + 1):
-            if cur == MonomialUnitary.identity(self.n):
-                return m
-            cur = cur @ self
-        raise RuntimeError("order exceeds 4n^2 bound")
 
 
 # ---------------------------------------------------------------------------
@@ -142,24 +73,49 @@ def _moduli(n: int, dtype: np.dtype) -> np.ndarray:
     return np.array([n] + [4 * n] * n, dtype=dtype)
 
 
+def _shifted_columns(n: int, by: np.ndarray) -> np.ndarray:
+    """Column map reading phase k from phase (k + by) % n and keeping the
+    shift column. ``by`` is an integer array of shape (..., 1); the map has
+    shape (..., n + 1)."""
+    cols = 1 + (np.arange(n) + by) % n
+    return np.concatenate([np.zeros_like(cols[..., :1]), cols], axis=-1)
+
+
 def _read_shifted(rows: np.ndarray, by: np.ndarray) -> np.ndarray:
     """Each row with phase k read from phase (k + by) % n; the shift column
-    is kept. ``by`` is an integer array of shape (..., 1) that broadcasts
-    against ``rows``."""
-    n = rows.shape[-1] - 1
-    cols = 1 + (np.arange(n) + by) % n
-    index = np.concatenate([np.zeros_like(cols[..., :1]), cols], axis=-1)
+    is kept. ``by`` broadcasts against ``rows``."""
+    index = _shifted_columns(rows.shape[-1] - 1, by)
     return np.take_along_axis(rows, index, axis=-1)
+
+
+def _reduce_sums(out: np.ndarray) -> np.ndarray:
+    """Reduce, in place, rows that are sums of two reduced rows: one
+    conditional subtract of the moduli."""
+    mod = _moduli(out.shape[-1] - 1, out.dtype)
+    np.subtract(out, mod, out=out, where=out >= mod)
+    return out
 
 
 def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise products a @ b (apply b first) of two batches that broadcast
     against each other: shift a.shift + b.shift and
     phases[k] = b.phases[k] + a.phases[(k + b.shift) % n]."""
-    out = _read_shifted(a, b[..., :1].astype(np.intp)) + b
-    mod = _moduli(a.shape[-1] - 1, out.dtype)
-    np.subtract(out, mod, out=out, where=out >= mod)
-    return out
+    return _reduce_sums(_read_shifted(a, b[..., :1].astype(np.intp)) + b)
+
+
+def step_columns(steps: np.ndarray) -> np.ndarray:
+    """The column map of each fixed right factor ``steps[s]``:
+    ``rows[:, cols[s]] + steps[s]``, reduced, is ``rows @ steps[s]``."""
+    return _shifted_columns(steps.shape[-1] - 1,
+                            steps[:, :1].astype(np.intp))
+
+
+def compose_steps(rows: np.ndarray, cols: np.ndarray,
+                  steps: np.ndarray) -> np.ndarray:
+    """Every product rows[f] @ steps[s], shape (len(rows), len(steps),
+    n + 1), given ``cols = step_columns(steps)``: one gather, one add and
+    one conditional subtract."""
+    return _reduce_sums(rows[:, cols] + steps)
 
 
 def invert_rows(rows: np.ndarray) -> np.ndarray:
@@ -192,38 +148,8 @@ def group_order_exceeds_cap(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Generators of the canonical observables' groups
+# Words over the generators
 # ---------------------------------------------------------------------------
-
-def shift_x(n: int) -> MonomialUnitary:
-    """The cyclic shift X: e_k -> e_{k+1 mod n}."""
-    return MonomialUnitary(n, 1, (0,) * n)
-
-
-def sign_d(n: int, j: int) -> MonomialUnitary:
-    """D_j = diag with -1 in entry (j, j); -1 = z^{2n}."""
-    return MonomialUnitary(
-        n, 0, tuple(2 * n if k == j else 0 for k in range(n)))
-
-
-def scalar_j(n: int) -> MonomialUnitary:
-    """J = z^4 I = omega_n I."""
-    return MonomialUnitary(n, 0, (4,) * n)
-
-
-def alice_generators(n: int) -> Tuple[MonomialUnitary, MonomialUnitary]:
-    """A0 = X and A1 = z^2 D_0 X."""
-    a0 = shift_x(n)
-    a1_phases = tuple(2 + (2 * n if (k + 1) % n == 0 else 0)
-                      for k in range(n))
-    return a0, MonomialUnitary(n, 1, a1_phases)
-
-def bob_generators(n: int) -> Tuple[MonomialUnitary, MonomialUnitary]:
-    """B0 = X and B1 = z^2 D_0 X^*."""
-    b0 = shift_x(n)
-    b1_phases = tuple(2 + (2 * n if k == 1 else 0) for k in range(n))
-    return b0, MonomialUnitary(n, n - 1, b1_phases)
-
 
 def evaluate_word(word: GroupWord,
                   images: Dict[str, MonomialUnitary],
@@ -327,16 +253,9 @@ class GroupCatalogue:
             start = stop
         return len(central)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "elements": [
-                {"shift": shift, "phases": phases}
-                for shift, *phases in self.rows.tolist()
-            ],
-        })
-
     def write_multiplication_csv(self, path: str) -> None:
+        import csv
+
         table = self.multiplication_table()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -349,22 +268,24 @@ def enumerate_group(generators: Sequence[MonomialUnitary],
     """Breadth-first closure of the generators under exact products.
 
     Each layer multiplies the whole frontier by every generator and inverse
-    at once. That set is closed under inverses, so a product of layer d lies
-    in layer d - 1, d or d + 1: the next layer is the set of product rows
-    not in the last two layers. The cap is checked once per layer.
+    at once, through column maps built once per call (``compose_steps``).
+    That set is closed under inverses, so a product of layer d lies in
+    layer d - 1, d or d + 1: the next layer is the set of product rows not
+    in the last two layers. The cap is checked once per layer.
     """
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].n
     gens = pack_rows(generators, n)
-    steps = np.concatenate([gens, invert_rows(gens)])[None, :, :]
+    steps = np.concatenate([gens, invert_rows(gens)])
+    cols = step_columns(steps)
     frontier = pack_rows([MonomialUnitary.identity(n)], n)
     layers = [frontier]
     size = 1
     previous: set = set()
     current = set(_row_keys(frontier))
     while len(frontier):
-        fresh = set(_row_keys(compose_rows(frontier[:, None, :], steps)))
+        fresh = set(_row_keys(compose_steps(frontier, cols, steps)))
         fresh -= current
         fresh -= previous
         previous, current = current, fresh

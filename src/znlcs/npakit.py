@@ -13,24 +13,20 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .biaskit import bias_polynomial
-from .gamekit import ModNGameParams
-from .ncpoly import (Letter, NCPolynomial, Word, canonical_word, eval_nc,
-                     word_adjoint)
+from . import biaskit, gamekit, ncpoly, strategykit
 from .records import Record
-from .strategykit import Strategy
 
 # ---------------------------------------------------------------------------
 # Words
 # ---------------------------------------------------------------------------
 
-def letters(n: int) -> List[Letter]:
+def letters(n: int) -> List[ncpoly.Letter]:
     """All single letters: party, operator index, exponent 1..n-1."""
     return [(p, i, e)
             for p in ("A", "B") for i in (0, 1) for e in range(1, n)]
 
 
-def generate_words(n: int, level: int) -> List[Word]:
+def generate_words(n: int, level: int) -> List[ncpoly.Word]:
     """All reduced words of length up to ``level`` (the empty word
     included), deduplicated under the reduction rules."""
     if level not in (1, 2):
@@ -41,7 +37,7 @@ def generate_words(n: int, level: int) -> List[Word]:
         nxt = []
         for w in frontier:
             for let in letters(n):
-                r = canonical_word(list(w) + [let], n)
+                r = ncpoly.canonical_word(list(w) + [let], n)
                 if r not in seen:
                     seen[r] = r
                     nxt.append(r)
@@ -49,8 +45,8 @@ def generate_words(n: int, level: int) -> List[Word]:
     return sorted(seen, key=lambda w: (len(w), w))
 
 
-def randomized_reduce(letters_seq: Sequence[Letter], n: int,
-                      gen: np.random.Generator) -> Word:
+def randomized_reduce(letters_seq: Sequence[ncpoly.Letter], n: int,
+                      gen: np.random.Generator) -> ncpoly.Word:
     """Reduce a word by applying single rewrite steps (merge an adjacent
     equal pair, drop a zero exponent, or commute a B letter past an A
     letter) in random order until none applies."""
@@ -94,9 +90,9 @@ class MomentProblem(Record):
 
     n: int
     level: int
-    words: List[Word]
-    class_keys: List[Word]
-    moment_index: Dict[Word, Tuple[int, bool]]
+    words: List[ncpoly.Word]
+    class_keys: List[ncpoly.Word]
+    moment_index: Dict[ncpoly.Word, Tuple[int, bool]]
     objective: Dict[int, complex]
     cell_class: np.ndarray
     cell_conj: np.ndarray
@@ -105,32 +101,48 @@ class MomentProblem(Record):
     def size(self) -> int:
         return len(self.words)
 
+    def __repr__(self) -> str:
+        sized = ", ".join(_sized(name, getattr(self, name))
+                          for name in self._fields[2:])
+        return f"MomentProblem(n={self.n}, level={self.level}, {sized})"
 
-def _moment_class(w: Word, n: int) -> Tuple[Word, bool]:
+
+def _sized(name: str, value) -> str:
+    """``name=<size>``, the shape of an array or the length of anything
+    else: a repr that names sizes stays short where the contents would run
+    to megabytes."""
+    if isinstance(value, np.ndarray):
+        return f"{name}=<{'x'.join(map(str, value.shape))}>"
+    return f"{name}=<{len(value)}>"
+
+
+def _moment_class(w: ncpoly.Word, n: int) -> Tuple[ncpoly.Word, bool]:
     """Canonical representative of {w, w^*} plus a flag marking whether w is
     the conjugated member."""
-    wa = word_adjoint(w, n)
+    wa = ncpoly.word_adjoint(w, n)
     key = min(w, wa)
     return key, (key != w)
 
 
-def build_moment_problem(p: ModNGameParams, level: int) -> MomentProblem:
+def build_moment_problem(p: gamekit.ModNGameParams,
+                         level: int) -> MomentProblem:
     """Index the moment matrix M[u, v] = y(reduce(u^* v)) and map the bias
     polynomial onto moment variables."""
     n = p.n
     words = generate_words(n, level)
-    index: Dict[Word, Tuple[int, bool]] = {}
-    class_keys: List[Word] = []
-    key_to_id: Dict[Word, int] = {}
+    index: Dict[ncpoly.Word, Tuple[int, bool]] = {}
+    class_keys: List[ncpoly.Word] = []
+    key_to_id: Dict[ncpoly.Word, int] = {}
 
-    def register(w: Word) -> Tuple[int, bool]:
+    def register(w: ncpoly.Word) -> Tuple[int, bool]:
         if w in index:
             return index[w]
         key, conj = _moment_class(w, n)
         if key not in key_to_id:
             key_to_id[key] = len(class_keys)
             class_keys.append(key)
-        for member, flag in ((key, False), (word_adjoint(key, n), True)):
+        for member, flag in ((key, False),
+                             (ncpoly.word_adjoint(key, n), True)):
             if member not in index:
                 index[member] = (key_to_id[key], flag and member != key)
         return index[w]
@@ -138,13 +150,13 @@ def build_moment_problem(p: ModNGameParams, level: int) -> MomentProblem:
     cell_class = np.empty((len(words), len(words)), dtype=np.int64)
     cell_conj = np.empty((len(words), len(words)), dtype=bool)
     for r, u in enumerate(words):
-        ua = word_adjoint(u, n)
+        ua = ncpoly.word_adjoint(u, n)
         for c, v in enumerate(words):
             cell_class[r, c], cell_conj[r, c] = register(
-                canonical_word(ua + v, n))
+                ncpoly.canonical_word(ua + v, n))
 
     objective: Dict[int, complex] = {}
-    for w, coeff in bias_polynomial(p).terms.items():
+    for w, coeff in biaskit.bias_polynomial(p).terms.items():
         if w not in index:
             raise RuntimeError(f"bias word {w} missing from moment index")
         cid, conj = index[w]
@@ -156,14 +168,15 @@ def build_moment_problem(p: ModNGameParams, level: int) -> MomentProblem:
                          cell_conj=cell_conj)
 
 
-def strategy_moments(mp: MomentProblem, s: Strategy) -> Dict[int, complex]:
+def strategy_moments(mp: MomentProblem,
+                     s: strategykit.Strategy) -> Dict[int, complex]:
     """Moment value per variable for an explicit strategy:
     y(w) = <psi| w(A, B) |psi> evaluated at the class representative."""
     assignment = s.assignment()
     out: Dict[int, complex] = {}
     for cid, key in enumerate(mp.class_keys):
-        M = eval_nc(NCPolynomial(mp.n, {key: 1.0}, _canonical=True),
-                    assignment, s.dimA, s.dimB)
+        word = ncpoly.NCPolynomial(mp.n, {key: 1.0}, _canonical=True)
+        M = ncpoly.eval_nc(word, assignment, s.dimA, s.dimB)
         out[cid] = complex(np.vdot(s.state, M @ s.state))
     return out
 
@@ -185,7 +198,7 @@ def objective_value(mp: MomentProblem,
     return float(np.real(total))
 
 
-def strategy_feasibility(mp: MomentProblem, s: Strategy,
+def strategy_feasibility(mp: MomentProblem, s: strategykit.Strategy,
                          tol: float = 1e-8) -> Tuple[float, float]:
     """(min eigenvalue of the strategy's moment matrix, objective value);
     a genuine strategy always yields a feasible (PSD) matrix."""
@@ -210,6 +223,12 @@ class SDPAProblem(Record):
     block_sizes: List[int]
     objective: List[float]
     entries: Dict[Tuple[int, int, int, int], float]
+
+    def __repr__(self) -> str:
+        return (f"SDPAProblem(nvars={self.nvars}, "
+                f"block_sizes={self.block_sizes!r}, "
+                f"{_sized('objective', self.objective)}, "
+                f"{_sized('entries', self.entries)})")
 
     def render(self) -> str:
         lines = [
@@ -243,7 +262,7 @@ def sdpa_from_moment_problem(mp: MomentProblem) -> SDPAProblem:
     var_ids: List[Tuple[int, str]] = []
     for cid, key in enumerate(mp.class_keys):
         var_ids.append((cid, "re"))
-        if word_adjoint(key, n) != key:
+        if ncpoly.word_adjoint(key, n) != key:
             var_ids.append((cid, "im"))
     var_pos = {vk: k + 1 for k, vk in enumerate(var_ids)}
     nvars = len(var_ids)

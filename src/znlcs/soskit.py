@@ -14,11 +14,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .gamekit import ModNGameParams
-from .ncpoly import NCPolynomial, eval_nc
-from .numerics import complex_to_json, random_order_n_observables, rng
+from . import ncpoly, numerics, strategykit
 from .records import Record
-from .strategykit import Strategy, check_state_relation
 
 # Trials evaluated together by verify_sos_identity. Small, so that a block's
 # stacked (2n)^2-dimensional operators stay a few hundred kB and the peak
@@ -34,16 +31,16 @@ class SOSCertificate(Record):
 
     order: int
     lam: float
-    squares: Tuple[Tuple[float, NCPolynomial], ...]
+    squares: Tuple[Tuple[float, ncpoly.NCPolynomial], ...]
 
     def __post_init__(self):
         if any(w <= 0 for w, _ in self.squares):
             raise ValueError("certificate weights must be positive")
 
     def to_json(self) -> str:
-        def poly(p: NCPolynomial):
+        def poly(p: ncpoly.NCPolynomial):
             return [
-                {"coeff": complex_to_json(c),
+                {"coeff": numerics.complex_to_json(c),
                  "word": [[pl, idx, e] for pl, idx, e in w]}
                 for w, c in sorted(p.terms.items())
             ]
@@ -60,10 +57,10 @@ def certificate_chsh() -> SOSCertificate:
     """2 sqrt(2) I - (A0B0 + A0B1 + A1B0 - A1B1)
     = (sqrt2/4)(A0 + A1 - sqrt2 B0)^2 + (sqrt2/4)(A0 - A1 - sqrt2 B1)^2."""
     r2 = math.sqrt(2.0)
-    t1 = NCPolynomial(2, {(("A", 0, 1),): 1.0, (("A", 1, 1),): 1.0,
-                          (("B", 0, 1),): -r2})
-    t2 = NCPolynomial(2, {(("A", 0, 1),): 1.0, (("A", 1, 1),): -1.0,
-                          (("B", 1, 1),): -r2})
+    t1 = ncpoly.NCPolynomial(2, {(("A", 0, 1),): 1.0, (("A", 1, 1),): 1.0,
+                                 (("B", 0, 1),): -r2})
+    t2 = ncpoly.NCPolynomial(2, {(("A", 0, 1),): 1.0, (("A", 1, 1),): -1.0,
+                                 (("B", 1, 1),): -r2})
     return SOSCertificate(order=2, lam=2 * r2,
                           squares=((r2 / 4, t1), (r2 / 4, t2)))
 
@@ -79,14 +76,14 @@ def certificate_g3() -> SOSCertificate:
     lam3 = (14.0 - math.sqrt(21.0)) / 344.0
     lam4 = 7.0 / 86.0
 
-    s1 = NCPolynomial(3, {(("A", 0, 1),): 1.0, (("A", 1, 1),): w,
-                          (("B", 0, 1),): wc, (("B", 1, 2),): w})
-    s2 = NCPolynomial(3, {(("A", 0, 2),): 1.0, (("A", 1, 2),): wc,
-                          (("B", 0, 2),): w, (("B", 1, 1),): wc})
+    s1 = ncpoly.NCPolynomial(3, {(("A", 0, 1),): 1.0, (("A", 1, 1),): w,
+                                 (("B", 0, 1),): wc, (("B", 1, 2),): w})
+    s2 = ncpoly.NCPolynomial(3, {(("A", 0, 2),): 1.0, (("A", 1, 2),): wc,
+                                 (("B", 0, 2),): w, (("B", 1, 1),): wc})
 
     def t_poly(c_a0b0c, c_a0cb0, c_a0b1, c_a0cb1c,
-               c_a1b0c, c_a1cb0, c_a1b1, c_a1cb1c) -> NCPolynomial:
-        return NCPolynomial(3, {
+               c_a1b0c, c_a1cb0, c_a1b1, c_a1cb1c) -> ncpoly.NCPolynomial:
+        return ncpoly.NCPolynomial(3, {
             (("A", 0, 1), ("B", 0, 2)): c_a0b0c,
             (("A", 0, 2), ("B", 0, 1)): c_a0cb0,
             (("A", 0, 1), ("B", 1, 1)): c_a0b1,
@@ -102,7 +99,8 @@ def certificate_g3() -> SOSCertificate:
     t3 = t_poly(1, -a * 1j, -a, -1j, a, 1j, -wc, a * 1j * w)
     t4 = t_poly(1, -a * 1j, a, 1j, -a, -1j, -wc, a * 1j * w)
     t5 = t_poly(1, b, -b, -1, -b, -1, wc, b * w)
-    t6 = NCPolynomial.one(3, 6.0) + t_poly(-1, -1, -1, -1, -1, -1, -wc, -w)
+    t6 = (ncpoly.NCPolynomial.one(3, 6.0)
+          + t_poly(-1, -1, -1, -1, -1, -1, -wc, -w))
 
     return SOSCertificate(order=3, lam=6.0, squares=(
         (lam1, s1), (lam1, s2),
@@ -112,7 +110,7 @@ def certificate_g3() -> SOSCertificate:
     ))
 
 
-def verify_sos_identity(cert: SOSCertificate, bias: NCPolynomial,
+def verify_sos_identity(cert: SOSCertificate, bias: ncpoly.NCPolynomial,
                         trials: int, seed: int) -> float:
     """Max Frobenius residual of (lam I - bias) - sum_k w_k T_k^* T_k over
     random admissible tuples.
@@ -128,7 +126,7 @@ def verify_sos_identity(cert: SOSCertificate, bias: NCPolynomial,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = cert.order
-    gen = rng(seed)
+    gen = numerics.rng(seed)
     by_dim: Dict[int, List[List[int]]] = {}
     for _ in range(trials):
         dim = int(gen.choice([n, 2 * n]))
@@ -140,12 +138,13 @@ def verify_sos_identity(cert: SOSCertificate, bias: NCPolynomial,
         for lo in range(0, len(seeds), BLOCK_TRIALS):
             block = seeds[lo:lo + BLOCK_TRIALS]
             assignment = {
-                key: random_order_n_observables(n, dim, [s[j] for s in block])
+                key: numerics.random_order_n_observables(
+                    n, dim, [s[j] for s in block])
                 for j, key in enumerate(_OPERATORS)
             }
-            diff = cert.lam * eye - eval_nc(bias, assignment, dim, dim)
+            diff = cert.lam * eye - ncpoly.eval_nc(bias, assignment, dim, dim)
             for weight, p in cert.squares:
-                T = eval_nc(p, assignment, dim, dim)
+                T = ncpoly.eval_nc(p, assignment, dim, dim)
                 diff -= weight * (T.conj().swapaxes(-1, -2) @ T)
             worst = max(worst, float(
                 np.linalg.norm(diff, axis=(-2, -1)).max()))
@@ -153,16 +152,16 @@ def verify_sos_identity(cert: SOSCertificate, bias: NCPolynomial,
 
 
 def annihilation_residuals(cert: SOSCertificate,
-                           s: Strategy) -> List[Tuple[int, float]]:
+                           s: strategykit.Strategy) -> List[Tuple[int, float]]:
     """||T_k |psi>|| for every square; all vanish on an optimal strategy."""
-    return [(k, check_state_relation(s, p))
+    return [(k, strategykit.check_state_relation(s, p))
             for k, (_, p) in enumerate(cert.squares)]
 
 
-def h3_polynomial(conjugated: bool = False) -> NCPolynomial:
+def h3_polynomial(conjugated: bool = False) -> ncpoly.NCPolynomial:
     """H = omega (A0 A1 A0 + A0^* A1 + A1 A0^*), or its adjoint H^*."""
     w = np.exp(2j * np.pi / 3)
-    H = NCPolynomial(3, {
+    H = ncpoly.NCPolynomial(3, {
         (("A", 0, 1), ("A", 1, 1), ("A", 0, 1)): w,
         (("A", 0, 2), ("A", 1, 1)): w,
         (("A", 1, 1), ("A", 0, 2)): w,
@@ -170,17 +169,17 @@ def h3_polynomial(conjugated: bool = False) -> NCPolynomial:
     return H.adjoint() if conjugated else H
 
 
-def derived_relations_g3() -> List[Tuple[str, NCPolynomial]]:
+def derived_relations_g3() -> List[Tuple[str, ncpoly.NCPolynomial]]:
     """The named state-dependent relations every optimal n = 3 strategy
     satisfies; each entry annihilates the shared state."""
     w = np.exp(2j * np.pi / 3)
     wc = np.conj(w)
-    one = NCPolynomial.one(3)
+    one = ncpoly.NCPolynomial.one(3)
 
     def p(terms):
-        return NCPolynomial(3, terms)
+        return ncpoly.NCPolynomial(3, terms)
 
-    rels: List[Tuple[str, NCPolynomial]] = [
+    rels: List[Tuple[str, ncpoly.NCPolynomial]] = [
         ("pairing_1", p({(("A", 0, 1), ("B", 0, 2)): 1,
                          (("A", 1, 1), ("B", 1, 1)): -wc})),
         ("pairing_2", p({(("A", 0, 2), ("B", 0, 1)): 1,

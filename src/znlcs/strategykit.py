@@ -14,12 +14,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from . import groupkit
-from .gamekit import GameSpec
-from .ncpoly import NCPolynomial, apply_nc
-from .numerics import (adjoint, complex_from_json, complex_to_json, frob,
-                       random_order_n_observable, random_state,
-                       require_finite, rng)
+from . import gamekit, groupkit, monomial, ncpoly, numerics
 from .records import Record
 
 SCHMIDT_RANK_THRESHOLD = 1e-9
@@ -50,9 +45,10 @@ class Strategy(Record):
             for U in obs:
                 if U.shape != (dim, dim):
                     raise ValueError(f"observable shape {U.shape} != {dim}")
-                if frob(U @ adjoint(U) - np.eye(dim)) > tol:
+                eye = np.eye(dim)
+                if numerics.frob(U @ numerics.adjoint(U) - eye) > tol:
                     raise ValueError("observable is not unitary")
-                if frob(np.linalg.matrix_power(U, n) - np.eye(dim)) > tol:
+                if numerics.frob(np.linalg.matrix_power(U, n) - eye) > tol:
                     raise ValueError(f"observable is not of order {n}")
         if self.state.shape != (self.dimA * self.dimB,):
             raise ValueError("state dimension mismatch")
@@ -69,21 +65,23 @@ class Strategy(Record):
         return out
 
     def to_json(self) -> str:
+        to_json = numerics.complex_to_json
         return json.dumps({
             "order": self.order, "dimA": self.dimA, "dimB": self.dimB,
-            "aliceObs": [complex_to_json(M) for M in self.alice_obs],
-            "bobObs": [complex_to_json(M) for M in self.bob_obs],
-            "state": complex_to_json(self.state),
+            "aliceObs": [to_json(M) for M in self.alice_obs],
+            "bobObs": [to_json(M) for M in self.bob_obs],
+            "state": to_json(self.state),
         })
 
     @classmethod
     def from_json(cls, text: str) -> "Strategy":
         d = json.loads(text)
+        from_json = numerics.complex_from_json
         return cls(
             order=d["order"], dimA=d["dimA"], dimB=d["dimB"],
-            alice_obs=tuple(complex_from_json(M) for M in d["aliceObs"]),
-            bob_obs=tuple(complex_from_json(M) for M in d["bobObs"]),
-            state=complex_from_json(d["state"]),
+            alice_obs=tuple(from_json(M) for M in d["aliceObs"]),
+            bob_obs=tuple(from_json(M) for M in d["bobObs"]),
+            state=from_json(d["state"]),
         )
 
 
@@ -103,8 +101,8 @@ def canonical_strategy(n: int) -> Strategy:
     B1 = z^2 D_0 X^*."""
     if n < 2:
         raise ValueError("order must be >= 2")
-    a0, a1 = groupkit.alice_generators(n)
-    b0, b1 = groupkit.bob_generators(n)
+    a0, a1 = monomial.alice_generators(n)
+    b0, b1 = monomial.bob_generators(n)
     s = Strategy(
         order=n, dimA=n, dimB=n,
         alice_obs=(a0.to_matrix(), a1.to_matrix()),
@@ -125,7 +123,7 @@ def observable_to_pvm(U: np.ndarray, n: int,
     """Spectral projectors E_i = (1/n) sum_k (omega^{-i} U)^k of an order-n
     observable; they satisfy sum_i omega^i E_i = U."""
     dim = U.shape[0]
-    if frob(np.linalg.matrix_power(U, n) - np.eye(dim)) > tol:
+    if numerics.frob(np.linalg.matrix_power(U, n) - np.eye(dim)) > tol:
         raise ValueError(f"input is not an order-{n} observable")
     omega = np.exp(2j * np.pi / n)
     powers = [np.linalg.matrix_power(U, k) for k in range(n)]
@@ -135,7 +133,7 @@ def observable_to_pvm(U: np.ndarray, n: int,
     ]
 
 
-def strategy_value_direct(g: GameSpec, s: Strategy,
+def strategy_value_direct(g: gamekit.GameSpec, s: Strategy,
                           tol: float = 1e-8) -> float:
     """Winning probability as the explicit measurement sum
     sum_{ijab} pi(i,j) V(i,j,a,b) <psi| E_{i,a} (x) F_{j,b} |psi>."""
@@ -179,7 +177,7 @@ def schmidt(state: np.ndarray, dimA: int, dimB: int) -> SchmidtData:
         raise ValueError(
             f"state has {state.size} entries, expected dimA*dimB = "
             f"{dimA * dimB}")
-    require_finite(state, "state")
+    numerics.require_finite(state, "state")
     if abs(np.linalg.norm(state) - 1.0) > 1e-10:
         raise ValueError("state must be a unit vector")
     coeffs = np.linalg.svd(state.reshape(dimA, dimB), compute_uv=False)
@@ -191,9 +189,9 @@ def schmidt(state: np.ndarray, dimA: int, dimB: int) -> SchmidtData:
                        entropy=entropy)
 
 
-def check_state_relation(s: Strategy, L: NCPolynomial) -> float:
+def check_state_relation(s: Strategy, L: ncpoly.NCPolynomial) -> float:
     """Residual ||L(A, B)|psi>|| of a state-dependent operator relation."""
-    out = apply_nc(L, s.assignment(), s.state, s.dimA, s.dimB)
+    out = ncpoly.apply_nc(L, s.assignment(), s.state, s.dimA, s.dimB)
     return float(np.linalg.norm(out))
 
 
@@ -222,7 +220,7 @@ def psi_representation_residuals(s: Strategy) -> Tuple[float, float]:
     sides = (
         ({"P0": s.alice_obs[0], "P1": s.alice_obs[1],
           "J": omega * np.eye(s.dimA)}, psi),
-        ({"P0": adjoint(s.bob_obs[0]), "P1": s.bob_obs[1],
+        ({"P0": numerics.adjoint(s.bob_obs[0]), "P1": s.bob_obs[1],
           "J": omega * np.eye(s.dimB)}, psi.T),
     )
     residuals = []
@@ -242,9 +240,10 @@ def psi_representation_residuals(s: Strategy) -> Tuple[float, float]:
 def random_strategy(n: int, dimA: int, dimB: int, seed: int) -> Strategy:
     """Seeded random admissible strategy (order-n observables, random
     state)."""
-    gen = rng(seed)
-    obs = [random_order_n_observable(n, d, int(gen.integers(2 ** 63)))
+    gen = numerics.rng(seed)
+    obs = [numerics.random_order_n_observable(
+               n, d, int(gen.integers(2 ** 63)))
            for d in (dimA, dimA, dimB, dimB)]
     return Strategy(order=n, dimA=dimA, dimB=dimB,
                     alice_obs=(obs[0], obs[1]), bob_obs=(obs[2], obs[3]),
-                    state=random_state(dimA * dimB, gen))
+                    state=numerics.random_state(dimA * dimB, gen))

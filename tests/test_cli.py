@@ -233,7 +233,7 @@ def modules_loaded_by(*argv):
     return proc.returncode, set(json.loads(proc.stderr.splitlines()[-1]))
 
 
-def test_commands_load_only_the_modules_they_use():
+def test_commands_load_only_the_modules_they_use(tmp_path):
     code, loaded = modules_loaded_by("group", "enumerate", "--n", "2")
     assert code == 0
     assert "znlcs.groupkit" in loaded
@@ -246,6 +246,27 @@ def test_commands_load_only_the_modules_they_use():
     # runpy runs the CLI as __main__, so no znlcs submodule ran at all.
     assert not any(m.startswith("znlcs.") for m in loaded)
     assert not loaded & {"inspect", "dataclasses"}
+
+    code, loaded = modules_loaded_by("strategy", "value", "--n", "2")
+    assert code == 0
+    assert not loaded & {"znlcs.groupkit", "znlcs.ncpoly"}
+
+    code, loaded = modules_loaded_by("npa", "export", "--n", "2", "--level",
+                                     "1", "--out", str(tmp_path / "2.dat-s"))
+    assert code == 0
+    assert not loaded & {"znlcs.strategykit", "znlcs.numerics"}
+
+    code, loaded = modules_loaded_by("bcs", "magic-square", "--check")
+    assert code == 0
+    assert "znlcs.gamekit" not in loaded
+
+    code, loaded = modules_loaded_by("sos", "verify", "--cert", "chsh")
+    assert code == 0
+    assert "znlcs.groupkit" not in loaded
+
+    code, loaded = modules_loaded_by("group", "enumerate", "--n", "2")
+    assert code == 0
+    assert "csv" not in loaded
 
 
 def run_process(*args):

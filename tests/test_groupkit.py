@@ -225,6 +225,34 @@ def test_closure_equals_normal_form_set(n):
     assert np.array_equal(cat.rows, GroupCatalogue(pairs.rows).rows)
 
 
+@pytest.mark.parametrize("n", range(1, 14))
+def test_fixed_step_products_match_compose_rows(n):
+    # 13 is the largest n under the enumeration cap; its rows are uint8,
+    # which must hold 8n - 2, the largest sum before the reduction.
+    gen = np.random.default_rng(n)
+    rows = pack_rows([MonomialUnitary(n, int(gen.integers(n)),
+                                      tuple(gen.integers(4 * n, size=n)))
+                      for _ in range(64)], n)
+    gens = pack_rows([*alice_generators(n), *bob_generators(n),
+                      scalar_j(n)], n)
+    steps = np.concatenate([gens, invert_rows(gens)])
+    products = groupkit.compose_steps(rows, groupkit.step_columns(steps),
+                                      steps)
+    assert products.shape == (len(rows), len(steps), n + 1)
+    assert products.dtype == rows.dtype == np.uint8
+    for k, step in enumerate(steps):
+        assert np.array_equal(products[:, k],
+                              compose_rows(rows, step[None, :]))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_closure_has_group_order_in_sorted_rows(n):
+    cat = enumerate_group(list(alice_generators(n)))
+    assert len(cat) == groupkit.group_order(n)
+    keys = [tuple(row) for row in cat.rows.tolist()]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_normal_forms_index_words_in_order():
     pairs = normal_form_enumerate(3, "alt")
     words = normal_form_words(3, "alt")

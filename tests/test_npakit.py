@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from znlcs.gamekit import ModNGameParams
-from znlcs.ncpoly import canonical_word
+from znlcs.ncpoly import canonical_word, word_adjoint
 from znlcs.npakit import (SDPAProblem, build_moment_problem, export_sdpa,
                           generate_words, letters, moment_matrix,
                           objective_value, parse_sdpa, randomized_reduce,
-                          strategy_feasibility, strategy_moments,
-                          word_adjoint)
+                          sdpa_from_moment_problem, strategy_feasibility,
+                          strategy_moments)
 from znlcs.numerics import rng
 from znlcs.strategykit import canonical_strategy, random_strategy
 
@@ -181,3 +181,17 @@ def test_cell_table_matches_word_reduction(n, level):
             w = canonical_word(word_adjoint(u, n) + v, n)
             assert (mp.cell_class[r, c], mp.cell_conj[r, c]) == \
                 mp.moment_index[w]
+
+
+def test_reprs_name_sizes_not_contents():
+    # At n = 6, level 2 the contents would print 1.09 MB.
+    mp = build_moment_problem(ModNGameParams(6, 0, 1), 2)
+    prob = sdpa_from_moment_problem(mp)
+    assert repr(mp) == (
+        "MomentProblem(n=6, level=2, words=<221>, class_keys=<5895>, "
+        "moment_index=<11721>, objective=<12>, cell_class=<221x221>, "
+        "cell_conj=<221x221>)")
+    assert repr(prob) == (
+        "SDPAProblem(nvars=11721, block_sizes=[442, -2], "
+        "objective=<11721>, entries=<96878>)")
+    assert len(repr(mp)) < 200 and len(repr(prob)) < 200

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from znlcs import soskit
+from znlcs import numerics
 from znlcs.biaskit import bias_polynomial
 from znlcs.gamekit import ModNGameParams
 from znlcs.ncpoly import eval_nc
@@ -84,7 +84,7 @@ def test_verify_evaluates_each_trial_once(monkeypatch, trials):
         calls.append((dim, list(seeds)))
         return random_order_n_observables(order, dim, seeds)
 
-    monkeypatch.setattr(soskit, "random_order_n_observables", record)
+    monkeypatch.setattr(numerics, "random_order_n_observables", record)
     cert = certificate_chsh()
     verify_sos_identity(cert, bias_polynomial(ModNGameParams(2, 0, 1)),
                         trials, seed=trials)
