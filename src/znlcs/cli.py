@@ -7,38 +7,22 @@ CSV and SDPA outputs go to --out paths. The environment variable
 ``ZNLCS_SEED`` supplies the default seed. ``COMMANDS`` declares every
 command once: its handler, its pre-flight check and its arguments.
 
+``main`` owns each report's life. Right after parsing it builds the
+``Report`` from the command's ``COMMANDS`` entry: the command name, each
+declared flag but ``--seed`` as a camelCase parameter (``--n-max`` is
+``nMax``), and the seed of a command with ``--seed`` (else ``None``). The
+report's clock starts there, so its wall time covers the pre-flight check
+(such as a size bound), the work, and loading the modules (and numpy) that
+either uses; the interpreter's start and exit, and argparse, stay outside
+it. ``main`` then runs the pre-flight check, calls ``handler(args, rep)``,
+which only computes and adds results, and prints the report with
+``rep.finish()``.
+
 The other ``znlcs`` modules load on first use (see ``znlcs/__init__.py``),
-so a command runs only the code it needs. For every command the report's
-wall time starts when parsing ends: it covers the pre-flight check (such
-as a size bound), the work, and loading the modules (and numpy) that
-either uses. The interpreter's
-start and exit, and argparse, stay outside it.
-
-Modules each command loads, besides ``cli`` and ``records``:
-
-    game classical     gamekit
-    strategy value     strategykit monomial numerics gamekit
-                       (--via bias adds biaskit ncpoly)
-    strategy entropy   strategykit numerics
-    bias spectrum      biaskit strategykit monomial ncpoly numerics gamekit
-    group *            groupkit monomial
-    sos verify         soskit biaskit strategykit monomial ncpoly numerics
-                       gamekit
-    relations check    soskit strategykit monomial ncpoly numerics
-    bcs *              bcskit numerics
-    npa export         npakit biaskit ncpoly gamekit
-    psirep check       strategykit groupkit monomial numerics
-
-Besides its command's work, a process pays for starting the interpreter
-(about 0.09 s on a 2-vCPU Xeon), importing numpy (about 0.16 s; a usage
-error imports none), compiling the source of every module it loads when
-no bytecode cache is written (0.4-3.5 ms a module; about 12 % of a
-benchmark pass while each module loaded every sibling it named, 9-10 %
-with the load sets above), and
-argparse. The records (``znlcs.records``) generate no code, so defining
-one costs microseconds, not the millisecond a dataclass costs, and
-``build_parser(argv)`` builds the parsers of the command argv names only
-(about 2.5 ms against 6-7 ms for the full tree).
+so a command runs only the code it needs. README's command-line section
+lists the modules each command loads and what a process pays besides its
+command's work; ``build_parser(argv)`` builds the parsers of the command
+argv names only.
 
 ``run()`` is the process entry point (the ``znlcs`` script and ``python
 -m znlcs.cli``) and skips the interpreter's teardown collection;
@@ -54,7 +38,7 @@ import math
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 # Modules, not names: each is a lazy module (see ``znlcs/__init__.py``),
 # loaded when a command first reads one of its attributes.
@@ -82,18 +66,18 @@ def _seed_default() -> int:
 
 
 class Report:
-    """The JSON run report of one command. ``started`` is the
-    ``time.perf_counter()`` reading its wall time counts from."""
+    """The JSON run report of one command; its wall time counts from its
+    construction."""
 
     def __init__(self, command: str, parameters: Dict[str, Any],
-                 started: float, seed: Optional[int] = None):
+                 seed: Optional[int] = None):
         self.data: Dict[str, Any] = {
             "command": command,
             "parameters": parameters,
             "seed": seed,
             "results": [],
         }
-        self.t0 = started
+        self.t0 = time.perf_counter()
 
     def result(self, name: str, value: Any, tolerance: Optional[float] = None,
                target: Any = None, ok: Optional[bool] = None) -> None:
@@ -117,20 +101,15 @@ class Report:
         return 0 if self.data["pass"] else 1
 
 
-def cmd_game_classical(args) -> int:
-    rep = Report("game classical",
-                 {"n": args.n, "m1": args.m1, "m2": args.m2}, args.started)
+def cmd_game_classical(args, rep: Report) -> None:
     game = gamekit.make_mod_n_game(
         gamekit.ModNGameParams(args.n, args.m1, args.m2))
     value, pairs = gamekit.classical_value(game)
     rep.result("classical_value", value)
     rep.result("optimal_pair_count", pairs)
-    return rep.finish()
 
 
-def cmd_strategy_value(args) -> int:
-    rep = Report("strategy value", {"n": args.n, "via": args.via},
-                 args.started)
+def cmd_strategy_value(args, rep: Report) -> None:
     s = strategykit.canonical_strategy(args.n)
     p = gamekit.ModNGameParams(args.n, 0, 1)
     if args.via == "bias":
@@ -141,12 +120,9 @@ def cmd_strategy_value(args) -> int:
     formula = strategykit.canonical_value_formula(args.n)
     rep.result("value", value, tolerance=1e-9, target=formula)
     rep.result("formula_value", formula)
-    return rep.finish()
 
 
-def cmd_strategy_entropy(args) -> int:
-    rep = Report("strategy entropy",
-                 {"nMax": args.n_max, "out": args.out}, args.started)
+def cmd_strategy_entropy(args, rep: Report) -> None:
     rows = []
     for n in range(2, args.n_max + 1):
         sd = strategykit.schmidt(strategykit.canonical_state(n), n, n)
@@ -165,11 +141,9 @@ def cmd_strategy_entropy(args) -> int:
                 writer.writerow([n, f"{value:.6f}", f"{ratio:.6f}"])
     rep.result("rows", len(rows))
     rep.result("final_entropy_ratio", rows[-1][2])
-    return rep.finish()
 
 
-def cmd_bias_spectrum(args) -> int:
-    rep = Report("bias spectrum", {"n": args.n}, args.started)
+def cmd_bias_spectrum(args, rep: Report) -> None:
     p = gamekit.ModNGameParams(args.n, 0, 1)
     report = biaskit.bias_spectrum(p, strategykit.canonical_strategy(args.n))
     formula = biaskit.bias_eigenvalue_formula(args.n)
@@ -181,33 +155,24 @@ def cmd_bias_spectrum(args) -> int:
     rep.result("eigenrelation_residual",
                biaskit.eigenrelation_residual(args.n), tolerance=1e-9,
                target=0.0)
-    return rep.finish()
 
 
-def cmd_group_enumerate(args) -> int:
-    rep = Report("group enumerate", {"n": args.n}, args.started)
+def cmd_group_enumerate(args, rep: Report) -> None:
     a0, a1 = groupkit.alice_generators(args.n)
     cat = groupkit.enumerate_group([a0, a1])
     rep.result("group_order", len(cat), tolerance=0.0,
                target=groupkit.group_order(args.n))
     failures = groupkit.verify_presentation(args.n, "A")
     rep.result("failed_relators", len(failures), tolerance=0.0, target=0)
-    return rep.finish()
 
 
-def cmd_group_normal_form(args) -> int:
-    rep = Report("group normal-form", {"n": args.n}, args.started)
+def cmd_group_normal_form(args, rep: Report) -> None:
     pairs = groupkit.normal_form_enumerate(args.n)
     rep.result("distinct_normal_forms", len(pairs), tolerance=0.0,
                target=groupkit.group_order(args.n))
-    return rep.finish()
 
 
-def cmd_sos_verify(args) -> int:
-    seed = _seed_default() if args.seed is None else args.seed
-    rep = Report("sos verify",
-                 {"cert": args.cert, "trials": args.trials}, args.started,
-                 seed=seed)
+def cmd_sos_verify(args, rep: Report) -> None:
     if args.cert == "chsh":
         cert = soskit.certificate_chsh()
         tol = 1e-9
@@ -215,16 +180,15 @@ def cmd_sos_verify(args) -> int:
         cert = soskit.certificate_g3()
         tol = 1e-8
     bias = biaskit.bias_polynomial(gamekit.ModNGameParams(cert.order, 0, 1))
-    residual = soskit.verify_sos_identity(cert, bias, args.trials, seed)
+    residual = soskit.verify_sos_identity(cert, bias, args.trials,
+                                          rep.data["seed"])
     rep.result("identity_residual", residual, tolerance=tol, target=0.0)
     s = strategykit.canonical_strategy(cert.order)
     worst = max(r for _, r in soskit.annihilation_residuals(cert, s))
     rep.result("annihilation_residual", worst, tolerance=1e-9, target=0.0)
-    return rep.finish()
 
 
-def cmd_relations_check(args) -> int:
-    rep = Report("relations check", {"n": args.n}, args.started)
+def cmd_relations_check(args, rep: Report) -> None:
     s = strategykit.canonical_strategy(3)
     worst = 0.0
     for name, poly in soskit.derived_relations_g3():
@@ -232,13 +196,9 @@ def cmd_relations_check(args) -> int:
         rep.result(f"relation_{name}", r, tolerance=1e-9, target=0.0)
         worst = max(worst, r)
     rep.result("worst_residual", worst, tolerance=1e-9, target=0.0)
-    return rep.finish()
 
 
-def cmd_bcs(args) -> int:
-    rep = Report(f"bcs {args.system}",
-                 {"check": args.check, "witness": args.witness},
-                 args.started)
+def cmd_bcs(args, rep: Report) -> None:
     if args.system == "magic-square":
         lcs, sol = bcskit.magic_square()
         solutions = [("solution", sol)]
@@ -259,13 +219,9 @@ def cmd_bcs(args) -> int:
         rep.result("trace", trace, tolerance=1e-9, target=4.0)
         rep.result("anticommutator_norm", anticomm, tolerance=1e-9,
                    target=0.0)
-    return rep.finish()
 
 
-def cmd_npa_export(args) -> int:
-    rep = Report("npa export",
-                 {"n": args.n, "level": args.level, "out": args.out},
-                 args.started)
+def cmd_npa_export(args, rep: Report) -> None:
     mp = npakit.build_moment_problem(gamekit.ModNGameParams(args.n, 0, 1),
                                      args.level)
     prob = npakit.export_sdpa(mp, args.out)
@@ -276,16 +232,13 @@ def cmd_npa_export(args) -> int:
     rep.result("sdpa_block_size", prob.block_sizes[0])
     rep.result("round_trip_exact", int(reparsed.render() == written),
                tolerance=0.0, target=1)
-    return rep.finish()
 
 
-def cmd_psirep_check(args) -> int:
-    rep = Report("psirep check", {"n": args.n}, args.started)
+def cmd_psirep_check(args, rep: Report) -> None:
     res_a, res_b = strategykit.psi_representation_residuals(
         strategykit.canonical_strategy(args.n))
     rep.result("alice_residual", res_a, tolerance=1e-9, target=0.0)
     rep.result("bob_residual", res_b, tolerance=1e-9, target=0.0)
-    return rep.finish()
 
 
 def _classical_check(args) -> Optional[str]:
@@ -331,13 +284,22 @@ def _witness_check(args) -> Optional[str]:
     return None
 
 
+def _out_file_check(args) -> Optional[str]:
+    """The SDPA file is written and read back, so --out must name a
+    regular file or nothing yet."""
+    if os.path.exists(args.out) and not os.path.isfile(args.out):
+        return f"argument --out: not a regular file, got {args.out}"
+    return None
+
+
 _BCS_FLAGS = [("--check", {"action": "store_true"}),
               ("--witness", {"action": "store_true"})]
 
 # Every command, in the order of the help text: (group, command) ->
 # (handler, preflight, arguments). The pre-flight check, if any, runs after
 # parsing and before any work, and returns a usage error
-# ("argument --FLAG: ...") or None. Each argument is (flag, add_argument
+# ("argument --FLAG: ...") or None. The handler adds its results to the
+# report that ``main`` built. Each argument is (flag, add_argument
 # keywords).
 COMMANDS = {
     ("game", "classical"): (cmd_game_classical, _classical_check, [
@@ -365,7 +327,7 @@ COMMANDS = {
         ("--n", {"type": int, "choices": [3], "default": 3})]),
     ("bcs", "magic-square"): (cmd_bcs, _witness_check, _BCS_FLAGS),
     ("bcs", "glued"): (cmd_bcs, None, _BCS_FLAGS),
-    ("npa", "export"): (cmd_npa_export, None, [
+    ("npa", "export"): (cmd_npa_export, _out_file_check, [
         ("--n", {"type": _int_at_least(2), "required": True}),
         ("--level", {"type": int, "choices": [1, 2], "default": 1}),
         ("--out", {"required": True})]),
@@ -405,7 +367,7 @@ def build_parser(argv: Optional[Sequence[str]] = None
         dest="group", required=True,
         metavar=None if named is None else "{%s}" % ",".join(GROUPS))
     commands = {}
-    for (group, sub), (handler, preflight, arguments) in COMMANDS.items():
+    for (group, sub), (_, _, arguments) in COMMANDS.items():
         if named not in (None, (group, sub)):
             continue
         if group not in commands:
@@ -414,8 +376,21 @@ def build_parser(argv: Optional[Sequence[str]] = None
         leaf = commands[group].add_parser(sub)
         for flag, options in arguments:
             leaf.add_argument(flag, **options)
-        leaf.set_defaults(func=handler, preflight=preflight, subparser=leaf)
+        leaf.set_defaults(command=(group, sub), subparser=leaf)
     return parser
+
+
+def _envelope(args, arguments) -> Tuple[Dict[str, Any], Optional[int]]:
+    """The report's parameters, each declared flag but --seed by its
+    camelCase name (--n-max: nMax), and its seed: --seed, else ZNLCS_SEED,
+    for a command with that flag, else None."""
+    words = [flag[2:].split("-") for flag, _ in arguments]
+    parameters = {head + "".join(map(str.title, rest)):
+                  getattr(args, "_".join([head, *rest]))
+                  for head, *rest in words if head != "seed"}
+    if ["seed"] not in words:
+        return parameters, None
+    return parameters, _seed_default() if args.seed is None else args.seed
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -423,16 +398,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     try:
         args = build_parser(argv).parse_args(argv)
-        # Every command's report clock starts here, so its wall time
-        # covers the check and the modules the check loads.
-        args.started = time.perf_counter()
-        problem = args.preflight(args) if args.preflight else None
+        handler, preflight, arguments = COMMANDS[args.command]
+        # The report's clock starts here, so its wall time covers the
+        # check and the modules the check loads.
+        rep = Report(" ".join(args.command), *_envelope(args, arguments))
+        problem = preflight(args) if preflight else None
         if problem:
             args.subparser.error(problem)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version.
         return int(exc.code or 0)
-    return args.func(args)
+    handler(args, rep)
+    return rep.finish()
 
 
 def run() -> None:

@@ -11,7 +11,10 @@ whose column 0 holds the shifts (mod n) and columns 1..n the phases
 (mod 4n), i.e. ``rows[:, 0]`` is shift[m] and ``rows[:, 1:]`` is
 phases[m, n]. The dtype (uint8 up to n = 32) holds the sum of two reduced
 entries, so a product with a fixed element is one gather, one add and one
-conditional subtract of the modulus. Rows are equal exactly
+conditional subtract of the modulus. ``compose_steps`` is the only batched
+product: it multiplies rows by fixed right factors through their column
+maps (``step_columns``), and closure, normal forms, the multiplication
+table and the center all use it. Rows are equal exactly
 when their bytes are, which is what closures dedupe on, and a catalogue
 sorts its rows lexicographically, the order of ``MonomialUnitary.key()``.
 """
@@ -81,28 +84,6 @@ def _shifted_columns(n: int, by: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros_like(cols[..., :1]), cols], axis=-1)
 
 
-def _read_shifted(rows: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """Each row with phase k read from phase (k + by) % n; the shift column
-    is kept. ``by`` broadcasts against ``rows``."""
-    index = _shifted_columns(rows.shape[-1] - 1, by)
-    return np.take_along_axis(rows, index, axis=-1)
-
-
-def _reduce_sums(out: np.ndarray) -> np.ndarray:
-    """Reduce, in place, rows that are sums of two reduced rows: one
-    conditional subtract of the moduli."""
-    mod = _moduli(out.shape[-1] - 1, out.dtype)
-    np.subtract(out, mod, out=out, where=out >= mod)
-    return out
-
-
-def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise products a @ b (apply b first) of two batches that broadcast
-    against each other: shift a.shift + b.shift and
-    phases[k] = b.phases[k] + a.phases[(k + b.shift) % n]."""
-    return _reduce_sums(_read_shifted(a, b[..., :1].astype(np.intp)) + b)
-
-
 def step_columns(steps: np.ndarray) -> np.ndarray:
     """The column map of each fixed right factor ``steps[s]``:
     ``rows[:, cols[s]] + steps[s]``, reduced, is ``rows @ steps[s]``."""
@@ -112,17 +93,24 @@ def step_columns(steps: np.ndarray) -> np.ndarray:
 
 def compose_steps(rows: np.ndarray, cols: np.ndarray,
                   steps: np.ndarray) -> np.ndarray:
-    """Every product rows[f] @ steps[s], shape (len(rows), len(steps),
-    n + 1), given ``cols = step_columns(steps)``: one gather, one add and
-    one conditional subtract."""
-    return _reduce_sums(rows[:, cols] + steps)
+    """Every product rows[f] @ steps[s] (apply steps[s] first), shape
+    (len(rows), len(steps), n + 1), given ``cols = step_columns(steps)``:
+    shift rows.shift + steps.shift and
+    phases[k] = steps.phases[k] + rows.phases[(k + steps.shift) % n], as one
+    gather, one add and one conditional subtract of the moduli (in place:
+    the sum of two reduced entries is under twice the modulus)."""
+    out = rows[:, cols] + steps
+    mod = _moduli(out.shape[-1] - 1, out.dtype)
+    np.subtract(out, mod, out=out, where=out >= mod)
+    return out
 
 
 def invert_rows(rows: np.ndarray) -> np.ndarray:
     """Row-wise inverses: shift -shift and
     phases[k] = -phases[(k - shift) % n]."""
     mod = _moduli(rows.shape[-1] - 1, rows.dtype)
-    out = mod - _read_shifted(rows, -rows[..., :1].astype(np.intp))
+    cols = _shifted_columns(len(mod) - 1, -rows[..., :1].astype(np.intp))
+    out = mod - np.take_along_axis(rows, cols, axis=-1)
     out[out == mod] = 0
     return out
 
@@ -181,8 +169,8 @@ def evaluate_word_matrix(word: GroupWord,
 
 class GroupCatalogue:
     """A finite group of monomial unitaries as rows sorted by key, with
-    product maps into the sorted positions. ``elements`` and ``index`` are
-    built on first use."""
+    product maps into the sorted positions. ``elements`` is built on first
+    use."""
 
     def __init__(self, rows: np.ndarray):
         self.n = rows.shape[1] - 1
@@ -196,10 +184,6 @@ class GroupCatalogue:
         return [unpack_row(row) for row in self.rows]
 
     @cached_property
-    def index(self) -> Dict[Tuple[int, Tuple[int, ...]], int]:
-        return {g.key(): i for i, g in enumerate(self.elements)}
-
-    @cached_property
     def _positions(self) -> Dict[bytes, int]:
         return {key: i for i, key in enumerate(_row_keys(self.rows))}
 
@@ -209,9 +193,6 @@ class GroupCatalogue:
         positions = self._positions
         found = [positions[key] for key in _row_keys(rows)]
         return np.array(found, dtype=np.int64).reshape(rows.shape[:-1])
-
-    def product(self, i: int, j: int) -> int:
-        return int(self.locate(compose_rows(self.rows[i], self.rows[j])))
 
     def inverse(self, i: int) -> int:
         return int(self.locate(invert_rows(self.rows[i])))
@@ -224,11 +205,12 @@ class GroupCatalogue:
                 f"table of {m}x{m} entries exceeds the size bound "
                 f"{MULTIPLICATION_TABLE_MAX}")
         table = np.empty((m, m), dtype=np.int64)
+        cols = step_columns(self.rows)
         step = max(1, _BLOCK_PRODUCTS // m)
         for start in range(0, m, step):
-            block = self.rows[start:start + step, None, :]
+            block = self.rows[start:start + step]
             table[start:start + step] = self.locate(
-                compose_rows(block, self.rows[None, :, :]))
+                compose_steps(block, cols, self.rows))
         return table
 
     def element_orders(self) -> List[int]:
@@ -245,10 +227,10 @@ class GroupCatalogue:
         start = 0
         while start < len(self):
             stop = start + max(1, _BLOCK_PRODUCTS // len(central))
-            a = central[:, None, :]
-            b = others[None, start:stop, :]
-            commutes = (compose_rows(a, b) == compose_rows(b, a)).all(
-                axis=(1, 2))
+            block = others[start:stop]
+            right = compose_steps(central, step_columns(block), block)
+            left = compose_steps(block, step_columns(central), central)
+            commutes = (right == left.swapaxes(0, 1)).all(axis=(1, 2))
             central = central[commutes]
             start = stop
         return len(central)
@@ -382,12 +364,13 @@ def normal_form_enumerate(n: int, variant: str = "standard") -> NormalForms:
     tails = pack_rows([MonomialUnitary.identity(n)], n)
     for k in range(1, n):
         factor = evaluate_word(_normal_form_factor(k, variant), images, n)
+        step = pack_rows([factor], n)
         tails = np.concatenate(
-            [tails, compose_rows(tails, pack_rows([factor], n))])
+            [tails, compose_steps(tails, step_columns(step), step)[:, 0]])
     heads = pack_rows([evaluate_word((("J", i), ("P0", j)), images, n)
                        for i in range(n) for j in range(n)], n)
-    rows = compose_rows(heads[:, None, :], tails[None, :, :]
-                        ).reshape(-1, n + 1)
+    rows = compose_steps(heads, step_columns(tails), tails
+                         ).reshape(-1, n + 1)
     keys = _row_keys(rows)
     if len(set(keys)) < len(keys):
         first: Dict[bytes, int] = {}

@@ -314,12 +314,19 @@ def parse_sdpa(text: str) -> SDPAProblem:
     read one line at a time."""
     lines = (ln.rstrip("\n") for ln in io.StringIO(text))
     body = (ln for ln in lines if ln and not ln.startswith("*"))
-    nvars = int(next(body))
-    nblocks = int(next(body))
-    block_sizes = [int(t) for t in next(body).split()]
+
+    def header(name: str) -> str:
+        line = next(body, None)
+        if line is None:
+            raise ValueError(f"SDPA text ends before its {name} line")
+        return line
+
+    nvars = int(header("variable count"))
+    nblocks = int(header("block count"))
+    block_sizes = [int(t) for t in header("block sizes").split()]
     if len(block_sizes) != nblocks:
         raise ValueError("block size count mismatch")
-    objective = [float(t) for t in next(body).split()]
+    objective = [float(t) for t in header("objective").split()]
     entries: Dict[Tuple[int, int, int, int], float] = {}
     for ln in body:
         mat, block, row, col, value = ln.split()

@@ -79,9 +79,10 @@ def hermitian_eig(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEig:
     return HermitianEig(eigenvalues=w, eigenvectors=V)
 
 
-def partial_trace_B(rho: np.ndarray, dimA: int, dimB: int,
-                    tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Trace out the second tensor factor of a density matrix on A (x) B."""
+def _density_blocks(rho: np.ndarray, dimA: int, dimB: int,
+                    tol: float) -> np.ndarray:
+    """rho as a (dimA, dimB, dimA, dimB) array, after checking that it is a
+    Hermitian dimA*dimB square matrix of trace 1."""
     d = require_square(rho, "density matrix")
     if d != dimA * dimB:
         raise ValueError(
@@ -91,21 +92,19 @@ def partial_trace_B(rho: np.ndarray, dimA: int, dimB: int,
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"density matrix has trace {tr}, expected 1")
-    r = rho.reshape(dimA, dimB, dimA, dimB)
-    return np.einsum("ikjk->ij", r)
+    return rho.reshape(dimA, dimB, dimA, dimB)
+
+
+def partial_trace_B(rho: np.ndarray, dimA: int, dimB: int,
+                    tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Trace out the second tensor factor of a density matrix on A (x) B."""
+    return np.einsum("ikjk->ij", _density_blocks(rho, dimA, dimB, tol))
 
 
 def partial_trace_A(rho: np.ndarray, dimA: int, dimB: int,
                     tol: float = DEFAULT_TOL) -> np.ndarray:
     """Trace out the first tensor factor of a density matrix on A (x) B."""
-    d = require_square(rho, "density matrix")
-    if d != dimA * dimB:
-        raise ValueError(
-            f"density matrix has dimension {d}, expected dimA*dimB = {dimA * dimB}"
-        )
-    require_hermitian(rho, tol, "density matrix")
-    r = rho.reshape(dimA, dimB, dimA, dimB)
-    return np.einsum("kikj->ij", r)
+    return np.einsum("kikj->ij", _density_blocks(rho, dimA, dimB, tol))
 
 
 def dirichlet_kernel(m: int, x: float) -> float:

@@ -97,6 +97,8 @@ BAD_INPUT = [
     ("game classical --n 300", "--n"),
     ("bias spectrum --n 200", "--n"),
     ("strategy value --n 200 --via bias", "--n"),
+    ("npa export --n 2 --out /dev/null", "--out"),
+    ("npa export --n 2 --out .", "--out"),
 ]
 
 
@@ -125,6 +127,52 @@ EDGE_CASES = [
     "bcs -h", "game classical -h", "npa export --help", "--version",
     "game classical --n 3 --version", "game classical --n 3 --bogus",
 ]
+
+
+# The parameters of each EVERY_COMMAND report: every declared flag but
+# --seed, in declaration order, by its camelCase name, defaults included.
+PARAMETERS = {
+    "game classical": {"n": 3, "m1": 1, "m2": 1},
+    "strategy value": {"n": 2, "via": "bias"},
+    "strategy entropy": {"nMax": 3, "out": "t.csv"},
+    "bias spectrum": {"n": 2},
+    "group enumerate": {"n": 2},
+    "group normal-form": {"n": 2},
+    "sos verify": {"cert": "chsh", "trials": 2},
+    "relations check": {"n": 3},
+    "bcs magic-square": {"check": True, "witness": False},
+    "bcs glued": {"check": True, "witness": True},
+    "npa export": {"n": 2, "level": 2, "out": "t.dat-s"},
+    "psirep check": {"n": 2},
+}
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_report_envelope_mirrors_the_command(capsys, tmp_path, monkeypatch,
+                                             argv):
+    monkeypatch.chdir(tmp_path)  # for the --out files
+    monkeypatch.setenv("ZNLCS_SEED", "77")
+    command = " ".join(argv.split()[:2])
+    code, report = run(capsys, *argv.split())
+    assert code == 0
+    assert report["command"] == command
+    assert list(report["parameters"].items()) == \
+        list(PARAMETERS[command].items())
+    if command != "sos verify":
+        assert report["seed"] is None
+        return
+    assert report["seed"] == 5
+    # Without --seed the command takes ZNLCS_SEED, and draws its trials
+    # from it.
+    code, unseeded = run(capsys, *argv.replace(" --seed 5", "").split())
+    code77, seeded = run(capsys, *argv.replace("--seed 5", "--seed 77")
+                         .split())
+    assert code == code77 == 0
+    assert unseeded["seed"] == seeded["seed"] == 77
+    assert unseeded["parameters"] == PARAMETERS[command]
+    assert unseeded["results"] == seeded["results"]
+    # Seeds 5 and 77 draw different trials, whose float residuals differ.
+    assert unseeded["results"] != report["results"]
 
 
 def test_every_command_is_in_the_corpus():

@@ -7,7 +7,7 @@ from znlcs import groupkit
 from znlcs.groupkit import (GroupCatalogue, MonomialUnitary,
                             alice_generators, alice_images,
                             bob_generators, commutation_check,
-                            compose_rows, enumerate_group, evaluate_word,
+                            enumerate_group, evaluate_word,
                             evaluate_word_matrix, g3_irreps,
                             groups_equal_as_sets, invert_rows,
                             normal_form_enumerate, normal_form_words,
@@ -144,6 +144,18 @@ def test_evaluate_word_matrix_inverse_exponents():
     assert np.allclose(M, np.eye(3))
 
 
+def compose_rows(a, b):
+    """Reference row-wise products a @ b (apply b first) of two batches that
+    broadcast against each other, gathered by ``take_along_axis`` and
+    reduced by ``%``: shift a.shift + b.shift and
+    phases[k] = b.phases[k] + a.phases[(k + b.shift) % n]."""
+    n = a.shape[-1] - 1
+    cols = 1 + (np.arange(n) + b[..., :1].astype(np.intp)) % n
+    index = np.concatenate([np.zeros_like(cols[..., :1]), cols], axis=-1)
+    sums = np.take_along_axis(a, index, axis=-1).astype(np.int64) + b
+    return sums % np.array([n] + [4 * n] * n)
+
+
 @st.composite
 def monomials(draw, n, count, phase_step=1):
     """``count`` random monomial unitaries of dimension n whose phases are
@@ -161,18 +173,18 @@ def test_batched_product_and_inverse_match_scalar(data, n, count):
     xs = data.draw(monomials(n, count))
     ys = data.draw(monomials(n, count))
     rows_x, rows_y = pack_rows(xs, n), pack_rows(ys, n)
-    products = compose_rows(rows_x, rows_y)
+    # All pairs at once, as the catalogue builds tables.
+    table = groupkit.compose_steps(rows_x, groupkit.step_columns(rows_y),
+                                   rows_y)
     inverses = invert_rows(rows_x)
-    assert products.dtype == inverses.dtype == rows_x.dtype
+    assert table.dtype == inverses.dtype == rows_x.dtype
     for k, (x, y) in enumerate(zip(xs, ys)):
-        assert unpack_row(products[k]) == x @ y
+        assert unpack_row(table[k, k]) == x @ y
         assert unpack_row(inverses[k]) == x.inverse()
-        assert np.allclose(unpack_row(products[k]).to_matrix(),
+        assert np.allclose(unpack_row(table[k, k]).to_matrix(),
                            x.to_matrix() @ y.to_matrix())
         assert np.allclose(unpack_row(inverses[k]).to_matrix(),
                            x.to_matrix().conj().T)
-    # All pairs at once by broadcasting, as the catalogue builds tables.
-    table = compose_rows(rows_x[:, None, :], rows_y[None, :, :])
     assert [[unpack_row(r) for r in row] for row in table] == \
         [[x @ y for y in ys] for x in xs]
 
@@ -214,7 +226,8 @@ def test_closure_matches_scalar_reference(data, n, count):
     gens = data.draw(monomials(n, count, phase_step=n))
     cat = enumerate_group(gens)
     assert [g.key() for g in cat.elements] == _scalar_closure(gens)
-    assert cat.index == {g.key(): i for i, g in enumerate(cat.elements)}
+    assert cat.locate(pack_rows(cat.elements, n)).tolist() == \
+        list(range(len(cat)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -283,11 +296,13 @@ def test_center_is_generated_by_j(n):
 def test_catalogue_products_match_scalar_products():
     cat = enumerate_group(list(alice_generators(3)))
     table = cat.multiplication_table()
+    position = {g.key(): i for i, g in enumerate(cat.elements)}
+    assert cat.locate(pack_rows(cat.elements, 3)).tolist() == \
+        list(range(len(cat)))
     for i, x in enumerate(cat.elements):
-        assert cat.inverse(i) == cat.index[x.inverse().key()]
+        assert cat.inverse(i) == position[x.inverse().key()]
         for j, y in enumerate(cat.elements):
-            assert table[i, j] == cat.product(i, j) \
-                == cat.index[(x @ y).key()]
+            assert table[i, j] == position[(x @ y).key()]
 
 
 def test_caps_refuse_large_groups():

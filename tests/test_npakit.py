@@ -118,6 +118,21 @@ def test_sdpa_render_parse_render_is_identical(tmp_path_factory, prob):
     assert again.render() == text
 
 
+@pytest.mark.parametrize("kept,missing", [
+    (0, "variable count"), (1, "block count"), (2, "block sizes"),
+    (3, "objective")])
+def test_parse_sdpa_refuses_truncated_text(kept, missing):
+    # "" and texts cut inside the header: the comments and the first
+    # ``kept`` header lines of a real export, nothing after them.
+    text = SDPAProblem(2, [2, -2], [1.0, -1.0], {(0, 1, 1, 1): 1.0}).render()
+    lines = text.splitlines(keepends=True)
+    comments = [ln for ln in lines if ln.startswith("*")]
+    header = lines[len(comments):len(comments) + kept]
+    for cut in ("".join(header), "".join(comments + header)):
+        with pytest.raises(ValueError, match=f"before its {missing} line"):
+            parse_sdpa(cut)
+
+
 def test_sdpa_header_structure(tmp_path):
     mp = build_moment_problem(ModNGameParams(2, 0, 1), 1)
     path = tmp_path / "chsh.dat-s"

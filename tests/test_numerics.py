@@ -119,6 +119,19 @@ def test_partial_trace_hand_expansion():
     assert abs(np.trace(out) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("partial_trace", [partial_trace_A, partial_trace_B])
+def test_partial_traces_refuse_the_same_bad_density_matrices(partial_trace):
+    rho = np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    with pytest.raises(ValueError, match="trace"):
+        partial_trace(2 * rho, 2, 2)
+    with pytest.raises(ValueError, match="dimension"):
+        partial_trace(rho, 2, 3)
+    with pytest.raises(ValueError, match="square"):
+        partial_trace(rho[:3], 2, 2)
+    with pytest.raises(ValueError, match="Hermitian"):
+        partial_trace(rho + np.triu(np.ones((4, 4)), 1), 2, 2)
+
+
 def test_kron_mixed_product_property():
     gen = rng(5)
     for _ in range(5):
