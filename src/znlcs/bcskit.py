@@ -9,7 +9,7 @@ glued double are shipped with their known operator solutions.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -40,29 +40,6 @@ class BinaryLCS(Record):
                 raise ValueError(f"sign must be +1 or -1, got {sign}")
             cons.append((variables, int(sign)))
         object.__setattr__(self, "constraints", tuple(cons))
-
-    def to_text(self) -> str:
-        """One line per constraint: "sign v1 v2 ... vk" with 1-based
-        variables."""
-        lines = []
-        for variables, sign in self.constraints:
-            head = "+1" if sign == 1 else "-1"
-            lines.append(" ".join([head] + [str(v + 1) for v in variables]))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "BinaryLCS":
-        cons = []
-        max_var = 0
-        for line in text.strip().splitlines():
-            parts = line.split()
-            if not parts:
-                continue
-            sign = int(parts[0])
-            variables = tuple(int(p) - 1 for p in parts[1:])
-            max_var = max(max_var, max(variables) + 1)
-            cons.append((variables, sign))
-        return cls(variable_count=max_var, constraints=tuple(cons))
 
     def to_linear_system(self) -> gamekit.LinearSystem:
         """Additive Z_2 form: sign +1 -> rhs 0, sign -1 -> rhs 1."""

@@ -102,19 +102,3 @@ def eigenrelation_residual(n: int) -> float:
     B = bias_operator(gamekit.ModNGameParams(n, 0, 1), s)
     psi = strategykit.canonical_state(n)
     return float(np.linalg.norm(B @ psi - bias_eigenvalue_formula(n) * psi))
-
-
-def write_value_table(path: str, n_max: int = 40) -> None:
-    """CSV of (n, top bias eigenvalue via formula, predicted value, direct
-    formula value) for n = 2..n_max."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "top_eigenvalue", "predicted_value",
-                         "formula_value"])
-        for n in range(2, n_max + 1):
-            lam = bias_eigenvalue_formula(n)
-            formula = strategykit.canonical_value_formula(n)
-            writer.writerow([n, f"{lam:.12f}", f"{lam / (4 * n) + 1 / n:.12f}",
-                             f"{formula:.12f}"])

@@ -264,18 +264,29 @@ def _group_order_check(args) -> Optional[str]:
     return None
 
 
-def _operator_size_check(args) -> Optional[str]:
-    """The dense n^2 x n^2 bias operator must fit the byte cap."""
-    size = biaskit.operator_bytes(args.n)
-    if size > biaskit.SPECTRUM_BYTES_CAP:
-        return (f"argument --n: the dense bias operator needs "
-                f"{size:.2e} bytes, over the cap of "
-                f"{biaskit.SPECTRUM_BYTES_CAP:.2e}, got {args.n}")
+def _bytes_check(args, what: str, size: int, cap: int) -> Optional[str]:
+    """A usage error naming --n when ``what`` needs more than cap bytes."""
+    if size > cap:
+        return (f"argument --n: {what} needs {size:.2e} bytes, over the "
+                f"cap of {cap:.2e}, got {args.n}")
     return None
 
 
+def _operator_size_check(args) -> Optional[str]:
+    """The dense n^2 x n^2 bias operator must fit the byte cap."""
+    return _bytes_check(args, "the dense bias operator",
+                        biaskit.operator_bytes(args.n),
+                        biaskit.SPECTRUM_BYTES_CAP)
+
+
 def _strategy_value_check(args) -> Optional[str]:
-    return _operator_size_check(args) if args.via == "bias" else None
+    """The bias path builds the dense bias operator, the direct path the
+    projectors of all four observables."""
+    if args.via == "bias":
+        return _operator_size_check(args)
+    return _bytes_check(args, "the direct sum's projector stack",
+                        strategykit.projector_bytes(args.n),
+                        strategykit.PROJECTOR_BYTES_CAP)
 
 
 def _witness_check(args) -> Optional[str]:
@@ -285,10 +296,15 @@ def _witness_check(args) -> Optional[str]:
 
 
 def _out_file_check(args) -> Optional[str]:
-    """The SDPA file is written and read back, so --out must name a
-    regular file or nothing yet."""
+    """--out, when given, must name a regular file or nothing yet, in a
+    directory that exists (a bare name is in the current one)."""
+    if args.out is None:
+        return None
     if os.path.exists(args.out) and not os.path.isfile(args.out):
         return f"argument --out: not a regular file, got {args.out}"
+    parent = os.path.dirname(args.out)
+    if parent and not os.path.isdir(parent):
+        return f"argument --out: no directory {parent}, got {args.out}"
     return None
 
 
@@ -309,7 +325,7 @@ COMMANDS = {
     ("strategy", "value"): (cmd_strategy_value, _strategy_value_check, [
         ("--n", {"type": _int_at_least(2), "required": True}),
         ("--via", {"choices": ["bias", "direct"], "default": "direct"})]),
-    ("strategy", "entropy"): (cmd_strategy_entropy, None, [
+    ("strategy", "entropy"): (cmd_strategy_entropy, _out_file_check, [
         ("--n-max", {"type": _int_at_least(2), "default": 40}),
         ("--out", {"default": None})]),
     ("bias", "spectrum"): (cmd_bias_spectrum, _operator_size_check, [

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -138,14 +138,6 @@ def make_mod_n_game(p: ModNGameParams) -> GameSpec:
     return GameSpec(nA=2, nB=2, mA=n, mB=n, distribution=dist, predicate=pred)
 
 
-def mod_n_linear_system(p: ModNGameParams) -> LinearSystem:
-    """The underlying two-equation system x0 + x1 = m1 and x0 + x1 = m2."""
-    return LinearSystem(
-        modulus=p.n,
-        equations=(((0, 1), (1, 1), p.m1), ((0, 1), (1, 1), p.m2)),
-    )
-
-
 def make_lcs_game(sys: LinearSystem) -> GameSpec:
     """Game form of a linear system: Alice gets an equation and answers a
     satisfying assignment; Bob gets one of its variables and answers a value.
@@ -249,12 +241,3 @@ def classical_value(g: GameSpec,
         W = np.transpose(W, (1, 0, 3, 2))
     value, pairs = _best_response_numpy(W)
     return float(value), int(pairs)
-
-
-def relabel_answers(g: GameSpec, permA: Sequence[int],
-                    permB: Sequence[int]) -> GameSpec:
-    """Apply fixed answer bijections to both players (value-preserving)."""
-    permA = np.asarray(permA)
-    permB = np.asarray(permB)
-    pred = g.predicate[:, :, permA, :][:, :, :, permB]
-    return GameSpec(g.nA, g.nB, g.mA, g.mB, g.distribution, pred)

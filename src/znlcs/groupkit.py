@@ -13,10 +13,10 @@ phases[m, n]. The dtype (uint8 up to n = 32) holds the sum of two reduced
 entries, so a product with a fixed element is one gather, one add and one
 conditional subtract of the modulus. ``compose_steps`` is the only batched
 product: it multiplies rows by fixed right factors through their column
-maps (``step_columns``), and closure, normal forms, the multiplication
-table and the center all use it. Rows are equal exactly
-when their bytes are, which is what closures dedupe on, and a catalogue
-sorts its rows lexicographically, the order of ``MonomialUnitary.key()``.
+maps (``step_columns``), and closure, normal forms and the multiplication
+table all use it. Rows are equal exactly when their bytes are, which is
+what closures dedupe on, and a catalogue sorts its rows lexicographically,
+the order of ``MonomialUnitary.key()``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 # Names, not the module: the element type and generators are part of this
 # module's interface, and every function here uses them.
 from .monomial import (MonomialUnitary, alice_generators, bob_generators,
-                       scalar_j, shift_x, sign_d)
+                       scalar_j)
 from .records import Record
 
 ENUMERATION_CAP_DEFAULT = 10**6
@@ -38,8 +38,8 @@ ENUMERATION_CAP_DEFAULT = 10**6
 # Largest catalogue whose m x m multiplication table is built.
 MULTIPLICATION_TABLE_MAX = 2048
 
-# Products formed per batched step of GroupCatalogue.center_size and
-# multiplication_table, which bounds their memory for large catalogues.
+# Products formed per batched step of GroupCatalogue.multiplication_table,
+# which bounds its memory for large catalogues.
 _BLOCK_PRODUCTS = 1 << 16
 
 # A word is a sequence of (generator name, exponent) pairs over P0, P1, J.
@@ -169,8 +169,7 @@ def evaluate_word_matrix(word: GroupWord,
 
 class GroupCatalogue:
     """A finite group of monomial unitaries as rows sorted by key, with
-    product maps into the sorted positions. ``elements`` is built on first
-    use."""
+    product maps into the sorted positions."""
 
     def __init__(self, rows: np.ndarray):
         self.n = rows.shape[1] - 1
@@ -178,10 +177,6 @@ class GroupCatalogue:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def elements(self) -> List[MonomialUnitary]:
-        return [unpack_row(row) for row in self.rows]
 
     @cached_property
     def _positions(self) -> Dict[bytes, int]:
@@ -193,9 +188,6 @@ class GroupCatalogue:
         positions = self._positions
         found = [positions[key] for key in _row_keys(rows)]
         return np.array(found, dtype=np.int64).reshape(rows.shape[:-1])
-
-    def inverse(self, i: int) -> int:
-        return int(self.locate(invert_rows(self.rows[i])))
 
     def multiplication_table(self) -> np.ndarray:
         """table[i, j] is the position of element i times element j."""
@@ -212,37 +204,6 @@ class GroupCatalogue:
             table[start:start + step] = self.locate(
                 compose_steps(block, cols, self.rows))
         return table
-
-    def element_orders(self) -> List[int]:
-        return [g.order() for g in self.elements]
-
-    def center_size(self) -> int:
-        """Number of elements that commute with every element. Candidates
-        are tested against a block of elements at a time and dropped at
-        their first failure. The blocks run from the largest shift down:
-        elements of nonzero shift rule out most candidates at once, while
-        the diagonal ones, which sort first, commute with one another."""
-        central = self.rows
-        others = self.rows[::-1]
-        start = 0
-        while start < len(self):
-            stop = start + max(1, _BLOCK_PRODUCTS // len(central))
-            block = others[start:stop]
-            right = compose_steps(central, step_columns(block), block)
-            left = compose_steps(block, step_columns(central), central)
-            commutes = (right == left.swapaxes(0, 1)).all(axis=(1, 2))
-            central = central[commutes]
-            start = stop
-        return len(central)
-
-    def write_multiplication_csv(self, path: str) -> None:
-        import csv
-
-        table = self.multiplication_table()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in table:
-                writer.writerow(row.tolist())
 
 
 def enumerate_group(generators: Sequence[MonomialUnitary],
@@ -422,29 +383,6 @@ def verify_presentation(n: int, side: str = "A") -> List[GroupWord]:
         if evaluate_word(rel, images, n).key() != identity.key():
             failures.append(rel)
     return failures
-
-
-def commutation_check(n: int) -> bool:
-    """X^i D_j = D_{(j+i) mod n} X^i, exactly, for all i, j."""
-    X = shift_x(n)
-    for i in range(n):
-        xi = X.power(i)
-        for j in range(n):
-            lhs = xi @ sign_d(n, j)
-            rhs = sign_d(n, (j + i) % n) @ xi
-            if lhs.key() != rhs.key():
-                return False
-    return True
-
-
-def groups_equal_as_sets(n: int) -> bool:
-    """Do A0, A1, z^4 I and B0, B1, z^4 I generate the same matrix group?"""
-    a0, a1 = alice_generators(n)
-    b0, b1 = bob_generators(n)
-    j = scalar_j(n)
-    ga = enumerate_group([a0, a1, j])
-    gb = enumerate_group([b0, b1, j])
-    return np.array_equal(ga.rows, gb.rows)
 
 
 # ---------------------------------------------------------------------------

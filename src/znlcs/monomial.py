@@ -83,14 +83,6 @@ class MonomialUnitary(Record):
             M[(k + self.shift) % n, k] = z ** self.phases[k]
         return M
 
-    def order(self) -> int:
-        cur = self
-        for m in range(1, 4 * self.n * self.n + 1):
-            if cur == MonomialUnitary.identity(self.n):
-                return m
-            cur = cur @ self
-        raise RuntimeError("order exceeds 4n^2 bound")
-
 
 # ---------------------------------------------------------------------------
 # Generators of the canonical observables' groups
@@ -99,12 +91,6 @@ class MonomialUnitary(Record):
 def shift_x(n: int) -> MonomialUnitary:
     """The cyclic shift X: e_k -> e_{k+1 mod n}."""
     return MonomialUnitary(n, 1, (0,) * n)
-
-
-def sign_d(n: int, j: int) -> MonomialUnitary:
-    """D_j = diag with -1 in entry (j, j); -1 = z^{2n}."""
-    return MonomialUnitary(
-        n, 0, tuple(2 * n if k == j else 0 for k in range(n)))
 
 
 def scalar_j(n: int) -> MonomialUnitary:

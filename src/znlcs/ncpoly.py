@@ -66,19 +66,8 @@ class NCPolynomial:
 
     # ---- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, n: int) -> "NCPolynomial":
-        return cls(n)
-
-    @classmethod
     def one(cls, n: int, coeff: complex = 1.0) -> "NCPolynomial":
         return cls(n, {(): coeff})
-
-    @classmethod
-    def letter(cls, n: int, player: str, idx: int, exp: int = 1,
-               coeff: complex = 1.0) -> "NCPolynomial":
-        if player not in ("A", "B"):
-            raise ValueError(f"unknown player {player!r}")
-        return cls(n, {((player, idx, exp),): coeff})
 
     # ---- algebra ------------------------------------------------------
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":

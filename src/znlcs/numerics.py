@@ -1,17 +1,15 @@
 """Dense complex matrix kernel.
 
-Hermitian eigendecomposition (LAPACK via numpy.linalg.eigh), partial trace,
-Dirichlet kernel, seeded random generalized observables, and the JSON form
-of complex arrays. All operators are plain complex128 ndarrays; helpers
-validate shape, finiteness and Hermiticity at the boundary.
+Hermitian eigendecomposition (LAPACK via numpy.linalg.eigh), seeded random
+generalized observables and states, and the JSON form of complex arrays.
+All operators are plain complex128 ndarrays; helpers validate shape,
+finiteness and Hermiticity at the boundary.
 
 Randomness uses numpy's PCG64 generator: two calls with the same seed
 produce the same stream, so every "random" test object is reproducible.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -79,62 +77,6 @@ def hermitian_eig(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEig:
     return HermitianEig(eigenvalues=w, eigenvectors=V)
 
 
-def _density_blocks(rho: np.ndarray, dimA: int, dimB: int,
-                    tol: float) -> np.ndarray:
-    """rho as a (dimA, dimB, dimA, dimB) array, after checking that it is a
-    Hermitian dimA*dimB square matrix of trace 1."""
-    d = require_square(rho, "density matrix")
-    if d != dimA * dimB:
-        raise ValueError(
-            f"density matrix has dimension {d}, expected dimA*dimB = {dimA * dimB}"
-        )
-    require_hermitian(rho, tol, "density matrix")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"density matrix has trace {tr}, expected 1")
-    return rho.reshape(dimA, dimB, dimA, dimB)
-
-
-def partial_trace_B(rho: np.ndarray, dimA: int, dimB: int,
-                    tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Trace out the second tensor factor of a density matrix on A (x) B."""
-    return np.einsum("ikjk->ij", _density_blocks(rho, dimA, dimB, tol))
-
-
-def partial_trace_A(rho: np.ndarray, dimA: int, dimB: int,
-                    tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Trace out the first tensor factor of a density matrix on A (x) B."""
-    return np.einsum("kikj->ij", _density_blocks(rho, dimA, dimB, tol))
-
-
-def dirichlet_kernel(m: int, x: float) -> float:
-    """(1/2pi) sum_{k=-m..m} e^{ikx}, via the closed sine-quotient form.
-
-    At x = 0 mod 2pi the closed form is singular and the limit value
-    (2m+1)/(2pi) is returned instead.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    half = math.sin(x / 2.0)
-    if abs(half) < 1e-12:
-        return (2 * m + 1) / (2.0 * math.pi)
-    return math.sin((m + 0.5) * x) / (2.0 * math.pi * half)
-
-
-def _unitary_from_gaussian(G: np.ndarray) -> np.ndarray:
-    """The Q factor of G = QR with the phases of diag(R) divided out, so the
-    result is determined by G. Works on stacks (..., d, d)."""
-    Q, R = np.linalg.qr(G)
-    d = np.diagonal(R, axis1=-2, axis2=-1)
-    return Q * (d / np.abs(d))[..., None, :]
-
-
-def random_unitary(dim: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar-ish unitary from QR of a complex Gaussian matrix."""
-    G = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-    return _unitary_from_gaussian(G)
-
-
 def random_order_n_observables(order: int, dim: int, seeds) -> np.ndarray:
     """Stack (len(seeds), dim, dim) of random generalized observables U with
     U^order = I, each deterministic in its seed.
@@ -156,7 +98,11 @@ def random_order_n_observables(order: int, dim: int, seeds) -> np.ndarray:
         exps[t] = gen.integers(0, order, size=dim)
         G[t] = (gen.standard_normal((dim, dim))
                 + 1j * gen.standard_normal((dim, dim)))
-    V = _unitary_from_gaussian(G)
+    # V is the Q factor of G = QR with the phases of diag(R) divided out,
+    # so it is determined by G.
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    V = Q * (d / np.abs(d))[..., None, :]
     omega = np.exp(2j * np.pi / order)
     return (V * (omega ** exps)[:, None, :]) @ V.conj().swapaxes(-1, -2)
 

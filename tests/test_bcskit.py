@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from znlcs.bcskit import (BinaryLCS, OperatorSolution, glue_product,
+from znlcs.bcskit import (OperatorSolution, glue_product,
                           glued_magic_square, lcs_strategy_value,
                           magic_square, magic_square_observables,
                           maximally_entangled, nonrigidity_witness,
@@ -10,12 +10,6 @@ from znlcs.bcskit import (BinaryLCS, OperatorSolution, glue_product,
                           verify_operator_solution,
                           winning_identity_residual)
 from znlcs.gamekit import classical_value
-
-
-def test_lcs_text_round_trip():
-    lcs, _ = magic_square()
-    again = BinaryLCS.from_text(lcs.to_text())
-    assert again == lcs
 
 
 def test_magic_square_solution_verifies():

@@ -6,8 +6,7 @@ import pytest
 from znlcs.biaskit import (SPECTRUM_BYTES_CAP, BiasReport,
                            bias_eigenvalue_formula, bias_operator,
                            bias_polynomial, bias_spectrum, bias_value,
-                           eigenrelation_residual, operator_bytes,
-                           write_value_table)
+                           eigenrelation_residual, operator_bytes)
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
 from znlcs.strategykit import (canonical_strategy, canonical_value_formula,
                                random_strategy, strategy_value_direct)
@@ -88,15 +87,13 @@ def test_random_strategy_never_beats_canonical():
         assert bias_value(p, r) < best + 1e-9
 
 
-def test_value_table_csv(tmp_path):
-    path = tmp_path / "values.csv"
-    write_value_table(str(path), n_max=6)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "n,top_eigenvalue,predicted_value,formula_value"
-    assert len(rows) == 6  # header + n = 2..6
-    last = rows[-1].split(",")
-    assert int(last[0]) == 6
-    assert float(last[2]) == pytest.approx(float(last[3]), abs=1e-9)
+def test_predicted_value_equals_value_formula():
+    # The bias eigenvalue lam = 2n - 4 + 2/sin(pi/2n) predicts the value
+    # lam/(4n) + 1/n = 1/2 + 1/(2n sin(pi/2n)).
+    for n in range(2, 41):
+        lam = bias_eigenvalue_formula(n)
+        assert lam / (4 * n) + 1 / n == pytest.approx(
+            canonical_value_formula(n), abs=1e-12), n
 
 
 def test_bias_report_json_pinned():

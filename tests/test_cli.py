@@ -99,6 +99,10 @@ BAD_INPUT = [
     ("strategy value --n 200 --via bias", "--n"),
     ("npa export --n 2 --out /dev/null", "--out"),
     ("npa export --n 2 --out .", "--out"),
+    ("strategy entropy --n-max 2 --out .", "--out"),
+    ("strategy entropy --n-max 2 --out no-such-dir/t.csv", "--out"),
+    ("npa export --n 2 --out no-such-dir/x.dat-s", "--out"),
+    ("strategy value --n 200 --via direct", "--n"),
 ]
 
 

@@ -8,8 +8,20 @@ from hypothesis import strategies as st
 from znlcs.gamekit import (GameSpec, LinearSystem, ModNGameParams,
                            _best_response_numpy, classical_value,
                            classical_work,
-                           make_lcs_game, make_mod_n_game,
-                           mod_n_linear_system, relabel_answers)
+                           make_lcs_game, make_mod_n_game)
+
+
+def relabel_answers(g: GameSpec, permA, permB) -> GameSpec:
+    """Reference: the game with fixed answer bijections applied to both
+    players, which leaves the value unchanged."""
+    pred = g.predicate[:, :, np.asarray(permA), :][:, :, :, np.asarray(permB)]
+    return GameSpec(g.nA, g.nB, g.mA, g.mB, g.distribution, pred)
+
+
+def mod_n_linear_system(n: int, m1: int, m2: int) -> LinearSystem:
+    """The two-equation system x0 + x1 = m1 and x0 + x1 = m2 over Z_n."""
+    return LinearSystem(modulus=n, equations=(((0, 1), (1, 1), m1),
+                                              ((0, 1), (1, 1), m2)))
 
 
 def _brute_force_value(g: GameSpec):
@@ -133,14 +145,14 @@ def test_game_json_round_trip_is_exact(g):
 
 
 def test_linear_system_satisfying_assignments_lexicographic():
-    sys = mod_n_linear_system(ModNGameParams(3, 1, 2))
+    sys = mod_n_linear_system(3, 1, 2)
     sols = sys.satisfying_assignments(0)
     assert sols == [(0, 1), (1, 0), (2, 2)]
     assert sols == sorted(sols)
 
 
 def test_lcs_game_mirrors_mod_n_game_value():
-    sys = mod_n_linear_system(ModNGameParams(3, 0, 1))
+    sys = mod_n_linear_system(3, 0, 1)
     g = make_lcs_game(sys)
     # Inconsistent pair of equations: the LCS game is also not winnable.
     value, _ = classical_value(g)

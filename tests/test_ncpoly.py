@@ -10,6 +10,11 @@ from znlcs.numerics import (random_order_n_observable,
 KEYS = (("A", 0), ("A", 1), ("B", 0), ("B", 1))
 
 
+def letter(n, player, idx):
+    """The one-letter polynomial of operator (player, idx)."""
+    return NCPolynomial(n, {((player, idx, 1),): 1.0})
+
+
 def _eval_nc_reference(poly, assignment, dimA, dimB):
     """Per-term evaluation: sum_k c_k kron(P_k, Q_k) on one assignment."""
     dim = dimA * dimB
@@ -58,8 +63,8 @@ def test_canonical_word_sorts_and_merges():
 
 def test_polynomial_ring_axioms():
     n = 3
-    x = NCPolynomial.letter(n, "A", 0)
-    y = NCPolynomial.letter(n, "B", 1)
+    x = letter(n, "A", 0)
+    y = letter(n, "B", 1)
     one = NCPolynomial.one(n)
     assert x * one == x
     assert (x + y) - y == x
@@ -79,8 +84,8 @@ def _random_assignment(n, dim, seed, dimB=None):
 def test_eval_is_multiplicative():
     n, dim = 3, 3
     assign = _random_assignment(n, dim, 23)
-    x = NCPolynomial.letter(n, "A", 0) + 2.0 * NCPolynomial.letter(n, "B", 1)
-    y = NCPolynomial.letter(n, "A", 1) * NCPolynomial.letter(n, "B", 0)
+    x = letter(n, "A", 0) + 2.0 * letter(n, "B", 1)
+    y = letter(n, "A", 1) * letter(n, "B", 0)
     lhs = eval_nc(x * y, assign, dim, dim)
     rhs = eval_nc(x, assign, dim, dim) @ eval_nc(y, assign, dim, dim)
     assert np.linalg.norm(lhs - rhs) < 1e-12
@@ -89,8 +94,8 @@ def test_eval_is_multiplicative():
 def test_eval_respects_adjoint():
     n, dim = 3, 3
     assign = _random_assignment(n, dim, 29)
-    p = (NCPolynomial.letter(n, "A", 0) * NCPolynomial.letter(n, "B", 1)
-         + 1j * NCPolynomial.letter(n, "A", 1))
+    p = (letter(n, "A", 0) * letter(n, "B", 1)
+         + 1j * letter(n, "A", 1))
     lhs = eval_nc(p.adjoint(), assign, dim, dim)
     rhs = eval_nc(p, assign, dim, dim).conj().T
     assert np.linalg.norm(lhs - rhs) < 1e-12
@@ -100,8 +105,8 @@ def test_apply_matches_dense_evaluation():
     n, dim = 3, 3
     assign = _random_assignment(n, dim, 31)
     state = random_state(dim * dim, rng(7))
-    p = (NCPolynomial.letter(n, "A", 0) * NCPolynomial.letter(n, "B", 1)
-         - 0.5 * NCPolynomial.letter(n, "B", 0))
+    p = (letter(n, "A", 0) * letter(n, "B", 1)
+         - 0.5 * letter(n, "B", 0))
     lhs = apply_nc(p, assign, state, dim, dim)
     rhs = eval_nc(p, assign, dim, dim) @ state
     assert np.linalg.norm(lhs - rhs) < 1e-12
@@ -110,8 +115,8 @@ def test_apply_matches_dense_evaluation():
 def test_letters_of_different_players_commute_under_eval():
     n, dim = 4, 4
     assign = _random_assignment(n, dim, 37)
-    ab = NCPolynomial.letter(n, "A", 0) * NCPolynomial.letter(n, "B", 0)
-    ba = NCPolynomial.letter(n, "B", 0) * NCPolynomial.letter(n, "A", 0)
+    ab = letter(n, "A", 0) * letter(n, "B", 0)
+    ba = letter(n, "B", 0) * letter(n, "A", 0)
     assert ab == ba  # canonicalization orders A before B
     lhs = eval_nc(ab, assign, dim, dim)
     rhs = eval_nc(ba, assign, dim, dim)
@@ -140,7 +145,7 @@ def test_eval_matches_per_term_kron_reference(dimA, dimB):
     assert np.linalg.norm(got - ref) < 1e-12
     const = eval_nc(NCPolynomial.one(n, 2.0 - 1j), assign, dimA, dimB)
     assert np.array_equal(const, (2.0 - 1j) * np.eye(dimA * dimB))
-    zero = eval_nc(NCPolynomial.zero(n), assign, dimA, dimB)
+    zero = eval_nc(NCPolynomial(n), assign, dimA, dimB)
     assert zero.shape == (dimA * dimB, dimA * dimB)
     assert not zero.any()
 
@@ -149,7 +154,7 @@ def test_eval_and_apply_name_the_missing_operator():
     n, dim = 3, 2
     assign = _random_assignment(n, dim, 43)
     del assign[("B", 1)]
-    p = NCPolynomial.letter(n, "A", 0) * NCPolynomial.letter(n, "B", 1)
+    p = letter(n, "A", 0) * letter(n, "B", 1)
     with pytest.raises(KeyError, match="missing operator"):
         eval_nc(p, assign, dim, dim)
     with pytest.raises(KeyError, match="missing operator"):

@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from test_numerics import partial_trace_B
 
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
 from znlcs.groupkit import evaluate_word_matrix, normal_form_enumerate
 from znlcs.ncpoly import NCPolynomial
-from znlcs.numerics import partial_trace_B, rng
-from znlcs.strategykit import (SCHMIDT_RANK_THRESHOLD, Strategy,
-                               canonical_state, canonical_strategy,
+from znlcs.numerics import rng
+from znlcs.strategykit import (PROJECTOR_BYTES_CAP, SCHMIDT_RANK_THRESHOLD,
+                               Strategy, canonical_state, canonical_strategy,
                                canonical_value_formula, check_state_relation,
-                               observable_to_pvm,
+                               observable_to_pvm, projector_bytes,
                                psi_representation_residuals, random_strategy,
                                schmidt, strategy_value_direct)
+
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
@@ -150,7 +152,7 @@ def test_validate_rejects_bad_observable():
 
 def test_check_state_relation_zero_polynomial():
     s = canonical_strategy(3)
-    assert check_state_relation(s, NCPolynomial.zero(3)) == pytest.approx(0.0)
+    assert check_state_relation(s, NCPolynomial(3)) == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -281,3 +283,13 @@ def test_strategy_json_round_trip_is_bit_exact(s):
         # Compare bits, so signed zeros count.
         assert got.tobytes() == want.tobytes()
     assert back.to_json() == s.to_json()
+
+
+def test_projector_bytes_is_the_projector_stack_size():
+    for n in (2, 3, 4):
+        s = canonical_strategy(n)
+        stack = [observable_to_pvm(U, n) for U in (*s.alice_obs, *s.bob_obs)]
+        assert projector_bytes(n) == sum(E.nbytes for pvm in stack
+                                         for E in pvm)
+    # The cap admits the canonical strategy up to n = 101.
+    assert projector_bytes(101) <= PROJECTOR_BYTES_CAP < projector_bytes(102)
