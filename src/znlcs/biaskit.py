@@ -6,7 +6,6 @@ B is the bias operator, so value claims reduce to spectral claims about B.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Optional
 
@@ -64,15 +63,6 @@ class BiasReport(Record):
     multiplicity: int
     top_eigenvector: Optional[np.ndarray]
     predicted_value: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "topEigenvalue": self.top_eigenvalue,
-            "multiplicity": self.multiplicity,
-            "topEigenvector": None if self.top_eigenvector is None
-            else numerics.complex_to_json(self.top_eigenvector),
-            "predictedValue": self.predicted_value,
-        })
 
 
 def bias_spectrum(p: gamekit.ModNGameParams,

@@ -158,9 +158,8 @@ def cmd_bias_spectrum(args, rep: Report) -> None:
 
 
 def cmd_group_enumerate(args, rep: Report) -> None:
-    a0, a1 = groupkit.alice_generators(args.n)
-    cat = groupkit.enumerate_group([a0, a1])
-    rep.result("group_order", len(cat), tolerance=0.0,
+    rows = groupkit.enumerate_group(list(groupkit.alice_generators(args.n)))
+    rep.result("group_order", len(rows), tolerance=0.0,
                target=groupkit.group_order(args.n))
     failures = groupkit.verify_presentation(args.n, "A")
     rep.result("failed_relators", len(failures), tolerance=0.0, target=0)
@@ -289,6 +288,21 @@ def _strategy_value_check(args) -> Optional[str]:
                         strategykit.PROJECTOR_BYTES_CAP)
 
 
+def _entropy_check(args) -> Optional[str]:
+    """--n-max (one SVD for each n up to it) under its cap, and --out."""
+    if args.n_max > strategykit.ENTROPY_N_MAX:
+        return (f"argument --n-max: over the cap of "
+                f"{strategykit.ENTROPY_N_MAX}, got {args.n_max}")
+    return _out_file_check(args)
+
+
+def _trials_check(args) -> Optional[str]:
+    if args.trials > soskit.TRIALS_CAP:
+        return (f"argument --trials: over the cap of "
+                f"{soskit.TRIALS_CAP:.0e}, got {args.trials}")
+    return None
+
+
 def _witness_check(args) -> Optional[str]:
     if args.witness:
         return "argument --witness: applies to the glued system only"
@@ -325,7 +339,7 @@ COMMANDS = {
     ("strategy", "value"): (cmd_strategy_value, _strategy_value_check, [
         ("--n", {"type": _int_at_least(2), "required": True}),
         ("--via", {"choices": ["bias", "direct"], "default": "direct"})]),
-    ("strategy", "entropy"): (cmd_strategy_entropy, _out_file_check, [
+    ("strategy", "entropy"): (cmd_strategy_entropy, _entropy_check, [
         ("--n-max", {"type": _int_at_least(2), "default": 40}),
         ("--out", {"default": None})]),
     ("bias", "spectrum"): (cmd_bias_spectrum, _operator_size_check, [
@@ -334,7 +348,7 @@ COMMANDS = {
         ("--n", {"type": _int_at_least(1), "required": True})]),
     ("group", "normal-form"): (cmd_group_normal_form, _group_order_check, [
         ("--n", {"type": _int_at_least(1), "required": True})]),
-    ("sos", "verify"): (cmd_sos_verify, None, [
+    ("sos", "verify"): (cmd_sos_verify, _trials_check, [
         ("--cert", {"choices": ["chsh", "g3"], "required": True}),
         ("--trials", {"type": _int_at_least(1), "default": 100}),
         # None: ZNLCS_SEED, read when the command runs.

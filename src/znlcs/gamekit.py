@@ -8,7 +8,6 @@ classical-value search over deterministic strategy pairs.
 from __future__ import annotations
 
 import itertools
-import json
 from typing import List, Tuple
 
 import numpy as np
@@ -49,22 +48,6 @@ class GameSpec(Record):
             raise ValueError(f"distribution sums to {dist.sum()}, expected 1")
         object.__setattr__(self, "distribution", dist)
         object.__setattr__(self, "predicate", pred)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "nA": self.nA, "nB": self.nB, "mA": self.mA, "mB": self.mB,
-            "distribution": self.distribution.tolist(),
-            "predicate": self.predicate.astype(int).tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "GameSpec":
-        d = json.loads(text)
-        return cls(
-            nA=d["nA"], nB=d["nB"], mA=d["mA"], mB=d["mB"],
-            distribution=np.array(d["distribution"], dtype=np.float64),
-            predicate=np.array(d["predicate"], dtype=bool),
-        )
 
 
 class ModNGameParams(Record):

@@ -15,14 +15,12 @@ conditional subtract of the modulus. ``compose_steps`` is the only batched
 product: it multiplies rows by fixed right factors through their column
 maps (``step_columns``), and closure, normal forms and the multiplication
 table all use it. Rows are equal exactly when their bytes are, which is
-what closures dedupe on, and a catalogue sorts its rows lexicographically,
-the order of ``MonomialUnitary.key()``.
+what closures dedupe on and the multiplication table indexes by.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
-from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -35,11 +33,11 @@ from .records import Record
 
 ENUMERATION_CAP_DEFAULT = 10**6
 
-# Largest catalogue whose m x m multiplication table is built.
+# Largest group whose m x m multiplication table is built.
 MULTIPLICATION_TABLE_MAX = 2048
 
-# Products formed per batched step of GroupCatalogue.multiplication_table,
-# which bounds its memory for large catalogues.
+# Products formed per batched step of multiplication_table, which bounds
+# its memory for large groups.
 _BLOCK_PRODUCTS = 1 << 16
 
 # A word is a sequence of (generator name, exponent) pairs over P0, P1, J.
@@ -167,48 +165,9 @@ def evaluate_word_matrix(word: GroupWord,
 # Group closure
 # ---------------------------------------------------------------------------
 
-class GroupCatalogue:
-    """A finite group of monomial unitaries as rows sorted by key, with
-    product maps into the sorted positions."""
-
-    def __init__(self, rows: np.ndarray):
-        self.n = rows.shape[1] - 1
-        self.rows = rows[np.lexsort(rows.T[::-1])]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @cached_property
-    def _positions(self) -> Dict[bytes, int]:
-        return {key: i for i, key in enumerate(_row_keys(self.rows))}
-
-    def locate(self, rows: np.ndarray) -> np.ndarray:
-        """Positions of catalogue members given as rows (any leading
-        shape); KeyError for a row outside the catalogue."""
-        positions = self._positions
-        found = [positions[key] for key in _row_keys(rows)]
-        return np.array(found, dtype=np.int64).reshape(rows.shape[:-1])
-
-    def multiplication_table(self) -> np.ndarray:
-        """table[i, j] is the position of element i times element j."""
-        m = len(self)
-        if m > MULTIPLICATION_TABLE_MAX:
-            raise ValueError(
-                f"table of {m}x{m} entries exceeds the size bound "
-                f"{MULTIPLICATION_TABLE_MAX}")
-        table = np.empty((m, m), dtype=np.int64)
-        cols = step_columns(self.rows)
-        step = max(1, _BLOCK_PRODUCTS // m)
-        for start in range(0, m, step):
-            block = self.rows[start:start + step]
-            table[start:start + step] = self.locate(
-                compose_steps(block, cols, self.rows))
-        return table
-
-
 def enumerate_group(generators: Sequence[MonomialUnitary],
-                    cap: int = ENUMERATION_CAP_DEFAULT) -> GroupCatalogue:
-    """Breadth-first closure of the generators under exact products.
+                    cap: int = ENUMERATION_CAP_DEFAULT) -> np.ndarray:
+    """The generated group's rows, in breadth-first order from the identity.
 
     Each layer multiplies the whole frontier by every generator and inverse
     at once, through column maps built once per call (``compose_steps``).
@@ -239,7 +198,27 @@ def enumerate_group(generators: Sequence[MonomialUnitary],
         if size > cap:
             raise RuntimeError(
                 f"enumeration cap {cap} exceeded ({size} elements so far)")
-    return GroupCatalogue(np.concatenate(layers))
+    return np.concatenate(layers)
+
+
+def multiplication_table(rows: np.ndarray) -> np.ndarray:
+    """table[i, j] is the index in rows of rows[i] @ rows[j], for the
+    distinct rows of a finite group in any order; KeyError for a product
+    outside rows."""
+    m = len(rows)
+    if m > MULTIPLICATION_TABLE_MAX:
+        raise ValueError(
+            f"table of {m}x{m} entries exceeds the size bound "
+            f"{MULTIPLICATION_TABLE_MAX}")
+    index = {key: i for i, key in enumerate(_row_keys(rows))}
+    table = np.empty((m, m), dtype=np.int64)
+    cols = step_columns(rows)
+    step = max(1, _BLOCK_PRODUCTS // m)
+    for start in range(0, m, step):
+        products = compose_steps(rows[start:start + step], cols, rows)
+        table[start:start + step] = np.reshape(
+            [index[key] for key in _row_keys(products)], (-1, m))
+    return table
 
 
 # ---------------------------------------------------------------------------

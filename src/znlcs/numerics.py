@@ -1,9 +1,9 @@
 """Dense complex matrix kernel.
 
-Hermitian eigendecomposition (LAPACK via numpy.linalg.eigh), seeded random
-generalized observables and states, and the JSON form of complex arrays.
-All operators are plain complex128 ndarrays; helpers validate shape,
-finiteness and Hermiticity at the boundary.
+Hermitian eigendecomposition (LAPACK via numpy.linalg.eigh) and seeded
+random generalized observables and states. All operators are plain
+complex128 ndarrays; helpers validate shape, finiteness and Hermiticity at
+the boundary.
 
 Randomness uses numpy's PCG64 generator: two calls with the same seed
 produce the same stream, so every "random" test object is reproducible.
@@ -117,16 +117,3 @@ def random_state(dim: int, gen: np.random.Generator) -> np.ndarray:
     """Random unit vector with complex Gaussian entries."""
     v = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def complex_to_json(a) -> list:
-    """A complex scalar or array as nested lists with one [re, im] pair of
-    floats per entry."""
-    a = np.asarray(a, dtype=np.complex128)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
-def complex_from_json(pairs) -> np.ndarray:
-    """The complex128 array of ``complex_to_json`` output, bit for bit."""
-    return np.ascontiguousarray(pairs, dtype=np.float64).view(
-        np.complex128)[..., 0]

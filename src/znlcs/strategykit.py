@@ -8,7 +8,6 @@ state-restricted representation test.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, List, Tuple
 
@@ -22,6 +21,9 @@ SCHMIDT_RANK_THRESHOLD = 1e-9
 # of complex128, so n <= 101 for the canonical strategy (1.9 s and 108 MB
 # peak RSS at n = 101, one BLAS thread on a 2-core Xeon).
 PROJECTOR_BYTES_CAP = 1 << 26
+# Largest --n-max of the CLI's entropy table, one SVD for each n up to it:
+# 4.5 s at 400 and 12.6 s at 500 (one BLAS thread on a 2-core Xeon).
+ENTROPY_N_MAX = 400
 
 
 class Strategy(Record):
@@ -67,26 +69,6 @@ class Strategy(Record):
         for k, M in enumerate(self.bob_obs):
             out[("B", k)] = M
         return out
-
-    def to_json(self) -> str:
-        to_json = numerics.complex_to_json
-        return json.dumps({
-            "order": self.order, "dimA": self.dimA, "dimB": self.dimB,
-            "aliceObs": [to_json(M) for M in self.alice_obs],
-            "bobObs": [to_json(M) for M in self.bob_obs],
-            "state": to_json(self.state),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "Strategy":
-        d = json.loads(text)
-        from_json = numerics.complex_from_json
-        return cls(
-            order=d["order"], dimA=d["dimA"], dimB=d["dimB"],
-            alice_obs=tuple(from_json(M) for M in d["aliceObs"]),
-            bob_obs=tuple(from_json(M) for M in d["bobObs"]),
-            state=from_json(d["state"]),
-        )
 
 
 def canonical_state(n: int) -> np.ndarray:
@@ -219,10 +201,8 @@ def psi_representation_residuals(s: Strategy) -> Tuple[float, float]:
     """
     n = s.order
     variant = "alt" if n == 3 else "standard"
-    rows = groupkit.normal_form_enumerate(n, variant).rows
-    cat = groupkit.GroupCatalogue(rows)
-    table = cat.multiplication_table()
-    positions = cat.locate(rows)
+    table = groupkit.multiplication_table(
+        groupkit.normal_form_enumerate(n, variant).rows)
     words = groupkit.normal_form_words(n, variant)
     omega = np.exp(2j * np.pi / n)
     psi = s.state.reshape(s.dimA, s.dimB)
@@ -236,10 +216,8 @@ def psi_representation_residuals(s: Strategy) -> Tuple[float, float]:
     )
     residuals = []
     for images, state in sides:
-        dim = state.shape[0]
-        f = np.empty((len(cat), dim, dim), dtype=np.complex128)
-        f[positions] = [groupkit.evaluate_word_matrix(w, images)
-                        for w in words]
+        f = np.array([groupkit.evaluate_word_matrix(w, images)
+                      for w in words])
         f_psi = f @ state
         residuals.append(max(
             float(np.linalg.norm(fx @ f_psi - f_psi[products],

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import importlib
@@ -77,6 +78,10 @@ def test_entropy_csv_schema(capsys, tmp_path):
 
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice" in captured.err
+    assert "Traceback" not in captured.err
 
 
 BAD_INPUT = [
@@ -103,6 +108,8 @@ BAD_INPUT = [
     ("strategy entropy --n-max 2 --out no-such-dir/t.csv", "--out"),
     ("npa export --n 2 --out no-such-dir/x.dat-s", "--out"),
     ("strategy value --n 200 --via direct", "--n"),
+    ("sos verify --cert chsh --trials 200000", "--trials"),
+    ("strategy entropy --n-max 500", "--n-max"),
 ]
 
 
@@ -113,6 +120,22 @@ def test_bad_input_exits_2_without_traceback(capsys, argv, flag):
     assert captured.out == ""
     assert f"error: argument {flag}:" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_work_caps_admit_their_bound():
+    # The pre-flight checks alone, since a run at either cap takes seconds
+    # to a minute. Each cap admits its command's default.
+    entropy_check = znlcs.cli.COMMANDS[("strategy", "entropy")][1]
+    trials_check = znlcs.cli.COMMANDS[("sos", "verify")][1]
+    n_max = znlcs.strategykit.ENTROPY_N_MAX
+    trials = znlcs.soskit.TRIALS_CAP
+    assert n_max >= 40 and trials >= 100
+    assert entropy_check(argparse.Namespace(n_max=n_max, out=None)) is None
+    assert entropy_check(argparse.Namespace(n_max=n_max + 1, out=None)
+                         ).startswith("argument --n-max:")
+    assert trials_check(argparse.Namespace(trials=trials)) is None
+    assert trials_check(argparse.Namespace(trials=trials + 1)
+                        ).startswith("argument --trials:")
 
 
 # One valid argv per command; then argvs the named-command tree must not

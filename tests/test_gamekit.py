@@ -125,25 +125,6 @@ def test_relabel_answers_preserves_value():
         classical_value(g2)[0], abs=1e-12)
 
 
-def test_game_json_round_trip():
-    g = make_mod_n_game(ModNGameParams(3, 0, 2))
-    g2 = GameSpec.from_json(g.to_json())
-    assert np.array_equal(g.predicate, g2.predicate)
-    assert np.allclose(g.distribution, g2.distribution)
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(g=tiny_games())
-def test_game_json_round_trip_is_exact(g):
-    back = GameSpec.from_json(g.to_json())
-    assert (back.nA, back.nB, back.mA, back.mB) == (g.nA, g.nB, g.mA, g.mB)
-    assert back.distribution.dtype == np.float64
-    assert back.distribution.tobytes() == g.distribution.tobytes()
-    assert back.predicate.dtype == bool
-    assert np.array_equal(back.predicate, g.predicate)
-    assert back.to_json() == g.to_json()
-
-
 def test_linear_system_satisfying_assignments_lexicographic():
     sys = mod_n_linear_system(3, 1, 2)
     sols = sys.satisfying_assignments(0)

@@ -4,20 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from znlcs import groupkit
-from znlcs.groupkit import (GroupCatalogue, MonomialUnitary,
-                            alice_generators, alice_images,
+from znlcs.groupkit import (MonomialUnitary, alice_generators, alice_images,
                             bob_generators, enumerate_group, evaluate_word,
                             evaluate_word_matrix, g3_irreps, invert_rows,
-                            normal_form_enumerate, normal_form_words,
-                            pack_rows, presentation_relators,
-                            ring_relation_defect, scalar_j, unpack_row,
-                            verify_presentation)
+                            multiplication_table, normal_form_enumerate,
+                            normal_form_words, pack_rows,
+                            presentation_relators, ring_relation_defect,
+                            scalar_j, unpack_row, verify_presentation)
 from znlcs.monomial import shift_x
 
 
-def _elements(cat):
-    """The catalogue's elements, in its order."""
-    return [unpack_row(row) for row in cat.rows]
+def _elements(rows):
+    """The elements of rows, in their order."""
+    return [unpack_row(row) for row in rows]
+
+
+def _sorted(rows):
+    """Rows in lexicographic order, the order of MonomialUnitary.key()."""
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _order(g):
@@ -35,11 +39,11 @@ def _sign_d(n, j):
         n, 0, tuple(2 * n if k == j else 0 for k in range(n)))
 
 
-def _center_size(cat):
+def _center_size(rows):
     """Reference: the center is the set of elements that commute with both
     generators A0, A1 of the canonical group."""
-    a0, a1 = alice_generators(cat.n)
-    return sum(x @ a0 == a0 @ x and x @ a1 == a1 @ x for x in _elements(cat))
+    a0, a1 = alice_generators(rows.shape[1] - 1)
+    return sum(x @ a0 == a0 @ x and x @ a1 == a1 @ x for x in _elements(rows))
 
 
 def test_monomial_composition_matches_dense_product():
@@ -78,16 +82,16 @@ def test_orders_of_generators():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_group_order_formula(n):
-    cat = enumerate_group(list(alice_generators(n)))
-    assert len(cat) == n * n * 2 ** (n - 1)
+    rows = enumerate_group(list(alice_generators(n)))
+    assert len(rows) == n * n * 2 ** (n - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_normal_forms_enumerate_whole_group(n):
     pairs = normal_form_enumerate(n)
     assert len(pairs) == n * n * 2 ** (n - 1)
-    cat = enumerate_group(list(alice_generators(n)))
-    assert {u.key() for _, u in pairs} == {u.key() for u in _elements(cat)}
+    rows = enumerate_group(list(alice_generators(n)))
+    assert {u.key() for _, u in pairs} == {u.key() for u in _elements(rows)}
 
 
 def test_alt_normal_form_same_set_for_n3():
@@ -125,7 +129,7 @@ def test_bob_group_equals_alice_group():
         j = scalar_j(n)
         alice = enumerate_group([*alice_generators(n), j])
         bob = enumerate_group([*bob_generators(n), j])
-        assert np.array_equal(alice.rows, bob.rows)
+        assert np.array_equal(_sorted(alice), _sorted(bob))
         for i in range(n):
             xi = shift_x(n).power(i)
             for k in range(n):
@@ -133,15 +137,15 @@ def test_bob_group_equals_alice_group():
 
 
 def test_catalogue_table_and_orders():
-    cat = enumerate_group(list(alice_generators(3)))
-    table = cat.multiplication_table()
-    size = len(cat)
+    rows = enumerate_group(list(alice_generators(3)))
+    table = multiplication_table(rows)
+    size = len(rows)
     assert table.shape == (size, size)
     # Each row and column of a group's Cayley table is a permutation.
     for i in range(size):
         assert sorted(table[i]) == list(range(size))
         assert sorted(table[:, i]) == list(range(size))
-    orders = [_order(g) for g in _elements(cat)]
+    orders = [_order(g) for g in _elements(rows)]
     assert max(orders) <= 12  # exponent of the 36-element group
 
 
@@ -197,7 +201,7 @@ def test_batched_product_and_inverse_match_scalar(data, n, count):
     xs = data.draw(monomials(n, count))
     ys = data.draw(monomials(n, count))
     rows_x, rows_y = pack_rows(xs, n), pack_rows(ys, n)
-    # All pairs at once, as the catalogue builds tables.
+    # All pairs at once, as multiplication_table forms them.
     table = groupkit.compose_steps(rows_x, groupkit.step_columns(rows_y),
                                    rows_y)
     inverses = invert_rows(rows_x)
@@ -248,18 +252,16 @@ def _scalar_closure(generators):
 def test_closure_matches_scalar_reference(data, n, count):
     # Phases in multiples of n keep every such group at most n * 4^n.
     gens = data.draw(monomials(n, count, phase_step=n))
-    cat = enumerate_group(gens)
-    assert [g.key() for g in _elements(cat)] == _scalar_closure(gens)
-    assert cat.locate(pack_rows(_elements(cat), n)).tolist() == \
-        list(range(len(cat)))
+    rows = enumerate_group(gens)
+    assert sorted(g.key() for g in _elements(rows)) == _scalar_closure(gens)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_closure_equals_normal_form_set(n):
-    cat = enumerate_group(list(alice_generators(n)))
+    rows = enumerate_group(list(alice_generators(n)))
     pairs = normal_form_enumerate(n)
-    assert len(cat) == len(pairs) == n * n * 2 ** (n - 1)
-    assert np.array_equal(cat.rows, GroupCatalogue(pairs.rows).rows)
+    assert len(rows) == len(pairs) == n * n * 2 ** (n - 1)
+    assert np.array_equal(_sorted(rows), _sorted(pairs.rows))
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -284,9 +286,10 @@ def test_fixed_step_products_match_compose_rows(n):
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_closure_has_group_order_in_sorted_rows(n):
-    cat = enumerate_group(list(alice_generators(n)))
-    assert len(cat) == groupkit.group_order(n)
-    keys = [tuple(row) for row in cat.rows.tolist()]
+    # Sorted, distinct rows are strictly increasing.
+    rows = enumerate_group(list(alice_generators(n)))
+    assert len(rows) == groupkit.group_order(n)
+    keys = [tuple(row) for row in _sorted(rows).tolist()]
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
@@ -313,22 +316,31 @@ def test_normal_form_collision_raises(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_center_is_generated_by_j(n):
     # The center of the canonical group is <J> = {omega^i I}: order n.
-    cat = enumerate_group(list(alice_generators(n)))
-    assert _center_size(cat) == n
+    rows = enumerate_group(list(alice_generators(n)))
+    assert _center_size(rows) == n
 
 
 def test_catalogue_products_match_scalar_products():
-    cat = enumerate_group(list(alice_generators(3)))
-    table = cat.multiplication_table()
-    elements = _elements(cat)
+    rows = enumerate_group(list(alice_generators(3)))
+    table = multiplication_table(rows)
+    inverses = invert_rows(rows)
+    elements = _elements(rows)
     position = {g.key(): i for i, g in enumerate(elements)}
-    assert cat.locate(pack_rows(elements, 3)).tolist() == \
-        list(range(len(cat)))
-    inverses = cat.locate(invert_rows(cat.rows))
     for i, x in enumerate(elements):
-        assert inverses[i] == position[x.inverse().key()]
+        assert position[unpack_row(inverses[i]).key()] == \
+            position[x.inverse().key()]
         for j, y in enumerate(elements):
             assert table[i, j] == position[(x @ y).key()]
+
+
+def test_table_indexes_rows_in_any_order():
+    rows = enumerate_group(list(alice_generators(3)))
+    rows = rows[np.random.default_rng(3).permutation(len(rows))]
+    table = multiplication_table(rows)
+    elements = _elements(rows)
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            assert elements[table[i, j]] == x @ y
 
 
 def test_caps_refuse_large_groups():

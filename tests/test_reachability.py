@@ -24,13 +24,6 @@ GATE = ROOT / "tests" / "test_acceptance.py"
 
 # Unreached on purpose: qualified name -> why it stays.
 ALLOWED = {
-    "gamekit.GameSpec.to_json": "JSON serializer with a round-trip test",
-    "gamekit.GameSpec.from_json": "JSON serializer with a round-trip test",
-    "strategykit.Strategy.to_json": "JSON serializer with a round-trip test",
-    "strategykit.Strategy.from_json":
-        "JSON serializer with a round-trip test",
-    "biaskit.BiasReport.to_json": "JSON serializer with a pinned encoding",
-    "soskit.SOSCertificate.to_json": "JSON serializer with a pinned encoding",
     "bcskit.BinaryLCS.to_game":
         "the game of a binary LCS, kept for an LCS classical-value command",
     "bcskit.perfect_conditions_residual":

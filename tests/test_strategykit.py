@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from test_numerics import partial_trace_B
 
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
@@ -133,14 +132,6 @@ def test_schmidt_rejects_bad_states():
         schmidt(psi, 2, 3)
 
 
-def test_strategy_json_round_trip():
-    s = canonical_strategy(3)
-    s2 = Strategy.from_json(s.to_json())
-    assert np.allclose(s.state, s2.state)
-    for M, M2 in zip(s.alice_obs + s.bob_obs, s2.alice_obs + s2.bob_obs):
-        assert np.allclose(M, M2)
-
-
 def test_validate_rejects_bad_observable():
     s = canonical_strategy(3)
     bad = Strategy(order=3, dimA=3, dimB=3,
@@ -236,53 +227,6 @@ def test_psi_representation_refuses_groups_over_table_bound():
     # n = 7: 3136 elements, over the 2048-element multiplication table.
     with pytest.raises(ValueError, match="size bound"):
         psi_representation_residuals(canonical_strategy(7))
-
-
-def test_strategy_json_pinned():
-    # Recorded from the element-by-element encoder the codec replaced.
-    s = Strategy(order=2, dimA=1, dimB=2,
-                 alice_obs=(np.array([[1.0]]), np.array([[-1.0]])),
-                 bob_obs=(np.array([[0, 1], [1, 0]]),
-                          np.array([[0.5 + 0.1j, -0.0], [1 / 3, -2.5e-7j]])),
-                 state=np.array([0.6, -0.8j]))
-    text = s.to_json()
-    assert text == (
-        '{"order": 2, "dimA": 1, "dimB": 2, "aliceObs": [[[[1.0, 0.0]]], '
-        '[[[-1.0, 0.0]]]], "bobObs": [[[[0.0, 0.0], [1.0, 0.0]], '
-        '[[1.0, 0.0], [0.0, 0.0]]], [[[0.5, 0.1], [-0.0, 0.0]], '
-        '[[0.3333333333333333, 0.0], [-0.0, -2.5e-07]]]], '
-        '"state": [[0.6, 0.0], [-0.0, -0.8]]}')
-    assert Strategy.from_json(text).to_json() == text
-
-
-_ENTRY = st.complex_numbers(allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def strategies(draw):
-    """Any Strategy record: two square arrays a player and a state, with
-    arbitrary finite complex entries (nothing requires them admissible)."""
-    dimA, dimB = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    square = [arrays(np.complex128, (d, d), elements=_ENTRY)
-              for d in (dimA, dimA, dimB, dimB)]
-    a0, a1, b0, b1 = (draw(s) for s in square)
-    state = draw(arrays(np.complex128, dimA * dimB, elements=_ENTRY))
-    return Strategy(draw(st.integers(2, 5)), dimA, dimB, (a0, a1), (b0, b1),
-                    state)
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(s=strategies())
-def test_strategy_json_round_trip_is_bit_exact(s):
-    back = Strategy.from_json(s.to_json())
-    assert (back.order, back.dimA, back.dimB) == (s.order, s.dimA, s.dimB)
-    for got, want in zip(back.alice_obs + back.bob_obs + (back.state,),
-                         s.alice_obs + s.bob_obs + (s.state,)):
-        assert got.dtype == np.complex128
-        assert got.shape == want.shape
-        # Compare bits, so signed zeros count.
-        assert got.tobytes() == want.tobytes()
-    assert back.to_json() == s.to_json()
 
 
 def test_projector_bytes_is_the_projector_stack_size():
