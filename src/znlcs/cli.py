@@ -4,8 +4,9 @@ Each invocation prints a JSON run report (command, parameters, results with
 their tolerances, pass flags, seed, wall time) to stdout and exits 0 when
 every asserted check passes, 1 when a check fails, 2 on usage errors.
 CSV and SDPA outputs go to --out paths. The environment variable
-``ZNLCS_SEED`` supplies the default seed. ``COMMANDS`` declares every
-command once: its handler, its pre-flight check and its arguments.
+``ZNLCS_SEED`` supplies the default seed; a value that is not an int >= 0
+is a usage error. ``COMMANDS`` declares every command once: its handler,
+its pre-flight check and its arguments.
 
 ``main`` owns each report's life. Right after parsing it builds the
 ``Report`` from the command's ``COMMANDS`` entry: the command name, each
@@ -61,8 +62,15 @@ def _int_at_least(low: int):
 
 
 def _seed_default() -> int:
+    """ZNLCS_SEED if set, else DEFAULT_SEED; a ValueError naming the
+    variable unless it is an int >= 0."""
     env = os.environ.get("ZNLCS_SEED", "").strip()
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    if env.isascii() and env.isdigit():
+        return int(env)
+    raise ValueError("environment variable ZNLCS_SEED: must be an int >= 0, "
+                     f"got {env!r}")
 
 
 class Report:
@@ -352,7 +360,7 @@ COMMANDS = {
         ("--cert", {"choices": ["chsh", "g3"], "required": True}),
         ("--trials", {"type": _int_at_least(1), "default": 100}),
         # None: ZNLCS_SEED, read when the command runs.
-        ("--seed", {"type": int, "default": None})]),
+        ("--seed", {"type": _int_at_least(0), "default": None})]),
     ("relations", "check"): (cmd_relations_check, None, [
         ("--n", {"type": int, "choices": [3], "default": 3})]),
     ("bcs", "magic-square"): (cmd_bcs, _witness_check, _BCS_FLAGS),
@@ -413,7 +421,8 @@ def build_parser(argv: Optional[Sequence[str]] = None
 def _envelope(args, arguments) -> Tuple[Dict[str, Any], Optional[int]]:
     """The report's parameters, each declared flag but --seed by its
     camelCase name (--n-max: nMax), and its seed: --seed, else ZNLCS_SEED,
-    for a command with that flag, else None."""
+    for a command with that flag, else None. A bad ZNLCS_SEED raises
+    ValueError."""
     words = [flag[2:].split("-") for flag, _ in arguments]
     parameters = {head + "".join(map(str.title, rest)):
                   getattr(args, "_".join([head, *rest]))
@@ -429,9 +438,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser(argv).parse_args(argv)
         handler, preflight, arguments = COMMANDS[args.command]
+        try:
+            envelope = _envelope(args, arguments)
+        except ValueError as exc:  # a bad ZNLCS_SEED
+            args.subparser.error(str(exc))
         # The report's clock starts here, so its wall time covers the
         # check and the modules the check loads.
-        rep = Report(" ".join(args.command), *_envelope(args, arguments))
+        rep = Report(" ".join(args.command), *envelope)
         problem = preflight(args) if preflight else None
         if problem:
             args.subparser.error(problem)

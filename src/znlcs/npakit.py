@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import biaskit, gamekit, ncpoly, strategykit
+from . import biaskit, gamekit, ncpoly, numerics, strategykit
 from .records import Record
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def generate_words(n: int, level: int) -> List[ncpoly.Word]:
 
 
 def randomized_reduce(letters_seq: Sequence[ncpoly.Letter], n: int,
-                      gen: np.random.Generator) -> ncpoly.Word:
+                      gen: numerics.Stream) -> ncpoly.Word:
     """Reduce a word by applying single rewrite steps (merge an adjacent
     equal pair, drop a zero exponent, or commute a B letter past an A
     letter) in random order until none applies."""
@@ -65,7 +65,7 @@ def randomized_reduce(letters_seq: Sequence[ncpoly.Letter], n: int,
                 moves.append(("swap", k))
         if not moves:
             return tuple(word)
-        kind, k = moves[int(gen.integers(len(moves)))]
+        kind, k = moves[gen.integers(len(moves))]
         if kind == "drop":
             word.pop(k)
         elif kind == "merge":

@@ -5,11 +5,19 @@ random generalized observables and states. All operators are plain
 complex128 ndarrays; helpers validate shape, finiteness and Hermiticity at
 the boundary.
 
-Randomness uses numpy's PCG64 generator: two calls with the same seed
-produce the same stream, so every "random" test object is reproducible.
+Randomness comes from the standard library's Mersenne Twister
+(``random.Random``, MT19937), which ``import numpy`` loads anyway, so no
+command loads numpy's own random package. A seed (an int >= 0) fixes the
+stream, so every "random" test object is reproducible. Every draw takes
+whole 64-bit words, as ``getrandbits(64)`` returns them: one per integer,
+two per Gaussian. A block of words comes from one ``getrandbits(64 *
+count)`` call, whose little-endian bytes are those words in draw order.
 """
 
 from __future__ import annotations
+
+import math
+import random
 
 import numpy as np
 
@@ -18,9 +26,73 @@ from .records import Record
 DEFAULT_TOL = 1e-9
 
 
-def rng(seed: int) -> np.random.Generator:
-    """Seeded PCG64 generator used for all randomized constructions."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+def _twister(seed: int) -> random.Random:
+    seed = int(seed)
+    # Random(-s) is seeded as Random(s): refuse negatives, not alias them.
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
+
+
+def _word_bytes(twister: random.Random, count: int) -> bytes:
+    """The next ``count`` 64-bit words, little-endian, from one call."""
+    return twister.getrandbits(64 * count).to_bytes(8 * count, "little")
+
+
+def _gaussians(words: np.ndarray) -> np.ndarray:
+    """Box-Muller, cos branch: each pair of uint64 words along the last
+    axis, (radius, angle), gives one standard normal. A word's top 53 bits
+    are u in [0, 1); the radius is sqrt(-2 log(1 - u))."""
+    u = (words >> 11) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    return radius * np.cos(2.0 * np.pi * u[..., 1::2])
+
+
+def _shape(size) -> tuple:
+    return (size,) if np.ndim(size) == 0 else tuple(size)
+
+
+class Stream:
+    """Seeded stream of integers and Gaussians over MT19937."""
+
+    __slots__ = ("_twister",)
+
+    def __init__(self, seed: int):
+        self._twister = _twister(seed)
+
+    def _words(self, count: int) -> np.ndarray:
+        return np.frombuffer(_word_bytes(self._twister, count), dtype="<u8")
+
+    def integers(self, low: int, high=None, size=None):
+        """Uniform integers in [low, high), or [0, low) given one bound: an
+        int, or an int64 array of shape ``size``. Each is low + w mod
+        (high - low) for one 64-bit word w, so a span that is not a power
+        of two is biased by less than span / 2^64."""
+        if high is None:
+            low, high = 0, low
+        span = high - low
+        if not 0 < span <= 2 ** 63:
+            raise ValueError(
+                f"need 0 < high - low <= 2^63, got [{low}, {high})")
+        if size is None:
+            return low + self._twister.getrandbits(64) % span
+        shape = _shape(size)
+        words = self._words(math.prod(shape)) % np.uint64(span)
+        return words.astype(np.int64).reshape(shape) + low
+
+    def choice(self, seq):
+        """One element of seq, uniformly: seq[integers(len(seq))]."""
+        return seq[self.integers(len(seq))]
+
+    def standard_normal(self, shape) -> np.ndarray:
+        """Standard normals of the given shape, two words each."""
+        shape = _shape(shape)
+        return _gaussians(self._words(2 * math.prod(shape))).reshape(shape)
+
+
+def rng(seed: int) -> Stream:
+    """The seeded stream used for all randomized constructions."""
+    return Stream(seed)
 
 
 def frob(M: np.ndarray) -> float:
@@ -82,22 +154,25 @@ def random_order_n_observables(order: int, dim: int, seeds) -> np.ndarray:
     U^order = I, each deterministic in its seed.
 
     U = V diag(omega^e) V* with uniform eigenvalue exponents e and V a
-    random unitary. Each seed has its own PCG64 stream, drawn exponents
-    first, then the Gaussian matrix behind V; the QR step runs on the
-    whole stack.
+    random unitary. Each seed's stream gives, as ``rng(seed)`` would draw
+    them, the exponents (``integers(0, order, size=dim)``), then the real
+    and the imaginary part of the Gaussian matrix behind V
+    (``standard_normal((dim, dim))`` each). Those dim + 4 dim^2 words are
+    taken with one call a seed, and converted, and the QR step run, on the
+    whole stack at once.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     seeds = list(seeds)
-    exps = np.empty((len(seeds), dim), dtype=np.int64)
-    G = np.empty((len(seeds), dim, dim), dtype=np.complex128)
-    for t, seed in enumerate(seeds):
-        gen = rng(seed)
-        exps[t] = gen.integers(0, order, size=dim)
-        G[t] = (gen.standard_normal((dim, dim))
-                + 1j * gen.standard_normal((dim, dim)))
+    count = dim + 4 * dim * dim
+    words = np.frombuffer(
+        b"".join(_word_bytes(_twister(seed), count) for seed in seeds),
+        dtype="<u8").reshape(len(seeds), count)
+    exps = (words[:, :dim] % np.uint64(order)).astype(np.int64)
+    parts = _gaussians(words[:, dim:]).reshape(len(seeds), 2, dim, dim)
+    G = parts[:, 0] + 1j * parts[:, 1]
     # V is the Q factor of G = QR with the phases of diag(R) divided out,
     # so it is determined by G.
     Q, R = np.linalg.qr(G)
@@ -113,7 +188,9 @@ def random_order_n_observable(order: int, dim: int, seed: int) -> np.ndarray:
     return random_order_n_observables(order, dim, [seed])[0]
 
 
-def random_state(dim: int, gen: np.random.Generator) -> np.ndarray:
-    """Random unit vector with complex Gaussian entries."""
-    v = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+def random_state(dim: int, gen: Stream) -> np.ndarray:
+    """Random unit vector with complex Gaussian entries: the real parts,
+    then the imaginary parts, from one draw of 2 dim normals."""
+    z = gen.standard_normal(2 * dim)
+    v = z[:dim] + 1j * z[dim:]
     return v / np.linalg.norm(v)

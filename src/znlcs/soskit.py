@@ -21,9 +21,9 @@ from .records import Record
 # memory of a run does not grow with the block.
 BLOCK_TRIALS = 8
 
-# Most trials the CLI's sos verify runs; every seed is drawn first. chsh at
-# 10^5 trials: 27 s, 64 MB peak RSS; g3 at 10^4: 5.8 s, 40 MB (one BLAS
-# thread on a 2-core Xeon), so a run at the cap takes about a minute.
+# Most trials the CLI's sos verify runs. chsh at 10^5 trials: 15 s, 31 MB
+# peak RSS, as at 100 trials; g3 at 10^4: 3.9 s, 31 MB (one BLAS thread on
+# a 2-core Xeon), so a g3 run at the cap takes about 40 s.
 TRIALS_CAP = 10**5
 
 _OPERATORS = (("A", 0), ("A", 1), ("B", 0), ("B", 1))
@@ -107,36 +107,42 @@ def verify_sos_identity(cert: SOSCertificate, bias: ncpoly.NCPolynomial,
     Each trial draws four independent random order-n observables at a
     dimension sampled from {n, 2n}; two sizes guard against coincidences
     tied to a single dimension. All draws come from one seeded stream, in
-    trial order; trials of one dimension are then evaluated together, in
-    blocks of BLOCK_TRIALS.
+    trial order. Each dimension keeps its pending trials and evaluates them
+    together as soon as they number BLOCK_TRIALS, and the rest at the end,
+    so memory does not grow with the trial count.
     """
     if cert.order != bias.n:
         raise ValueError("certificate and bias order mismatch")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = cert.order
+
+    def residual(dim: int, block: List[List[int]]) -> float:
+        assignment = {
+            key: numerics.random_order_n_observables(
+                n, dim, [s[j] for s in block])
+            for j, key in enumerate(_OPERATORS)
+        }
+        diff = cert.lam * np.eye(dim * dim) - ncpoly.eval_nc(
+            bias, assignment, dim, dim)
+        for weight, p in cert.squares:
+            T = ncpoly.eval_nc(p, assignment, dim, dim)
+            diff -= weight * (T.conj().swapaxes(-1, -2) @ T)
+        return float(np.linalg.norm(diff, axis=(-2, -1)).max())
+
     gen = numerics.rng(seed)
-    by_dim: Dict[int, List[List[int]]] = {}
-    for _ in range(trials):
-        dim = int(gen.choice([n, 2 * n]))
-        by_dim.setdefault(dim, []).append(
-            [int(gen.integers(2 ** 63)) for _ in _OPERATORS])
+    pending: Dict[int, List[List[int]]] = {n: [], 2 * n: []}
     worst = 0.0
-    for dim, seeds in by_dim.items():
-        eye = np.eye(dim * dim)
-        for lo in range(0, len(seeds), BLOCK_TRIALS):
-            block = seeds[lo:lo + BLOCK_TRIALS]
-            assignment = {
-                key: numerics.random_order_n_observables(
-                    n, dim, [s[j] for s in block])
-                for j, key in enumerate(_OPERATORS)
-            }
-            diff = cert.lam * eye - ncpoly.eval_nc(bias, assignment, dim, dim)
-            for weight, p in cert.squares:
-                T = ncpoly.eval_nc(p, assignment, dim, dim)
-                diff -= weight * (T.conj().swapaxes(-1, -2) @ T)
-            worst = max(worst, float(
-                np.linalg.norm(diff, axis=(-2, -1)).max()))
+    for _ in range(trials):
+        dim = gen.choice([n, 2 * n])
+        block = pending[dim]
+        block.append([gen.integers(2 ** 63) for _ in _OPERATORS])
+        if len(block) == BLOCK_TRIALS:
+            worst = max(worst, residual(dim, block))
+            block.clear()
+    for dim, block in pending.items():
+        if block:
+            worst = max(worst, residual(dim, block))
     return worst
 
 

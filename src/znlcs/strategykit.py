@@ -231,7 +231,7 @@ def random_strategy(n: int, dimA: int, dimB: int, seed: int) -> Strategy:
     state)."""
     gen = numerics.rng(seed)
     obs = [numerics.random_order_n_observable(
-               n, d, int(gen.integers(2 ** 63)))
+               n, d, gen.integers(2 ** 63))
            for d in (dimA, dimA, dimB, dimB)]
     return Strategy(order=n, dimA=dimA, dimB=dimB,
                     alice_obs=(obs[0], obs[1]), bob_obs=(obs[2], obs[3]),

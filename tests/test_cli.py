@@ -110,6 +110,8 @@ BAD_INPUT = [
     ("strategy value --n 200 --via direct", "--n"),
     ("sos verify --cert chsh --trials 200000", "--trials"),
     ("strategy entropy --n-max 500", "--n-max"),
+    ("sos verify --cert chsh --seed -1", "--seed"),
+    ("sos verify --cert chsh --seed abc", "--seed"),
 ]
 
 
@@ -265,6 +267,24 @@ def test_seed_env_default(monkeypatch):
     assert _seed_default() == 12345
 
 
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_bad_seed_variable_exits_2_without_traceback(capsys, monkeypatch,
+                                                     value):
+    monkeypatch.setenv("ZNLCS_SEED", value)
+    assert main(["sos", "verify", "--cert", "chsh", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: environment variable ZNLCS_SEED:" in captured.err
+    assert repr(value) in captured.err
+    assert "Traceback" not in captured.err
+    # --seed wins, and a command without --seed never reads the variable.
+    code, report = run(capsys, "sos", "verify", "--cert", "chsh",
+                       "--trials", "2", "--seed", "4")
+    assert code == 0 and report["seed"] == 4
+    code, _ = run(capsys, "game", "classical", "--n", "3")
+    assert code == 0
+
+
 def test_deterministic_reports(capsys):
     code1, r1 = run(capsys, "sos", "verify", "--cert", "chsh",
                     "--trials", "5", "--seed", "3")
@@ -308,6 +328,11 @@ def modules_loaded_by(*argv):
     return proc.returncode, set(json.loads(proc.stderr.splitlines()[-1]))
 
 
+# numpy.random and what it alone pulls in; the seeded stream of
+# znlcs.numerics runs on the standard library's random module instead.
+NUMPY_RANDOM = {"numpy.random", "hashlib", "_hashlib"}
+
+
 def test_commands_load_only_the_modules_they_use(tmp_path):
     code, loaded = modules_loaded_by("group", "enumerate", "--n", "2")
     assert code == 0
@@ -325,6 +350,7 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
     code, loaded = modules_loaded_by("strategy", "value", "--n", "2")
     assert code == 0
     assert not loaded & {"znlcs.groupkit", "znlcs.ncpoly"}
+    assert not loaded & NUMPY_RANDOM
 
     code, loaded = modules_loaded_by("npa", "export", "--n", "2", "--level",
                                      "1", "--out", str(tmp_path / "2.dat-s"))
@@ -338,10 +364,24 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
     code, loaded = modules_loaded_by("sos", "verify", "--cert", "chsh")
     assert code == 0
     assert "znlcs.groupkit" not in loaded
+    assert not loaded & NUMPY_RANDOM
+
+    for argv in (["sos", "verify", "--cert", "g3"],
+                 ["bias", "spectrum", "--n", "2"]):
+        code, loaded = modules_loaded_by(*argv)
+        assert code == 0
+        assert not loaded & NUMPY_RANDOM, argv
 
     code, loaded = modules_loaded_by("group", "enumerate", "--n", "2")
     assert code == 0
     assert "csv" not in loaded
+
+
+def test_no_module_names_numpy_random():
+    package = pathlib.Path(znlcs.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        assert "np.random" not in text and "numpy.random" not in text, path
 
 
 def run_process(*args):

@@ -16,7 +16,8 @@ def partial_trace_B(rho, dimA, dimB):
 @pytest.mark.parametrize("dim", [2, 5, 16, 64])
 def test_hermitian_eig_reconstructs(dim):
     gen = rng(11 + dim)
-    M = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    M = (gen.standard_normal((dim, dim))
+         + 1j * gen.standard_normal((dim, dim)))
     H = M + M.conj().T
     eig = hermitian_eig(H)
     V, w = eig.eigenvectors, eig.eigenvalues
@@ -29,7 +30,8 @@ def test_hermitian_eig_reconstructs(dim):
 
 
 def _random_hermitian(dim, gen):
-    M = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    M = (gen.standard_normal((dim, dim))
+         + 1j * gen.standard_normal((dim, dim)))
     return M + M.conj().T
 
 
@@ -82,7 +84,7 @@ def test_partial_trace_maximally_entangled():
 def test_partial_trace_hand_expansion():
     # Oracle: sum the 2x2 diagonal blocks by hand on a random density matrix.
     gen = rng(3)
-    M = gen.normal(size=(6, 6)) + 1j * gen.normal(size=(6, 6))
+    M = gen.standard_normal((6, 6)) + 1j * gen.standard_normal((6, 6))
     rho = M @ M.conj().T
     rho /= np.trace(rho)
     expected = np.zeros((3, 3), dtype=complex)
@@ -97,7 +99,8 @@ def test_partial_trace_hand_expansion():
 def test_kron_mixed_product_property():
     gen = rng(5)
     for _ in range(5):
-        A, B, C, D = (gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
+        A, B, C, D = (gen.standard_normal((3, 3))
+                      + 1j * gen.standard_normal((3, 3))
                       for _ in range(4))
         lhs = np.kron(A, B) @ np.kron(C, D)
         rhs = np.kron(A @ C, B @ D)
@@ -146,3 +149,68 @@ def test_random_order_n_observables_stack(order, dim):
 def test_random_state_normalized():
     v = random_state(9, rng(2))
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+def test_random_state_is_one_draw_of_real_then_imaginary_parts():
+    gen = rng(2)
+    v = gen.standard_normal(9) + 1j * gen.standard_normal(9)
+    assert np.abs(random_state(9, rng(2)) - v / np.linalg.norm(v)).max() \
+        < 1e-15
+
+
+def test_stream_first_draws_are_pinned():
+    # The words are MT19937's getrandbits(64) outputs for seed 0 (the
+    # second reduced mod 2^63); a change to CPython's stream or to the
+    # reductions shows here.
+    gen = rng(0)
+    assert [gen.integers(2**63) for _ in range(3)] == [
+        7106521602475165645, 7198729688045931692, 746805015404516437]
+    assert gen.integers(0, 10, size=5).tolist() == [2, 6, 6, 7, 1]
+    assert gen.integers(-5, 5) == -5
+    assert gen.standard_normal(3).tolist() == pytest.approx(
+        [0.41530241384699385, 0.3497803424934713, 0.1363484151199732],
+        rel=1e-12)
+    assert gen.choice("abc") == "b"
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**64),
+       span=st.integers(1, 2**63),
+       size=st.one_of(st.none(), st.integers(0, 9),
+                      st.tuples(st.integers(0, 3), st.integers(0, 3))))
+def test_integers_stay_in_range(data, seed, span, size):
+    low = data.draw(st.integers(-2**63, 2**63 - span))
+    got = rng(seed).integers(low, low + span, size=size)
+    if size is None:
+        values = [got]
+    else:
+        assert got.shape == np.empty(size).shape
+        assert got.dtype == np.int64
+        values = got.ravel().tolist()
+    assert all(low <= v < low + span for v in values)
+    one_bound = rng(seed).integers(span, size=size)
+    assert np.all((0 <= np.asarray(one_bound)) & (one_bound < span))
+
+
+def test_integers_reject_an_empty_or_too_wide_range():
+    gen = rng(1)
+    for low, high in [(0, 0), (3, 2), (0, 2**63 + 1)]:
+        with pytest.raises(ValueError, match="high - low"):
+            gen.integers(low, high)
+
+
+def test_standard_normal_moments():
+    # 10^5 draws: mean and variance within 5 standard errors of 0 and 1.
+    count = 10**5
+    z = rng(8).standard_normal(count)
+    assert z.shape == (count,)
+    assert abs(z.mean()) < 5 / np.sqrt(count)
+    assert abs(z.var() - 1.0) < 5 * np.sqrt(2.0 / count)
+
+
+def test_negative_seeds_are_refused():
+    # random.Random(-s) is seeded as Random(s); no two seeds may alias.
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        rng(-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        random_order_n_observables(2, 2, [5, -5])

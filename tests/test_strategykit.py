@@ -98,7 +98,7 @@ def test_schmidt_matches_reduced_density_matrix(dims, terms, seed):
     gen = rng(seed)
 
     def vec(d):
-        return gen.normal(size=d) + 1j * gen.normal(size=d)
+        return gen.standard_normal(d) + 1j * gen.standard_normal(d)
 
     psi = sum(np.kron(vec(dimA), vec(dimB)) for _ in range(terms))
     psi /= np.linalg.norm(psi)
