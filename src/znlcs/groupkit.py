@@ -14,12 +14,15 @@ entries, so a product with a fixed element is one gather, one add and one
 conditional subtract of the modulus. ``compose_steps`` is the only batched
 product: it multiplies rows by fixed right factors through their column
 maps (``step_columns``), and closure, normal forms and the multiplication
-table all use it. Rows are equal exactly when their bytes are, which is
-what closures dedupe on and the multiplication table indexes by.
+table all use it. Closures, the normal-form check and the multiplication
+table compare rows through exact integer keys (``_keys``: one mixed-radix
+number per row, in as few uint64 words as hold it), which they sort,
+dedupe and search as arrays, with no Python object per row.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence as SequenceABC
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -113,11 +116,90 @@ def invert_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_keys(rows: np.ndarray) -> List[bytes]:
-    """The bytes of each row: equal exactly when the elements are."""
-    flat = np.ascontiguousarray(rows).reshape(-1, rows.shape[-1])
-    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))
-                     ).ravel().tolist()
+def _phase_step(factors: np.ndarray) -> int:
+    """The gcd of 4n and the phases of the rows ``factors``, which divides
+    every phase of every product of them."""
+    return math.gcd(4 * (factors.shape[-1] - 1),
+                    *set(factors[..., 1:].ravel().tolist()))
+
+
+def _keys(rows: np.ndarray, step: int) -> np.ndarray:
+    """keys[words, m] of rows[..., n + 1] (in C order) whose phases are
+    multiples of ``step``, a divisor of 4n.
+
+    A key is ``step`` times the mixed-radix number whose digits, most
+    significant first, are the shift (radix n) and each phase divided by
+    ``step`` (radix 4n / step), packed most significant first into as few
+    uint64 words as hold them. The factor ``step`` spares a division per
+    phase. Keys are equal exactly when the rows are, and compare word by
+    word as the rows do lexicographically.
+    """
+    n = rows.shape[-1] - 1
+    radices = [n] + [4 * n // step] * n
+    # The first column of each word; no word is open before column 0.
+    starts, capacity = [], 2**64 + 1
+    for col, radix in enumerate(radices):
+        capacity *= radix
+        if capacity * step > 2**64:
+            starts.append(col)
+            capacity = radix
+    keys = np.zeros((len(starts), rows[..., 0].size), dtype=np.uint64)
+    bounds = starts + [n + 1]
+    for word, start, stop in zip(keys, bounds, bounds[1:]):
+        acc = word.reshape(rows.shape[:-1])
+        for col in range(start, stop):
+            acc *= np.uint64(radices[col])
+            acc += rows[..., col]
+            if col == 0:
+                acc *= np.uint64(step)
+    return keys
+
+
+def _as_bytes(keys: np.ndarray) -> np.ndarray:
+    """Each key of keys[words, m] as one big-endian byte string, which
+    sorts as the key does."""
+    return np.ascontiguousarray(keys.T, dtype=">u8").view(
+        f"S{8 * len(keys)}")[:, 0]
+
+
+def _changes(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """changes[w, i]: whether word w differs between keys order[i] and
+    order[i + 1] of the nonempty keys[words, m], gathered one word at a
+    time."""
+    changes = np.empty((len(keys), len(order) - 1), dtype=bool)
+    for word, out in zip(keys, changes):
+        in_order = word[order]
+        np.not_equal(in_order[1:], in_order[:-1], out=out)
+    return changes
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The positions in keys[words, m] of one key equal to each distinct
+    key, in increasing key order. The keys sort by their first word unless
+    a later word tells apart two keys that it does not; then they sort as
+    bytes. The sort is numpy's stable one, whose first call pages in
+    0.2 MB less code than the default sort's, which is faster only on
+    large unordered inputs."""
+    order = np.argsort(keys[0], kind="stable")
+    changes = _changes(keys, order)
+    if (changes[1:] > changes[0]).any():
+        order = np.argsort(_as_bytes(keys), kind="stable")
+        changes = _changes(keys, order)
+    return order[np.append(True, changes.any(0))]
+
+
+def _find(table: np.ndarray, keys: np.ndarray
+          ) -> Tuple[np.ndarray, np.ndarray]:
+    """(position, found) of each key of keys[words, m] in the sorted,
+    distinct, nonempty keys ``table``. A position is only trusted where
+    found, which compares the whole key at it."""
+    first = table[0]
+    if (first[1:] > first[:-1]).all():
+        at = np.searchsorted(first, keys[0])
+    else:
+        at = np.searchsorted(_as_bytes(table), _as_bytes(keys))
+    at = np.minimum(at, len(first) - 1)
+    return at, (table[:, at] == keys).all(0)
 
 
 def group_order(n: int) -> int:
@@ -165,15 +247,34 @@ def evaluate_word_matrix(word: GroupWord,
 # Group closure
 # ---------------------------------------------------------------------------
 
+def _next_layer(frontier: np.ndarray, cols: np.ndarray, steps: np.ndarray,
+                step: int, last: Tuple[np.ndarray, np.ndarray]
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, keys) of the distinct products frontier @ steps whose keys
+    are in neither of the sorted keys ``last``, in key order. Its
+    temporaries, as large as the products, are freed on return."""
+    products = compose_steps(frontier, cols, steps
+                             ).reshape(-1, frontier.shape[1])
+    keys = _keys(products, step)
+    index = _distinct(keys)
+    keys = keys[:, index]
+    new = ~(_find(last[0], keys)[1] | _find(last[1], keys)[1])
+    return products[index[new]], keys[:, new]
+
+
 def enumerate_group(generators: Sequence[MonomialUnitary],
                     cap: int = ENUMERATION_CAP_DEFAULT) -> np.ndarray:
-    """The generated group's rows, in breadth-first order from the identity.
+    """The generated group's rows, in breadth-first order from the
+    identity, each layer in key order (the lexicographic order of the
+    rows).
 
     Each layer multiplies the whole frontier by every generator and inverse
     at once, through column maps built once per call (``compose_steps``).
     That set is closed under inverses, so a product of layer d lies in
-    layer d - 1, d or d + 1: the next layer is the set of product rows not
-    in the last two layers. The cap is checked once per layer.
+    layer d - 1, d or d + 1: the next layer is the distinct products whose
+    keys (``_keys``, exact for every product of the generators) are not
+    among the sorted keys of the last two layers. The cap is checked once
+    per layer.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -181,18 +282,16 @@ def enumerate_group(generators: Sequence[MonomialUnitary],
     gens = pack_rows(generators, n)
     steps = np.concatenate([gens, invert_rows(gens)])
     cols = step_columns(steps)
+    step = _phase_step(steps)
     frontier = pack_rows([MonomialUnitary.identity(n)], n)
     layers = [frontier]
     size = 1
-    previous: set = set()
-    current = set(_row_keys(frontier))
+    # Before layer 1 the last two layers are the identity's, twice.
+    previous = current = _keys(frontier, step)
     while len(frontier):
-        fresh = set(_row_keys(compose_steps(frontier, cols, steps)))
-        fresh -= current
-        fresh -= previous
+        frontier, fresh = _next_layer(frontier, cols, steps, step,
+                                      (previous, current))
         previous, current = current, fresh
-        frontier = np.frombuffer(b"".join(fresh), dtype=gens.dtype
-                                 ).reshape(-1, n + 1)
         layers.append(frontier)
         size += len(frontier)
         if size > cap:
@@ -210,14 +309,19 @@ def multiplication_table(rows: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"table of {m}x{m} entries exceeds the size bound "
             f"{MULTIPLICATION_TABLE_MAX}")
-    index = {key: i for i, key in enumerate(_row_keys(rows))}
+    step = _phase_step(rows)
+    keys = _keys(rows, step)
+    index = _distinct(keys)
+    sorted_keys = keys[:, index]
     table = np.empty((m, m), dtype=np.int64)
     cols = step_columns(rows)
-    step = max(1, _BLOCK_PRODUCTS // m)
-    for start in range(0, m, step):
-        products = compose_steps(rows[start:start + step], cols, rows)
-        table[start:start + step] = np.reshape(
-            [index[key] for key in _row_keys(products)], (-1, m))
+    block = max(1, _BLOCK_PRODUCTS // m)
+    for start in range(0, m, block):
+        products = compose_steps(rows[start:start + block], cols, rows)
+        at, found = _find(sorted_keys, _keys(products, step))
+        if np.count_nonzero(found) < len(found):
+            raise KeyError("a product of two rows is not a row")
+        table[start:start + block] = index[at].reshape(-1, m)
     return table
 
 
@@ -311,17 +415,18 @@ def normal_form_enumerate(n: int, variant: str = "standard") -> NormalForms:
                        for i in range(n) for j in range(n)], n)
     rows = compose_steps(heads, step_columns(tails), tails
                          ).reshape(-1, n + 1)
-    keys = _row_keys(rows)
-    if len(set(keys)) < len(keys):
-        first: Dict[bytes, int] = {}
-        for index, key in enumerate(keys):
-            if key in first:
-                raise RuntimeError(
-                    f"normal-form collision: "
-                    f"{_normal_form_word(n, variant, index)} and "
-                    f"{_normal_form_word(n, variant, first[key])} "
-                    f"evaluate to the same element")
-            first[key] = index
+    keys = _keys(rows, _phase_step(np.concatenate([heads, tails])))
+    index = _distinct(keys)
+    if len(index) < len(rows):
+        # A row that is not the one its key's index names repeats it.
+        at = index[_find(keys[:, index], keys)[0]]
+        second = np.flatnonzero(at != np.arange(len(rows)))[0]
+        first, second = sorted([int(at[second]), int(second)])
+        raise RuntimeError(
+            f"normal-form collision: "
+            f"{_normal_form_word(n, variant, second)} and "
+            f"{_normal_form_word(n, variant, first)} "
+            f"evaluate to the same element")
     return NormalForms(n, variant, rows)
 
 

@@ -375,6 +375,14 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
     code, loaded = modules_loaded_by("group", "enumerate", "--n", "2")
     assert code == 0
     assert "csv" not in loaded
+    # Group keys are sorted and deduped without np.unique, whose first call
+    # imports numpy.ma.
+    assert "numpy.ma" not in loaded
+    for argv in (["group", "normal-form", "--n", "2"],
+                 ["psirep", "check", "--n", "2"]):
+        code, loaded = modules_loaded_by(*argv)
+        assert code == 0
+        assert "numpy.ma" not in loaded, argv
 
 
 def test_no_module_names_numpy_random():

@@ -1,3 +1,8 @@
+import ast
+import hashlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,6 +318,19 @@ def test_normal_form_collision_raises(monkeypatch):
         normal_form_enumerate(4)
 
 
+def test_normal_form_collision_names_two_words_of_one_element(monkeypatch):
+    images = alice_images(4)
+    images["P1"] = images["P0"]
+    monkeypatch.setattr(groupkit, "alice_images", lambda n: images)
+    with pytest.raises(RuntimeError) as info:
+        normal_form_enumerate(4)
+    words = str(info.value).removeprefix("normal-form collision: ")
+    words = words.removesuffix(" evaluate to the same element")
+    a, b = map(ast.literal_eval, words.split(" and "))
+    assert a != b
+    assert evaluate_word(a, images, 4) == evaluate_word(b, images, 4)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_center_is_generated_by_j(n):
     # The center of the canonical group is <J> = {omega^i I}: order n.
@@ -352,3 +370,166 @@ def test_caps_refuse_large_groups():
     assert not groupkit.group_order_exceeds_cap(13)
     assert groupkit.group_order_exceeds_cap(14)
     assert groupkit.group_order_exceeds_cap(10**12)
+
+
+def _bytes_layers(generators):
+    """Reference closure: the breadth-first layers of the generated group,
+    each a set of row bytes, deduped on one bytes object per row."""
+    n = generators[0].n
+    gens = pack_rows(generators, n)
+    steps = np.concatenate([gens, invert_rows(gens)])
+    cols = groupkit.step_columns(steps)
+    frontier = pack_rows([MonomialUnitary.identity(n)], n)
+    layers = [{frontier.tobytes()}]
+    seen = set(layers[0])
+    while True:
+        products = groupkit.compose_steps(frontier, cols, steps)
+        fresh = {row.tobytes() for row in products.reshape(-1, n + 1)}
+        fresh -= seen
+        if not fresh:
+            return layers
+        seen |= fresh
+        layers.append(fresh)
+        frontier = np.frombuffer(b"".join(fresh), dtype=gens.dtype
+                                 ).reshape(-1, n + 1)
+
+
+CLOSURES = (
+    [(f"alice-{n}", lambda n=n: list(alice_generators(n)))
+     for n in range(2, 9)]
+    + [(f"bob-j-{n}", lambda n=n: [*bob_generators(n), scalar_j(n)])
+       for n in (3, 5)]
+    # Keys of several words: <A1> at n = 40 and <A0, J> at n = 20.
+    + [("a1-40", lambda: [alice_generators(40)[1]]),
+       ("a0-j-20", lambda: [alice_generators(20)[0], scalar_j(20)])])
+
+
+@pytest.mark.parametrize("make", [make for _, make in CLOSURES],
+                         ids=[name for name, _ in CLOSURES])
+def test_closure_matches_bytes_reference_layer_by_layer(make):
+    generators = make()
+    rows = enumerate_group(generators)
+    n = generators[0].n
+    # The same elements in the same layers, each layer in row order.
+    expected = [_sorted(np.frombuffer(b"".join(layer), dtype=rows.dtype
+                                      ).reshape(-1, n + 1))
+                for layer in _bytes_layers(generators)]
+    assert np.array_equal(rows, np.concatenate(expected))
+
+
+@pytest.mark.parametrize("generators, words", [
+    (lambda: alice_generators(2), 1),
+    (lambda: alice_generators(12), 1),
+    (lambda: alice_generators(13), 2),
+    (lambda: [alice_generators(20)[0], scalar_j(20)], 2),
+    (lambda: [alice_generators(40)[1]], 5),
+], ids=["alice-2", "alice-12", "alice-13", "a0-j-20", "a1-40"])
+def test_key_words(generators, words):
+    # Alice's phases are even: radix 2n per phase, one word up to n = 12.
+    generators = list(generators())
+    rows = pack_rows(generators, generators[0].n)
+    keys = groupkit._keys(rows, groupkit._phase_step(rows))
+    assert keys.shape == (words, len(rows))
+    assert keys.dtype == np.uint64
+
+
+def test_closure_order_does_not_depend_on_the_hash_seed():
+    from test_cli import subprocess_env
+    code = ("import hashlib\n"
+            "from znlcs.groupkit import alice_generators, enumerate_group\n"
+            "rows = enumerate_group(list(alice_generators(5)))\n"
+            "print(hashlib.sha256(rows.tobytes()).hexdigest())\n")
+    digests = set()
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(subprocess_env(), PYTHONHASHSEED=seed),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    rows = enumerate_group(list(alice_generators(5)))
+    assert digests == {hashlib.sha256(rows.tobytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("generators", [
+    lambda: list(alice_generators(3)), lambda: [alice_generators(40)[1]]],
+    ids=["alice-3", "a1-40"])
+@pytest.mark.parametrize("drop", [0, 7, -1])
+def test_table_raises_for_a_product_outside_the_rows(generators, drop):
+    # Rows in key order less the first, a middle or the last one: the
+    # missing product's insertion point holds another key, or is past the
+    # end.
+    rows = np.delete(_sorted(enumerate_group(generators())), drop, axis=0)
+    with pytest.raises(KeyError):
+        multiplication_table(rows)
+
+
+def test_table_with_keys_of_several_words():
+    rows = enumerate_group([alice_generators(40)[1]])
+    table = multiplication_table(rows)
+    elements = _elements(rows)
+    for i, x in enumerate(elements):
+        assert [elements[k] for k in table[i]] == [x @ y for y in elements]
+
+
+@st.composite
+def reduced_rows(draw):
+    """(n, step, rows): rows of dimension n whose phases are multiples of
+    step, a divisor of 4n. Each row repeats a leading run of columns of one
+    base row, so rows often agree on their first key word and differ
+    later, or are equal."""
+    n = draw(st.integers(1, 40))
+    step = draw(st.sampled_from([d for d in range(1, 4 * n + 1)
+                                 if 4 * n % d == 0]))
+
+    def row():
+        return [draw(st.integers(0, n - 1))] + [
+            step * draw(st.integers(0, 4 * n // step - 1))
+            for _ in range(n)]
+
+    base = row()
+    rows = [base[:draw(st.integers(0, n + 1))] for _ in range(
+        draw(st.integers(1, 8)))]
+    rows = [r + row()[len(r):] for r in rows]
+    return n, step, np.array(rows, dtype=groupkit._row_dtype(n))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=reduced_rows())
+def test_keys_are_equal_exactly_when_rows_are(case):
+    n, step, rows = case
+    keys = groupkit._keys(rows, step)
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            assert np.array_equal(keys[:, i], keys[:, j]) == \
+                np.array_equal(rows[i], rows[j])
+    # Distinct keys come out in the rows' lexicographic order.
+    index = groupkit._distinct(keys)
+    distinct = keys[:, index]
+    assert [tuple(r) for r in rows[index].tolist()] == \
+        sorted(set(map(tuple, rows.tolist())))
+    at, found = groupkit._find(distinct, keys)
+    assert found.all()
+    assert np.array_equal(rows[index[at]], rows)
+    if distinct.shape[1] > 1:
+        # With the least key left out of the table, exactly the keys equal
+        # to it are not found.
+        at, found = groupkit._find(distinct[:, 1:], keys)
+        assert np.array_equal(found, (keys != distinct[:, :1]).any(0))
+        assert np.array_equal(rows[index[1:][at[found]]], rows[found])
+
+
+def test_first_word_ties_sort_and_search_as_whole_keys():
+    # Rows equal but for their last phase share every word of their keys
+    # but the last, so the first word alone cannot order or find them.
+    n = 40
+    rows = np.zeros((5, n + 1), dtype=groupkit._row_dtype(n))
+    rows[:, -1] = [8, 2, 6, 0, 4]
+    keys = groupkit._keys(rows, 2)
+    assert len(keys) > 1 and len(set(keys[0].tolist())) == 1
+    index = groupkit._distinct(keys)
+    distinct = keys[:, index]
+    assert rows[index, -1].tolist() == [0, 2, 4, 6, 8]
+    at, found = groupkit._find(distinct, keys)
+    assert found.all()
+    assert np.array_equal(rows[index[at]], rows)
+    assert not groupkit._find(distinct[:, 1:], keys[:, index[:1]])[1][0]
