@@ -16,6 +16,9 @@ import numpy as np
 from . import gamekit, numerics
 from .records import Record
 
+# Largest Frobenius defect an operator solution may show and still verify.
+SOLUTION_TOL = 1e-10
+
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -85,8 +88,8 @@ class SolutionReport(Record):
                     or self.product_defects)
 
 
-def verify_operator_solution(lcs: BinaryLCS, sol: OperatorSolution,
-                             tol: float = 1e-10) -> SolutionReport:
+def verify_operator_solution(lcs: BinaryLCS,
+                             sol: OperatorSolution) -> SolutionReport:
     """Check binary observables, within-constraint commutation, and the
     signed products; every defect is reported, none raises."""
     if len(sol.observables) != lcs.variable_count:
@@ -96,7 +99,7 @@ def verify_operator_solution(lcs: BinaryLCS, sol: OperatorSolution,
     for j, M in enumerate(sol.observables):
         defect = max(numerics.frob(M - numerics.adjoint(M)),
                      numerics.frob(M @ M - eye))
-        if defect > tol:
+        if defect > SOLUTION_TOL:
             obs_defects.append((j, defect))
     comm_defects = []
     prod_defects = []
@@ -104,13 +107,13 @@ def verify_operator_solution(lcs: BinaryLCS, sol: OperatorSolution,
         for a, b in itertools.combinations(variables, 2):
             Ma, Mb = sol.observables[a], sol.observables[b]
             defect = numerics.frob(Ma @ Mb - Mb @ Ma)
-            if defect > tol:
+            if defect > SOLUTION_TOL:
                 comm_defects.append((i, a, b, defect))
         prod = eye
         for v in variables:
             prod = prod @ sol.observables[v]
         defect = numerics.frob(prod - sign * eye)
-        if defect > tol:
+        if defect > SOLUTION_TOL:
             prod_defects.append((i, defect))
     return SolutionReport(tuple(obs_defects), tuple(comm_defects),
                           tuple(prod_defects))
@@ -219,8 +222,7 @@ def maximally_entangled(dim: int) -> np.ndarray:
     return (np.eye(dim, dtype=np.complex128) / np.sqrt(dim)).reshape(-1)
 
 
-def solution_to_strategy(lcs: BinaryLCS, sol: OperatorSolution,
-                         tol: float = 1e-10
+def solution_to_strategy(lcs: BinaryLCS, sol: OperatorSolution
                          ) -> Tuple[LCSStrategy, float]:
     """Build the perfect strategy of a verified solution and return it with
     its winning probability.
@@ -230,7 +232,7 @@ def solution_to_strategy(lcs: BinaryLCS, sol: OperatorSolution,
     violating the sign get the zero projector, so the satisfying ones
     resolve the identity.
     """
-    report = verify_operator_solution(lcs, sol, tol)
+    report = verify_operator_solution(lcs, sol)
     if not report.clean:
         raise ValueError(f"operator solution fails verification: {report}")
     d = sol.dim

@@ -16,6 +16,9 @@ import numpy as np
 from . import biaskit, gamekit, ncpoly, numerics, strategykit
 from .records import Record
 
+# Largest Frobenius distance of a strategy's moment matrix from its adjoint.
+MOMENT_HERMITIAN_TOL = 1e-8
+
 # ---------------------------------------------------------------------------
 # Words
 # ---------------------------------------------------------------------------
@@ -92,7 +95,6 @@ class MomentProblem(Record):
     level: int
     words: List[ncpoly.Word]
     class_keys: List[ncpoly.Word]
-    moment_index: Dict[ncpoly.Word, Tuple[int, bool]]
     objective: Dict[int, complex]
     cell_class: np.ndarray
     cell_conj: np.ndarray
@@ -116,56 +118,40 @@ def _sized(name: str, value) -> str:
     return f"{name}=<{len(value)}>"
 
 
-def _moment_class(w: ncpoly.Word, n: int) -> Tuple[ncpoly.Word, bool]:
-    """Canonical representative of {w, w^*} plus a flag marking whether w is
-    the conjugated member."""
-    wa = ncpoly.word_adjoint(w, n)
-    key = min(w, wa)
-    return key, (key != w)
-
-
 def build_moment_problem(p: gamekit.ModNGameParams,
                          level: int) -> MomentProblem:
     """Index the moment matrix M[u, v] = y(reduce(u^* v)) and map the bias
-    polynomial onto moment variables."""
+    polynomial onto moment variables. Cell (c, r) holds the adjoint of cell
+    (r, c)'s word, so only r <= c is reduced; each class {w, w^*} first
+    appears on or above the diagonal and keeps its row-major number."""
     n = p.n
     words = generate_words(n, level)
-    index: Dict[ncpoly.Word, Tuple[int, bool]] = {}
-    class_keys: List[ncpoly.Word] = []
-    key_to_id: Dict[ncpoly.Word, int] = {}
-
-    def register(w: ncpoly.Word) -> Tuple[int, bool]:
-        if w in index:
-            return index[w]
-        key, conj = _moment_class(w, n)
-        if key not in key_to_id:
-            key_to_id[key] = len(class_keys)
-            class_keys.append(key)
-        for member, flag in ((key, False),
-                             (ncpoly.word_adjoint(key, n), True)):
-            if member not in index:
-                index[member] = (key_to_id[key], flag and member != key)
-        return index[w]
-
-    cell_class = np.empty((len(words), len(words)), dtype=np.int64)
-    cell_conj = np.empty((len(words), len(words)), dtype=bool)
+    N = len(words)
+    ids: Dict[ncpoly.Word, int] = {}
+    cell_class = np.empty((N, N), dtype=np.int64)
+    cell_conj = np.empty((N, N), dtype=bool)
     for r, u in enumerate(words):
         ua = ncpoly.word_adjoint(u, n)
-        for c, v in enumerate(words):
-            cell_class[r, c], cell_conj[r, c] = register(
-                ncpoly.canonical_word(ua + v, n))
+        for c in range(r, N):
+            w = ncpoly.canonical_word(ua + words[c], n)
+            wa = ncpoly.word_adjoint(w, n)
+            key = min(w, wa)
+            cid = ids.setdefault(key, len(ids))
+            cell_class[r, c] = cell_class[c, r] = cid
+            cell_conj[r, c] = key != w
+            cell_conj[c, r] = key != wa
 
     objective: Dict[int, complex] = {}
     for w, coeff in biaskit.bias_polynomial(p).terms.items():
-        if w not in index:
-            raise RuntimeError(f"bias word {w} missing from moment index")
-        cid, conj = index[w]
-        c = np.conj(coeff) if conj else coeff
+        key = min(w, ncpoly.word_adjoint(w, n))
+        if key not in ids:
+            raise RuntimeError(f"no moment-matrix cell holds bias word {w}")
+        cid = ids[key]
+        c = coeff if key == w else np.conj(coeff)
         objective[cid] = objective.get(cid, 0.0) + c
     return MomentProblem(n=n, level=level, words=words,
-                         class_keys=class_keys, moment_index=index,
-                         objective=objective, cell_class=cell_class,
-                         cell_conj=cell_conj)
+                         class_keys=list(ids), objective=objective,
+                         cell_class=cell_class, cell_conj=cell_conj)
 
 
 def strategy_moments(mp: MomentProblem,
@@ -198,14 +184,14 @@ def objective_value(mp: MomentProblem,
     return float(np.real(total))
 
 
-def strategy_feasibility(mp: MomentProblem, s: strategykit.Strategy,
-                         tol: float = 1e-8) -> Tuple[float, float]:
+def strategy_feasibility(mp: MomentProblem,
+                         s: strategykit.Strategy) -> Tuple[float, float]:
     """(min eigenvalue of the strategy's moment matrix, objective value);
     a genuine strategy always yields a feasible (PSD) matrix."""
     moments = strategy_moments(mp, s)
     M = moment_matrix(mp, moments)
     herm_defect = float(np.linalg.norm(M - M.conj().T))
-    if herm_defect > tol:
+    if herm_defect > MOMENT_HERMITIAN_TOL:
         raise RuntimeError(f"moment matrix Hermitian defect {herm_defect}")
     eigs = np.linalg.eigvalsh((M + M.conj().T) / 2)
     return float(eigs[0]), objective_value(mp, moments)
@@ -284,8 +270,8 @@ def sdpa_from_moment_problem(mp: MomentProblem) -> SDPAProblem:
                 entries[(im, 1, r + 1, N + c + 1)] = 1.0 if conj else -1.0
 
     # Normalization block: x_e - 1 >= 0 and 1 - x_e >= 0.
-    empty_id = mp.moment_index[()][0]
-    e_var = var_pos[(empty_id, "re")]
+    # generate_words puts the empty word first.
+    e_var = var_pos[(int(mp.cell_class[0, 0]), "re")]
     entries[(e_var, 2, 1, 1)] = 1.0
     entries[(e_var, 2, 2, 2)] = -1.0
     entries[(0, 2, 1, 1)] = 1.0
@@ -298,6 +284,9 @@ def sdpa_from_moment_problem(mp: MomentProblem) -> SDPAProblem:
         objective[var_pos[(cid, "re")] - 1] -= float(np.real(c))
         if (cid, "im") in var_pos:
             objective[var_pos[(cid, "im")] - 1] += float(np.imag(c))
+    # Each coefficient as the file writes it (12 digits format back to the
+    # same text), so parsing the rendered file returns an equal problem.
+    objective = [float(f"{c:.12g}") for c in objective]
     return SDPAProblem(nvars=nvars, block_sizes=[2 * N, -2],
                        objective=objective, entries=entries)
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .records import Record
 
-DEFAULT_TOL = 1e-9
+# Largest Hermitian defect hermitian_eig accepts, relative to max(||M||_F, 1).
+HERMITIAN_TOL = 1e-9
 
 
 def _twister(seed: int) -> random.Random:
@@ -118,13 +119,13 @@ def require_finite(M: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} has non-finite entries")
 
 
-def require_hermitian(M: np.ndarray, tol: float, name: str = "matrix") -> None:
+def require_hermitian(M: np.ndarray, name: str = "matrix") -> None:
     defect = hermitian_defect(M)
     scale = max(frob(M), 1.0)
-    if defect > tol * scale:
+    if defect > HERMITIAN_TOL * scale:
         raise ValueError(
             f"{name} is not Hermitian: defect norm {defect:.3e} "
-            f"exceeds {tol:.1e} * {scale:.3e}"
+            f"exceeds {HERMITIAN_TOL:.1e} * {scale:.3e}"
         )
 
 
@@ -135,16 +136,17 @@ class HermitianEig(Record):
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(M: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianEig:
+def hermitian_eig(M: np.ndarray) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix (LAPACK via numpy.linalg.eigh).
 
-    The input must be square, finite and Hermitian to within tol * ||M||_F.
+    The input must be square, finite and Hermitian to within
+    HERMITIAN_TOL * max(||M||_F, 1).
     Eigenvalues are returned ascending; eigenvectors are the matching
     columns of a unitary matrix.
     """
     require_square(M, "hermitian_eig input")
     require_finite(M, "hermitian_eig input")
-    require_hermitian(M, tol, "hermitian_eig input")
+    require_hermitian(M, "hermitian_eig input")
     w, V = np.linalg.eigh(np.asarray(M, dtype=np.complex128))
     return HermitianEig(eigenvalues=w, eigenvectors=V)
 

@@ -17,6 +17,8 @@ from . import gamekit, groupkit, monomial, ncpoly, numerics
 from .records import Record
 
 SCHMIDT_RANK_THRESHOLD = 1e-9
+# Largest Frobenius defect of U U* = I or U^n = I in an order-n observable.
+ORDER_TOL = 1e-8
 # Largest set of projectors the CLI's direct strategy value builds: 64 MiB
 # of complex128, so n <= 101 for the canonical strategy (1.9 s and 108 MB
 # peak RSS at n = 101, one BLAS thread on a 2-core Xeon).
@@ -44,7 +46,7 @@ class Strategy(Record):
         object.__setattr__(
             self, "state", np.asarray(self.state, dtype=np.complex128))
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         n = self.order
         for dim, obs in ((self.dimA, self.alice_obs),
                          (self.dimB, self.bob_obs)):
@@ -52,9 +54,10 @@ class Strategy(Record):
                 if U.shape != (dim, dim):
                     raise ValueError(f"observable shape {U.shape} != {dim}")
                 eye = np.eye(dim)
-                if numerics.frob(U @ numerics.adjoint(U) - eye) > tol:
+                if numerics.frob(U @ numerics.adjoint(U) - eye) > ORDER_TOL:
                     raise ValueError("observable is not unitary")
-                if numerics.frob(np.linalg.matrix_power(U, n) - eye) > tol:
+                if (numerics.frob(np.linalg.matrix_power(U, n) - eye)
+                        > ORDER_TOL):
                     raise ValueError(f"observable is not of order {n}")
         if self.state.shape != (self.dimA * self.dimB,):
             raise ValueError("state dimension mismatch")
@@ -104,12 +107,11 @@ def canonical_value_formula(n: int) -> float:
     return 0.5 + 1.0 / (2 * n * math.sin(math.pi / (2 * n)))
 
 
-def observable_to_pvm(U: np.ndarray, n: int,
-                      tol: float = 1e-8) -> List[np.ndarray]:
+def observable_to_pvm(U: np.ndarray, n: int) -> List[np.ndarray]:
     """Spectral projectors E_i = (1/n) sum_k (omega^{-i} U)^k of an order-n
     observable; they satisfy sum_i omega^i E_i = U."""
     dim = U.shape[0]
-    if numerics.frob(np.linalg.matrix_power(U, n) - np.eye(dim)) > tol:
+    if numerics.frob(np.linalg.matrix_power(U, n) - np.eye(dim)) > ORDER_TOL:
         raise ValueError(f"input is not an order-{n} observable")
     omega = np.exp(2j * np.pi / n)
     powers = [np.linalg.matrix_power(U, k) for k in range(n)]
@@ -126,8 +128,7 @@ def projector_bytes(n: int) -> int:
     return 64 * n ** 3
 
 
-def strategy_value_direct(g: gamekit.GameSpec, s: Strategy,
-                          tol: float = 1e-8) -> float:
+def strategy_value_direct(g: gamekit.GameSpec, s: Strategy) -> float:
     """Winning probability as the explicit measurement sum
     sum_{ijab} pi(i,j) V(i,j,a,b) <psi| E_{i,a} (x) F_{j,b} |psi>."""
     if len(s.alice_obs) != g.nA or len(s.bob_obs) != g.nB:
@@ -135,8 +136,8 @@ def strategy_value_direct(g: gamekit.GameSpec, s: Strategy,
     if g.mA != s.order or g.mB != s.order:
         raise ValueError("answer counts must equal the observable order")
     psi = s.state.reshape(s.dimA, s.dimB)
-    alice_pvms = [observable_to_pvm(U, s.order, tol) for U in s.alice_obs]
-    bob_pvms = [observable_to_pvm(U, s.order, tol) for U in s.bob_obs]
+    alice_pvms = [observable_to_pvm(U, s.order) for U in s.alice_obs]
+    bob_pvms = [observable_to_pvm(U, s.order) for U in s.bob_obs]
     value = 0.0
     for i in range(g.nA):
         for j in range(g.nB):

@@ -10,7 +10,7 @@ import sys
 import time
 
 import pytest
-from test_npakit import SDPA_N3_SHA256
+from test_npakit import SDPA_SHA256
 
 import znlcs
 import znlcs.cli
@@ -64,6 +64,28 @@ def test_npa_export_writes_file(capsys, tmp_path):
                        "--out", str(out))
     assert code == 0
     assert out.exists()
+
+
+def test_npa_export_fails_when_the_file_loses_entries(capsys, tmp_path,
+                                                    monkeypatch):
+    # A writer that drops every -1 entry writes a file whose own render
+    # round-trips; the command must compare the parse with the problem.
+    from znlcs import npakit
+    render = npakit.SDPAProblem.render
+
+    def lossy(self):
+        return "".join(ln for ln in render(self).splitlines(keepends=True)
+                       if not ln.endswith(" -1\n"))
+
+    monkeypatch.setattr(npakit.SDPAProblem, "render", lossy)
+    out = tmp_path / "g2.dat-s"
+    code, report = run(capsys, "npa", "export", "--n", "2", "--out",
+                       str(out))
+    assert " -1\n" not in out.read_text()
+    by_name = {r["name"]: r for r in report["results"]}
+    assert by_name["round_trip_exact"]["value"] == 0
+    assert report["pass"] is False
+    assert code == 1
 
 
 def test_entropy_csv_schema(capsys, tmp_path):
@@ -406,7 +428,7 @@ def test_process_exit_keeps_every_output(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
     assert hashlib.sha256(sdpa.read_bytes()).hexdigest() == \
-        SDPA_N3_SHA256[2]
+        SDPA_SHA256[3, 2]
 
     table = tmp_path / "entropy.csv"
     proc = run_process("-m", "znlcs.cli", "strategy", "entropy",

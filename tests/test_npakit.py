@@ -85,7 +85,7 @@ def test_sdpa_round_trip(tmp_path):
         path = tmp_path / f"g{n}_l{level}.dat-s"
         prob = export_sdpa(mp, str(path))
         again = parse_sdpa(path.read_text())
-        assert again.render() == prob.render()
+        assert again == prob
         assert again.block_sizes[0] == 2 * mp.size
         assert again.block_sizes[1] == -2
 
@@ -147,23 +147,27 @@ def test_sdpa_header_structure(tmp_path):
     assert len(data[3].split()) == nvars
 
 
-# SHA-256 of the whole export file of `npa export --n 3 --level L`. The
-# constraint lines are those of the exporter that embedded one dense
-# coefficient matrix per variable; the objective line holds minus the bias,
-# and the header says so.
-SDPA_N3_SHA256 = {
-    1: "a7ad2844da7656240c9fb8d5841678fd177615be346807a78d9dd0ca99972af8",
-    2: "26b7af227951cede7b785289d886a2b737fffac754fb97ac227d7a09e8371fee",
+# SHA-256 of the whole export file of `npa export --n N --level L`, keyed
+# (N, L). The constraint lines are those of the exporter that embedded one
+# dense coefficient matrix per variable; the objective line holds minus the
+# bias, and the header says so. The pins at n = 2, 4 and 5 hold the class
+# numbering at sizes the n = 3 pins do not reach.
+SDPA_SHA256 = {
+    (3, 1): "a7ad2844da7656240c9fb8d5841678fd177615be346807a78d9dd0ca99972af8",
+    (3, 2): "26b7af227951cede7b785289d886a2b737fffac754fb97ac227d7a09e8371fee",
+    (2, 2): "19bb2bde70540f8736b910ffc05937bef46e0eab11245c7bd1541a2f1a437679",
+    (4, 2): "0650e58e00bc75e50a01aab7417e34e51f39c5f0bfa061d1cc897e354ff3cffc",
+    (5, 2): "51153773e0d90cddbba1214ea5dada18e22a10a0ea80d1b2f53bddc9fad6f64a",
 }
 
 
-@pytest.mark.parametrize("level", [1, 2])
-def test_sdpa_export_bytes_pinned(tmp_path, level):
-    mp = build_moment_problem(ModNGameParams(3, 0, 1), level)
-    path = tmp_path / "g3.dat-s"
+@pytest.mark.parametrize("n,level", sorted(SDPA_SHA256))
+def test_sdpa_export_bytes_pinned(tmp_path, n, level):
+    mp = build_moment_problem(ModNGameParams(n, 0, 1), level)
+    path = tmp_path / f"g{n}.dat-s"
     export_sdpa(mp, str(path))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == SDPA_N3_SHA256[level]
+    assert digest == SDPA_SHA256[n, level]
 
 
 @pytest.mark.parametrize("n,level,bias", [(2, 1, 2 * np.sqrt(2)),
@@ -188,14 +192,18 @@ def test_sdpa_objective_is_minus_the_bias(tmp_path, n, level, bias):
     assert "-0" not in objective_line.split()
 
 
-@pytest.mark.parametrize("n,level", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("n,level", [(2, 2), (3, 1), (4, 2)])
 def test_cell_table_matches_word_reduction(n, level):
+    # Every cell, above and below the diagonal, against its own reduction:
+    # its class key is the lesser of the word and its adjoint, and the cell
+    # is conjugated exactly when that key is not its word.
     mp = build_moment_problem(ModNGameParams(n, 0, 1), level)
     for r, u in enumerate(mp.words):
         for c, v in enumerate(mp.words):
             w = canonical_word(word_adjoint(u, n) + v, n)
-            assert (mp.cell_class[r, c], mp.cell_conj[r, c]) == \
-                mp.moment_index[w]
+            key = min(w, word_adjoint(w, n))
+            assert mp.class_keys[mp.cell_class[r, c]] == key
+            assert mp.cell_conj[r, c] == (key != w)
 
 
 def test_reprs_name_sizes_not_contents():
@@ -204,8 +212,7 @@ def test_reprs_name_sizes_not_contents():
     prob = sdpa_from_moment_problem(mp)
     assert repr(mp) == (
         "MomentProblem(n=6, level=2, words=<221>, class_keys=<5895>, "
-        "moment_index=<11721>, objective=<12>, cell_class=<221x221>, "
-        "cell_conj=<221x221>)")
+        "objective=<12>, cell_class=<221x221>, cell_conj=<221x221>)")
     assert repr(prob) == (
         "SDPAProblem(nvars=11721, block_sizes=[442, -2], "
         "objective=<11721>, entries=<96878>)")

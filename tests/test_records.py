@@ -25,8 +25,8 @@ EYE1 = np.eye(1, dtype=np.complex128)
 def _moment_problem_fields():
     mp = build_moment_problem(ModNGameParams(2, 0, 1), 1)
     return {name: getattr(mp, name) for name in (
-        "n", "level", "words", "class_keys", "moment_index", "objective",
-        "cell_class", "cell_conj")}
+        "n", "level", "words", "class_keys", "objective", "cell_class",
+        "cell_conj")}
 
 
 def _strategy_fields():
