@@ -1,15 +1,17 @@
-"""Binary linear-constraint-system games: operator solutions, perfect
-strategies, solution groups, and the glued-magic-square non-rigidity data.
+"""Binary linear-constraint-system games: operator solutions, the perfect
+strategies they give, and the glued-magic-square non-rigidity witness.
 
 Constraints are multiplicative: the +/-1 observables assigned to the listed
 variables must multiply to the constraint's sign. The magic square and its
-glued double are shipped with their known operator solutions.
+glued double are shipped with their known operator solutions, which
+``verify_operator_solution`` checks (reporting every defect) and
+``solution_to_strategy`` turns into a perfect strategy with its value.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -151,22 +153,19 @@ GLUED_REFLECTION = {9: 2, 10: 1, 11: 0, 12: 5, 13: 4, 14: 3,
                     15: 8, 16: 7, 17: 6}
 
 
-def glued_magic_square(mapping: str = "reflected"
-                       ) -> Tuple[BinaryLCS, OperatorSolution,
+def glued_magic_square() -> Tuple[BinaryLCS, OperatorSolution,
                                   OperatorSolution]:
     """Two magic squares sharing a single six-variable -1 constraint.
 
     Returns (system, E, F). F solves it in dimension 4 by playing the
     square solution on variables 0..8 and the identity on the second
     square. E is the dimension-8 block solution diag(I, A) on the first
-    square and diag(A', I) on the second; ``mapping`` selects how second-
-    square variables pick their block: "reflected" mirrors each row
-    (the assignment under which every constraint holds) while "literal"
-    uses the same position in the first square, which breaks the shared
-    constraint (its product is diag(I, -I)).
+    square and diag(A', I) on the second, where second-square variable i
+    plays the square observable ``GLUED_REFLECTION[i]``: each row is
+    mirrored, so every constraint holds (the same position in the first
+    square would break the shared constraint: its product would be
+    diag(I, -I)).
     """
-    if mapping not in ("reflected", "literal"):
-        raise ValueError("mapping must be 'reflected' or 'literal'")
     lcs = BinaryLCS(variable_count=18, constraints=(
         ((0, 1, 2), 1), ((3, 4, 5), 1), ((6, 7, 8), 1),
         ((0, 3, 6), 1), ((1, 4, 7), 1),
@@ -182,9 +181,9 @@ def glued_magic_square(mapping: str = "reflected"
         e_obs.append(np.block([
             [eye4, np.zeros((4, 4))], [np.zeros((4, 4)), A[i]]]))
     for i in range(9, 18):
-        src = GLUED_REFLECTION[i] if mapping == "reflected" else i - 9
         e_obs.append(np.block([
-            [A[src], np.zeros((4, 4))], [np.zeros((4, 4)), eye4]]))
+            [A[GLUED_REFLECTION[i]], np.zeros((4, 4))],
+            [np.zeros((4, 4)), eye4]]))
     return (lcs, OperatorSolution(dim=8, observables=tuple(e_obs)),
             OperatorSolution(dim=4, observables=tuple(f_obs)))
 
@@ -273,75 +272,6 @@ def lcs_strategy_value(lcs: BinaryLCS, strat: LCSStrategy) -> float:
     return value / len(pairs)
 
 
-def alice_constraint_observable(strat: LCSStrategy, lcs: BinaryLCS,
-                                i: int, j: int) -> np.ndarray:
-    """Alice's effective observable for variable j within constraint i:
-    sum over her outcomes of the pattern sign at j times the projector."""
-    variables, _ = lcs.constraints[i]
-    pos = variables.index(j)
-    out = np.zeros((strat.dim, strat.dim), dtype=np.complex128)
-    for pattern, E in zip(lcs.satisfying_signs(i), strat.alice_projectors[i]):
-        out += pattern[pos] * E
-    return out
-
-
-def perfect_conditions_residual(lcs: BinaryLCS,
-                                strat: LCSStrategy) -> Tuple[float, float]:
-    """(consistency, constraint) residuals of the perfect-strategy
-    conditions: Bob's observable agrees with Alice's effective observable on
-    the state, and Alice's projectors resolve the identity."""
-    psi = strat.state.reshape(strat.dim, strat.dim)
-    worst_match = 0.0
-    worst_complete = 0.0
-    for i, (variables, _) in enumerate(lcs.constraints):
-        total = sum(strat.alice_projectors[i], np.zeros_like(psi))
-        worst_complete = max(worst_complete, float(np.linalg.norm(
-            total @ psi - psi)))
-        for j in variables:
-            Aij = alice_constraint_observable(strat, lcs, i, j)
-            B = strat.bob_observables[j]
-            worst_match = max(worst_match, float(np.linalg.norm(
-                psi @ B.T - Aij @ psi)))
-    return worst_match, worst_complete
-
-
-def winning_identity_residual(lcs: BinaryLCS, strat: LCSStrategy,
-                              sol: OperatorSolution) -> float:
-    """Residual of the algebraic identity expressing the losing probability
-    on a question pair as a sum of three squares.
-
-    For constraint i and variable j in it, with A = Alice's effective
-    observable, P = sign * product of her effective observables along the
-    constraint, and B = Bob's observable on the other factor:
-    I - sum_x E_{i,x} (x) F_{x_j} =
-    (1/8) [ (I - BA)^2 + (I - P)^2 + (I - P A B)^2 ].
-    """
-    d = strat.dim
-    eye2 = np.eye(d * d)
-    worst = 0.0
-    for i, (variables, sign) in enumerate(lcs.constraints):
-        prodA = sign * np.eye(d, dtype=np.complex128)
-        for v in variables:
-            prodA = prodA @ alice_constraint_observable(strat, lcs, i, v)
-        for j in variables:
-            pos = variables.index(j)
-            Aij = alice_constraint_observable(strat, lcs, i, j)
-            B = strat.bob_observables[j]
-            win = np.zeros((d * d, d * d), dtype=np.complex128)
-            for pattern, E in zip(lcs.satisfying_signs(i),
-                                  strat.alice_projectors[i]):
-                Fb = (np.eye(d) + pattern[pos] * B) / 2
-                win += np.kron(E, Fb)
-            BA = np.kron(Aij, B)
-            P = np.kron(prodA, np.eye(d))
-            terms = ((eye2 - BA) @ (eye2 - BA)
-                     + (eye2 - P) @ (eye2 - P)
-                     + (eye2 - P @ BA) @ (eye2 - P @ BA))
-            worst = max(worst, float(np.linalg.norm(
-                (eye2 - win) - terms / 8.0)))
-    return worst
-
-
 def nonrigidity_witness() -> Tuple[float, float, float]:
     """(inner product, trace, anticommutator norm) distinguishing the two
     glued solutions: <psi|(E5 E1 (x) I)|psi> = 1/2 and Tr(E1 E5) = 4, while
@@ -354,53 +284,3 @@ def nonrigidity_witness() -> Tuple[float, float, float]:
     trace = float(np.real(np.trace(e1 @ e5)))
     anticomm = numerics.frob(f1 @ f5 + f5 @ f1)
     return inner, trace, anticomm
-
-
-# ---------------------------------------------------------------------------
-# Solution groups
-# ---------------------------------------------------------------------------
-
-class SolutionGroupPresentation(Record):
-    """Generators g_1..g_s and the central sign J with the four relator
-    families of the solution group."""
-
-    generators: Tuple[str, ...]
-    relators: Tuple[Tuple[str, ...], ...]
-
-
-def solution_group(lcs: BinaryLCS) -> SolutionGroupPresentation:
-    s = lcs.variable_count
-    gens = tuple(f"g{j}" for j in range(s)) + ("J",)
-    relators: List[Tuple[str, ...]] = []
-    for j in range(s):
-        relators.append((f"g{j}", f"g{j}"))
-    relators.append(("J", "J"))
-    for j in range(s):
-        relators.append((f"g{j}", "J", f"g{j}", "J"))
-    for variables, _ in lcs.constraints:
-        for a, b in itertools.combinations(variables, 2):
-            relators.append((f"g{a}", f"g{b}", f"g{a}", f"g{b}"))
-    for variables, sign in lcs.constraints:
-        word = tuple(f"g{v}" for v in variables)
-        if sign == -1:
-            word = word + ("J",)
-        relators.append(word)
-    return SolutionGroupPresentation(generators=gens,
-                                     relators=tuple(relators))
-
-
-def solution_group_defect(lcs: BinaryLCS, sol: OperatorSolution) -> float:
-    """Max relator defect when g_j maps to the solution observable and J to
-    -I (every relator should evaluate to the identity)."""
-    pres = solution_group(lcs)
-    images: Dict[str, np.ndarray] = {"J": -np.eye(sol.dim)}
-    for j, M in enumerate(sol.observables):
-        images[f"g{j}"] = M
-    eye = np.eye(sol.dim)
-    worst = 0.0
-    for rel in pres.relators:
-        M = eye
-        for name in rel:
-            M = M @ images[name]
-        worst = max(worst, numerics.frob(M - eye))
-    return worst

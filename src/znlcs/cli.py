@@ -169,13 +169,13 @@ def cmd_group_enumerate(args, rep: Report) -> None:
     rows = groupkit.enumerate_group(list(groupkit.alice_generators(args.n)))
     rep.result("group_order", len(rows), tolerance=0.0,
                target=groupkit.group_order(args.n))
-    failures = groupkit.verify_presentation(args.n, "A")
+    failures = groupkit.verify_presentation(args.n)
     rep.result("failed_relators", len(failures), tolerance=0.0, target=0)
 
 
 def cmd_group_normal_form(args, rep: Report) -> None:
-    pairs = groupkit.normal_form_enumerate(args.n)
-    rep.result("distinct_normal_forms", len(pairs), tolerance=0.0,
+    rows = groupkit.normal_form_enumerate(args.n)
+    rep.result("distinct_normal_forms", len(rows), tolerance=0.0,
                target=groupkit.group_order(args.n))
 
 
@@ -255,17 +255,17 @@ def _classical_check(args) -> Optional[str]:
                     f"got {value}")
     # The mod-n game: two questions a player, n answers each.
     work = gamekit.classical_work(2, 2, args.n, args.n)
-    if work > gamekit.CLASSICAL_BUDGET_DEFAULT:
+    if work > gamekit.CLASSICAL_BUDGET:
         return (f"argument --n: the classical search needs ~{work:.2e} "
                 f"payoff evaluations, over the budget of "
-                f"{gamekit.CLASSICAL_BUDGET_DEFAULT:.0e}, got {args.n}")
+                f"{gamekit.CLASSICAL_BUDGET:.0e}, got {args.n}")
     return None
 
 
 def _group_order_check(args) -> Optional[str]:
     if groupkit.group_order_exceeds_cap(args.n):
         return (f"argument --n: the group of order n^2 2^(n-1) exceeds "
-                f"the enumeration cap {groupkit.ENUMERATION_CAP_DEFAULT} "
+                f"the enumeration cap {groupkit.ENUMERATION_CAP} "
                 f"elements, got {args.n}")
     return None
 

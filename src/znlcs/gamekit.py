@@ -14,7 +14,8 @@ import numpy as np
 
 from .records import Record
 
-CLASSICAL_BUDGET_DEFAULT = 10**8
+# Most payoff evaluations a classical-value search may make.
+CLASSICAL_BUDGET = 10**8
 
 
 class GameSpec(Record):
@@ -198,9 +199,7 @@ def classical_work(nA: int, nB: int, mA: int, mB: int) -> int:
     return count_A * nA * nB * mB
 
 
-def classical_value(g: GameSpec,
-                    budget: int = CLASSICAL_BUDGET_DEFAULT
-                    ) -> Tuple[float, int]:
+def classical_value(g: GameSpec) -> Tuple[float, int]:
     """Exact classical value by exhaustive search over deterministic pairs.
 
     Deterministic strategies suffice: the value is linear in each player's
@@ -210,14 +209,15 @@ def classical_value(g: GameSpec,
     questions), which also yields the exact count of optimal pairs.
 
     Returns (value, count of maximizing deterministic pairs). Raises before
-    any search if ``classical_work`` exceeds ``budget``.
+    any search if ``classical_work`` exceeds CLASSICAL_BUDGET.
     """
     count_A, count_B = g.mA ** g.nA, g.mB ** g.nB
     work = classical_work(g.nA, g.nB, g.mA, g.mB)
-    if work > budget:
+    if work > CLASSICAL_BUDGET:
         raise ValueError(
             f"classical_value search needs ~{work:.2e} payoff evaluations "
-            f"(space {count_A} x {count_B}), over the budget of {budget:.2e}")
+            f"(space {count_A} x {count_B}), over the budget of "
+            f"{CLASSICAL_BUDGET:.2e}")
     W = g.distribution[:, :, None, None] * g.predicate
     if count_B > count_A:
         # Swap roles so the kernel always enumerates the second player.

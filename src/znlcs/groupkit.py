@@ -1,40 +1,45 @@
 """Exact enumeration of the monomial-unitary groups behind the mod-n games.
 
 Every element is a monomial unitary, stored exactly as a cyclic shift plus
-phase exponents mod 4n (see ``monomial``), so group closure, orders, and
-relator checks involve no floating point at all.
+phase exponents mod 4n (see ``monomial``), so group closure, normal forms
+and relator checks involve no floating point at all.
 
 ``monomial`` owns single elements: ``MonomialUnitary`` and the canonical
-generators, which this module re-exports. This module owns batches: m
-elements of dimension n are one unsigned integer array ``rows[m, n + 1]``
-whose column 0 holds the shifts (mod n) and columns 1..n the phases
-(mod 4n), i.e. ``rows[:, 0]`` is shift[m] and ``rows[:, 1:]`` is
-phases[m, n]. The dtype (uint8 up to n = 32) holds the sum of two reduced
-entries, so a product with a fixed element is one gather, one add and one
-conditional subtract of the modulus. ``compose_steps`` is the only batched
-product: it multiplies rows by fixed right factors through their column
-maps (``step_columns``), and closure, normal forms and the multiplication
-table all use it. Closures, the normal-form check and the multiplication
-table compare rows through exact integer keys (``_keys``: one mixed-radix
-number per row, in as few uint64 words as hold it), which they sort,
-dedupe and search as arrays, with no Python object per row.
+generators. This module evaluates words and checks relators on single
+elements, and owns batches: m elements of dimension n are one unsigned
+integer array ``rows[m, n + 1]`` whose column 0 holds the shifts (mod n)
+and columns 1..n the phases (mod 4n), i.e. ``rows[:, 0]`` is shift[m] and
+``rows[:, 1:]`` is phases[m, n]. The dtype (uint8 up to n = 32) holds the
+sum of two reduced entries, so a product with a fixed element is one
+gather, one add and one conditional subtract of the modulus.
+``compose_steps`` is the only batched product: it multiplies rows by fixed
+right factors through their column maps (``step_columns``), and closure,
+normal forms and the multiplication table all use it. Closures, the
+normal-form check and the multiplication table compare rows through exact
+integer keys (``_keys``: one mixed-radix number per row, in as few uint64
+words as hold it), which they sort, dedupe and search as arrays, with no
+Python object per row. Closure (``enumerate_group``) and the normal forms
+(``normal_form_enumerate``) both return rows.
+
+The twelve irreducible representations of the n = 3 group are held as
+matrices and checked against the same relators, and against the ring
+relation that picks g1.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence as SequenceABC
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 # Names, not the module: the element type and generators are part of this
 # module's interface, and every function here uses them.
-from .monomial import (MonomialUnitary, alice_generators, bob_generators,
-                       scalar_j)
+from .monomial import MonomialUnitary, alice_generators, scalar_j
 from .records import Record
 
-ENUMERATION_CAP_DEFAULT = 10**6
+# Most elements a closure may hold, and most normal-form words evaluated.
+ENUMERATION_CAP = 10**6
 
 # Largest group whose m x m multiplication table is built.
 MULTIPLICATION_TABLE_MAX = 2048
@@ -66,11 +71,6 @@ def pack_rows(elements: Iterable[MonomialUnitary], n: int) -> np.ndarray:
         values.append((g.shift,) + g.phases)
     rows = np.array(values, dtype=_row_dtype(n))
     return rows.reshape(len(values), n + 1)
-
-
-def unpack_row(row: np.ndarray) -> MonomialUnitary:
-    shift, *phases = row.tolist()
-    return MonomialUnitary(len(phases), shift, tuple(phases))
 
 
 def _moduli(n: int, dtype: np.dtype) -> np.ndarray:
@@ -209,9 +209,9 @@ def group_order(n: int) -> int:
 
 
 def group_order_exceeds_cap(n: int) -> bool:
-    """Whether group_order(n) exceeds ENUMERATION_CAP_DEFAULT (decided
-    without forming 2^(n-1) for large n)."""
-    cap = ENUMERATION_CAP_DEFAULT
+    """Whether group_order(n) exceeds ENUMERATION_CAP (decided without
+    forming 2^(n-1) for large n)."""
+    cap = ENUMERATION_CAP
     return n > cap.bit_length() or group_order(n) > cap
 
 
@@ -262,8 +262,7 @@ def _next_layer(frontier: np.ndarray, cols: np.ndarray, steps: np.ndarray,
     return products[index[new]], keys[:, new]
 
 
-def enumerate_group(generators: Sequence[MonomialUnitary],
-                    cap: int = ENUMERATION_CAP_DEFAULT) -> np.ndarray:
+def enumerate_group(generators: Sequence[MonomialUnitary]) -> np.ndarray:
     """The generated group's rows, in breadth-first order from the
     identity, each layer in key order (the lexicographic order of the
     rows).
@@ -273,8 +272,8 @@ def enumerate_group(generators: Sequence[MonomialUnitary],
     That set is closed under inverses, so a product of layer d lies in
     layer d - 1, d or d + 1: the next layer is the distinct products whose
     keys (``_keys``, exact for every product of the generators) are not
-    among the sorted keys of the last two layers. The cap is checked once
-    per layer.
+    among the sorted keys of the last two layers. ENUMERATION_CAP is
+    checked once per layer.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -294,9 +293,10 @@ def enumerate_group(generators: Sequence[MonomialUnitary],
         previous, current = current, fresh
         layers.append(frontier)
         size += len(frontier)
-        if size > cap:
+        if size > ENUMERATION_CAP:
             raise RuntimeError(
-                f"enumeration cap {cap} exceeded ({size} elements so far)")
+                f"enumeration cap {ENUMERATION_CAP} exceeded "
+                f"({size} elements so far)")
     return np.concatenate(layers)
 
 
@@ -372,37 +372,20 @@ def alice_images(n: int) -> Dict[str, MonomialUnitary]:
     return {"P0": a0, "P1": a1, "J": scalar_j(n)}
 
 
-class NormalForms(SequenceABC):
-    """The (word, element) pairs of ``normal_form_enumerate`` in word
-    order. The elements are held as rows; each pair is built on access."""
-
-    def __init__(self, n: int, variant: str, rows: np.ndarray):
-        self.n = n
-        self.variant = variant
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index: int) -> Tuple[GroupWord, MonomialUnitary]:
-        row = self.rows[index]
-        word = _normal_form_word(self.n, self.variant, index % len(self))
-        return word, unpack_row(row)
-
-
-def normal_form_enumerate(n: int, variant: str = "standard") -> NormalForms:
-    """Evaluate every normal-form word on (A0, A1, z^4 I) and assert the
-    results are pairwise distinct (each word names a distinct element).
+def normal_form_enumerate(n: int, variant: str = "standard") -> np.ndarray:
+    """The rows of every normal-form word evaluated on (A0, A1, z^4 I), in
+    the order of ``normal_form_words(n, variant)``, checked pairwise
+    distinct (each word names a distinct element).
 
     The 2^(n-1) tails, products of the optional factors, are built as
     prefix products with one more factor per mask bit, and then
     left-multiplied by the n^2 heads J^i P0^j. A word count above
-    ENUMERATION_CAP_DEFAULT is refused before any of it.
+    ENUMERATION_CAP is refused before any of it.
     """
     if group_order_exceeds_cap(n):
         raise RuntimeError(
             f"{n}^2 * 2^{n - 1} normal forms exceed the enumeration cap "
-            f"{ENUMERATION_CAP_DEFAULT}")
+            f"{ENUMERATION_CAP}")
     _check_variant(n, variant)
     images = alice_images(n)
     tails = pack_rows([MonomialUnitary.identity(n)], n)
@@ -427,43 +410,29 @@ def normal_form_enumerate(n: int, variant: str = "standard") -> NormalForms:
             f"{_normal_form_word(n, variant, second)} and "
             f"{_normal_form_word(n, variant, first)} "
             f"evaluate to the same element")
-    return NormalForms(n, variant, rows)
+    return rows
 
 
-def presentation_relators(n: int, side: str = "A") -> List[GroupWord]:
-    """Relator words of the group presentation.
-
-    Alice side: P0^n, P1^n, J^n, [J, P0], [J, P1], J^i (P0^i P1^{-i})^2 for
-    i = 1..floor(n/2). Bob side replaces the last family with
-    J^i (P0^{-i} P1^{-i})^2 (the presentation of the group generated by
-    B0, B1 in the generators Q0 = P0, Q1 = P1 naming convention).
-    """
+def presentation_relators(n: int) -> List[GroupWord]:
+    """Relator words of the group presentation: P0^n, P1^n, J^n, [J, P0],
+    [J, P1] and J^i (P0^i P1^{-i})^2 for i = 1..floor(n/2)."""
     rels: List[GroupWord] = [
         (("P0", n),), (("P1", n),), (("J", n),),
         (("J", 1), ("P0", 1), ("J", -1), ("P0", -1)),
         (("J", 1), ("P1", 1), ("J", -1), ("P1", -1)),
     ]
     for i in range(1, n // 2 + 1):
-        if side == "A":
-            rels.append((("J", i), ("P0", i), ("P1", -i),
-                         ("P0", i), ("P1", -i)))
-        else:
-            rels.append((("J", i), ("P0", -i), ("P1", -i),
-                         ("P0", -i), ("P1", -i)))
+        rels.append((("J", i), ("P0", i), ("P1", -i), ("P0", i), ("P1", -i)))
     return rels
 
 
-def verify_presentation(n: int, side: str = "A") -> List[GroupWord]:
-    """Evaluate each relator exactly; returns the (ideally empty) list of
-    failing relators."""
-    if side == "A":
-        images = alice_images(n)
-    else:
-        b0, b1 = bob_generators(n)
-        images = {"P0": b0, "P1": b1, "J": scalar_j(n)}
+def verify_presentation(n: int) -> List[GroupWord]:
+    """Evaluate each relator exactly on (A0, A1, z^4 I); returns the
+    (ideally empty) list of failing relators."""
+    images = alice_images(n)
     identity = MonomialUnitary.identity(n)
     failures = []
-    for rel in presentation_relators(n, side):
+    for rel in presentation_relators(n):
         if evaluate_word(rel, images, n).key() != identity.key():
             failures.append(rel)
     return failures
@@ -478,10 +447,10 @@ class Irrep(Record):
     degree: int
     images: Dict[str, np.ndarray]
 
-    def relator_defect(self, n: int, side: str = "A") -> float:
+    def relator_defect(self) -> float:
         eye = np.eye(self.degree)
         worst = 0.0
-        for rel in presentation_relators(n, side):
+        for rel in presentation_relators(3):
             M = evaluate_word_matrix(rel, self.images)
             worst = max(worst, float(np.linalg.norm(M - eye)))
         return worst
@@ -512,15 +481,14 @@ def g3_irreps() -> List[Irrep]:
     return irreps
 
 
-def ring_relation_defect(rep: Irrep, n: int = 3) -> float:
-    """Norm of H_n + (n-2) I under the representation, where
-    H_n = omega * sum_i P0^i P1 P0^{n-1-i}."""
+def ring_relation_defect(rep: Irrep) -> float:
+    """Norm of H_3 + I under the representation, where
+    H_3 = omega * sum_i P0^i P1 P0^{2-i} and omega = e^{2 pi i / 3}."""
     P0, P1 = rep.images["P0"], rep.images["P1"]
-    w = np.exp(2j * np.pi / n)
     d = rep.degree
     H = np.zeros((d, d), dtype=complex)
-    for i in range(n):
+    for i in range(3):
         H += (np.linalg.matrix_power(P0, i) @ P1
-              @ np.linalg.matrix_power(P0, n - 1 - i))
-    H *= w
-    return float(np.linalg.norm(H + (n - 2) * np.eye(d)))
+              @ np.linalg.matrix_power(P0, 2 - i))
+    H *= np.exp(2j * np.pi / 3)
+    return float(np.linalg.norm(H + np.eye(d)))

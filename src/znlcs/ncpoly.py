@@ -42,8 +42,13 @@ def canonical_word(letters: Iterable[Letter], n: int) -> Word:
 
 
 def word_adjoint(w: Word, n: int) -> Word:
-    """The reduced word of w^*: letters reversed, exponents negated."""
-    return canonical_word([(p, i, -e) for p, i, e in reversed(w)], n)
+    """The reduced word of w^* for a reduced word w: each party's run
+    reversed, exponents negated mod n. A reversed run of a reduced word is
+    still reduced, so nothing merges."""
+    letters = [(p, i, -e % n) for p, i, e in reversed(w)]
+    # reversed(w) is Bob's run, then Alice's.
+    bob = sum(p == "B" for p, _, _ in w)
+    return tuple(letters[bob:] + letters[:bob])
 
 
 class NCPolynomial:

@@ -8,7 +8,6 @@ solving the SDP is left to external tools.
 
 from __future__ import annotations
 
-import io
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -299,10 +298,9 @@ def export_sdpa(mp: MomentProblem, destination: str) -> SDPAProblem:
 
 
 def parse_sdpa(text: str) -> SDPAProblem:
-    """The SDPA problem written in ``text`` (a ``.dat-s`` file's content),
-    read one line at a time."""
-    lines = (ln.rstrip("\n") for ln in io.StringIO(text))
-    body = (ln for ln in lines if ln and not ln.startswith("*"))
+    """The SDPA problem written in ``text`` (a ``.dat-s`` file's content).
+    Comment lines (``*``) and blank lines are skipped."""
+    body = (ln for ln in text.splitlines() if ln and not ln.startswith("*"))
 
     def header(name: str) -> str:
         line = next(body, None)

@@ -203,7 +203,7 @@ def psi_representation_residuals(s: Strategy) -> Tuple[float, float]:
     n = s.order
     variant = "alt" if n == 3 else "standard"
     table = groupkit.multiplication_table(
-        groupkit.normal_form_enumerate(n, variant).rows)
+        groupkit.normal_form_enumerate(n, variant))
     words = groupkit.normal_form_words(n, variant)
     omega = np.exp(2j * np.pi / n)
     psi = s.state.reshape(s.dimA, s.dimB)

@@ -1,15 +1,138 @@
+import itertools
+from typing import Dict, List, Tuple
+
 import numpy as np
 import pytest
+from test_acceptance import literal_glued_solution
 
-from znlcs.bcskit import (OperatorSolution, glue_product,
-                          glued_magic_square, lcs_strategy_value,
-                          magic_square, magic_square_observables,
-                          maximally_entangled, nonrigidity_witness,
-                          perfect_conditions_residual, solution_group,
-                          solution_group_defect, solution_to_strategy,
-                          verify_operator_solution,
-                          winning_identity_residual)
+from znlcs import numerics
+from znlcs.bcskit import (BinaryLCS, LCSStrategy, OperatorSolution,
+                          glue_product, glued_magic_square,
+                          lcs_strategy_value, magic_square,
+                          magic_square_observables, maximally_entangled,
+                          nonrigidity_witness, solution_to_strategy,
+                          verify_operator_solution)
 from znlcs.gamekit import classical_value
+from znlcs.records import Record
+
+
+# ---------------------------------------------------------------------------
+# References: checks of LCS claims that no command reports
+# ---------------------------------------------------------------------------
+
+def alice_constraint_observable(strat: LCSStrategy, lcs: BinaryLCS,
+                                i: int, j: int) -> np.ndarray:
+    """Alice's effective observable for variable j within constraint i:
+    sum over her outcomes of the pattern sign at j times the projector."""
+    variables, _ = lcs.constraints[i]
+    pos = variables.index(j)
+    out = np.zeros((strat.dim, strat.dim), dtype=np.complex128)
+    for pattern, E in zip(lcs.satisfying_signs(i), strat.alice_projectors[i]):
+        out += pattern[pos] * E
+    return out
+
+
+def perfect_conditions_residual(lcs: BinaryLCS,
+                                strat: LCSStrategy) -> Tuple[float, float]:
+    """(consistency, constraint) residuals of the perfect-strategy
+    conditions: Bob's observable agrees with Alice's effective observable on
+    the state, and Alice's projectors resolve the identity."""
+    psi = strat.state.reshape(strat.dim, strat.dim)
+    worst_match = 0.0
+    worst_complete = 0.0
+    for i, (variables, _) in enumerate(lcs.constraints):
+        total = sum(strat.alice_projectors[i], np.zeros_like(psi))
+        worst_complete = max(worst_complete, float(np.linalg.norm(
+            total @ psi - psi)))
+        for j in variables:
+            Aij = alice_constraint_observable(strat, lcs, i, j)
+            B = strat.bob_observables[j]
+            worst_match = max(worst_match, float(np.linalg.norm(
+                psi @ B.T - Aij @ psi)))
+    return worst_match, worst_complete
+
+
+def winning_identity_residual(lcs: BinaryLCS, strat: LCSStrategy,
+                              sol: OperatorSolution) -> float:
+    """Residual of the algebraic identity expressing the losing probability
+    on a question pair as a sum of three squares.
+
+    For constraint i and variable j in it, with A = Alice's effective
+    observable, P = sign * product of her effective observables along the
+    constraint, and B = Bob's observable on the other factor:
+    I - sum_x E_{i,x} (x) F_{x_j} =
+    (1/8) [ (I - BA)^2 + (I - P)^2 + (I - P A B)^2 ].
+    """
+    d = strat.dim
+    eye2 = np.eye(d * d)
+    worst = 0.0
+    for i, (variables, sign) in enumerate(lcs.constraints):
+        prodA = sign * np.eye(d, dtype=np.complex128)
+        for v in variables:
+            prodA = prodA @ alice_constraint_observable(strat, lcs, i, v)
+        for j in variables:
+            pos = variables.index(j)
+            Aij = alice_constraint_observable(strat, lcs, i, j)
+            B = strat.bob_observables[j]
+            win = np.zeros((d * d, d * d), dtype=np.complex128)
+            for pattern, E in zip(lcs.satisfying_signs(i),
+                                  strat.alice_projectors[i]):
+                Fb = (np.eye(d) + pattern[pos] * B) / 2
+                win += np.kron(E, Fb)
+            BA = np.kron(Aij, B)
+            P = np.kron(prodA, np.eye(d))
+            terms = ((eye2 - BA) @ (eye2 - BA)
+                     + (eye2 - P) @ (eye2 - P)
+                     + (eye2 - P @ BA) @ (eye2 - P @ BA))
+            worst = max(worst, float(np.linalg.norm(
+                (eye2 - win) - terms / 8.0)))
+    return worst
+
+
+class SolutionGroupPresentation(Record):
+    """Generators g_1..g_s and the central sign J with the four relator
+    families of the solution group."""
+
+    generators: Tuple[str, ...]
+    relators: Tuple[Tuple[str, ...], ...]
+
+
+def solution_group(lcs: BinaryLCS) -> SolutionGroupPresentation:
+    s = lcs.variable_count
+    gens = tuple(f"g{j}" for j in range(s)) + ("J",)
+    relators: List[Tuple[str, ...]] = []
+    for j in range(s):
+        relators.append((f"g{j}", f"g{j}"))
+    relators.append(("J", "J"))
+    for j in range(s):
+        relators.append((f"g{j}", "J", f"g{j}", "J"))
+    for variables, _ in lcs.constraints:
+        for a, b in itertools.combinations(variables, 2):
+            relators.append((f"g{a}", f"g{b}", f"g{a}", f"g{b}"))
+    for variables, sign in lcs.constraints:
+        word = tuple(f"g{v}" for v in variables)
+        if sign == -1:
+            word = word + ("J",)
+        relators.append(word)
+    return SolutionGroupPresentation(generators=gens,
+                                     relators=tuple(relators))
+
+
+def solution_group_defect(lcs: BinaryLCS, sol: OperatorSolution) -> float:
+    """Max relator defect when g_j maps to the solution observable and J to
+    -I (every relator should evaluate to the identity)."""
+    pres = solution_group(lcs)
+    images: Dict[str, np.ndarray] = {"J": -np.eye(sol.dim)}
+    for j, M in enumerate(sol.observables):
+        images[f"g{j}"] = M
+    eye = np.eye(sol.dim)
+    worst = 0.0
+    for rel in pres.relators:
+        M = eye
+        for name in rel:
+            M = M @ images[name]
+        worst = max(worst, numerics.frob(M - eye))
+    return worst
 
 
 def test_magic_square_solution_verifies():
@@ -63,7 +186,7 @@ def test_glued_solutions_verify_and_win():
 
 
 def test_glued_literal_mapping_breaks_glue_constraint():
-    lcs, E, _ = glued_magic_square(mapping="literal")
+    lcs, E = literal_glued_solution()
     report = verify_operator_solution(lcs, E)
     assert not report.clean
     glue_index = next(i for i, (vs, _) in enumerate(lcs.constraints)

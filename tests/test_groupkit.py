@@ -10,13 +10,27 @@ from hypothesis import strategies as st
 
 from znlcs import groupkit
 from znlcs.groupkit import (MonomialUnitary, alice_generators, alice_images,
-                            bob_generators, enumerate_group, evaluate_word,
+                            enumerate_group, evaluate_word,
                             evaluate_word_matrix, g3_irreps, invert_rows,
                             multiplication_table, normal_form_enumerate,
                             normal_form_words, pack_rows,
                             presentation_relators, ring_relation_defect,
-                            scalar_j, unpack_row, verify_presentation)
-from znlcs.monomial import shift_x
+                            scalar_j, verify_presentation)
+from znlcs.monomial import bob_generators, shift_x
+
+
+def unpack_row(row):
+    """The element of one row, the inverse of ``pack_rows``."""
+    shift, *phases = row.tolist()
+    return MonomialUnitary(len(phases), shift, tuple(phases))
+
+
+def bob_relators(n):
+    """The presentation of the group of (B0, B1, z^4 I): Alice's relators
+    with J^i (P0^{-i} P1^{-i})^2 in place of J^i (P0^i P1^{-i})^2."""
+    return presentation_relators(n)[:5] + [
+        (("J", i), ("P0", -i), ("P1", -i), ("P0", -i), ("P1", -i))
+        for i in range(1, n // 2 + 1)]
 
 
 def _elements(rows):
@@ -93,10 +107,11 @@ def test_group_order_formula(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_normal_forms_enumerate_whole_group(n):
-    pairs = normal_form_enumerate(n)
-    assert len(pairs) == n * n * 2 ** (n - 1)
+    forms = normal_form_enumerate(n)
+    assert len(forms) == n * n * 2 ** (n - 1)
     rows = enumerate_group(list(alice_generators(n)))
-    assert {u.key() for _, u in pairs} == {u.key() for u in _elements(rows)}
+    assert {u.key() for u in _elements(forms)} == \
+        {u.key() for u in _elements(rows)}
 
 
 def test_alt_normal_form_same_set_for_n3():
@@ -111,7 +126,14 @@ def test_alt_normal_form_same_set_for_n3():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_presentation_relators_hold(n, side):
-    assert verify_presentation(n, side) == []
+    if side == "A":
+        assert verify_presentation(n) == []
+    else:
+        b0, b1 = bob_generators(n)
+        images = {"P0": b0, "P1": b1, "J": scalar_j(n)}
+        identity = MonomialUnitary.identity(n)
+        assert [rel for rel in bob_relators(n)
+                if evaluate_word(rel, images, n) != identity] == []
 
 
 def test_presentation_relator_detects_corruption():
@@ -121,7 +143,7 @@ def test_presentation_relator_detects_corruption():
     bad = type(a1)(n=3, shift=a1.shift,
                    phases=tuple((p + 1) % 12 for p in a1.phases))
     images["P1"] = bad
-    failing = [rel for rel in presentation_relators(3, "A")
+    failing = [rel for rel in presentation_relators(3)
                if evaluate_word(rel, images, 3).key()
                != evaluate_word((), images, 3).key()]
     assert failing
@@ -159,7 +181,7 @@ def test_g3_irreps_complete():
     assert len(irreps) == 12
     assert sum(r.degree ** 2 for r in irreps) == 36
     for r in irreps:
-        assert r.relator_defect(3) < 1e-12
+        assert r.relator_defect() < 1e-12
 
 
 def test_ring_relation_selects_g1():
@@ -264,9 +286,9 @@ def test_closure_matches_scalar_reference(data, n, count):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_closure_equals_normal_form_set(n):
     rows = enumerate_group(list(alice_generators(n)))
-    pairs = normal_form_enumerate(n)
-    assert len(rows) == len(pairs) == n * n * 2 ** (n - 1)
-    assert np.array_equal(_sorted(rows), _sorted(pairs.rows))
+    forms = normal_form_enumerate(n)
+    assert len(rows) == len(forms) == n * n * 2 ** (n - 1)
+    assert np.array_equal(_sorted(rows), _sorted(forms))
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -299,15 +321,10 @@ def test_closure_has_group_order_in_sorted_rows(n):
 
 
 def test_normal_forms_index_words_in_order():
-    pairs = normal_form_enumerate(3, "alt")
+    forms = normal_form_enumerate(3, "alt")
     words = normal_form_words(3, "alt")
     images = alice_images(3)
-    assert [w for w, _ in pairs] == words
-    assert [g for _, g in pairs] == [evaluate_word(w, images, 3)
-                                     for w in words]
-    assert pairs[-1] == pairs[len(pairs) - 1]
-    with pytest.raises(IndexError):
-        pairs[len(pairs)]
+    assert _elements(forms) == [evaluate_word(w, images, 3) for w in words]
 
 
 def test_normal_form_collision_raises(monkeypatch):
@@ -361,15 +378,17 @@ def test_table_indexes_rows_in_any_order():
             assert elements[table[i, j]] == x @ y
 
 
-def test_caps_refuse_large_groups():
+def test_caps_refuse_large_groups(monkeypatch):
     # 14^2 * 2^13 > 10^6 words: refused before any is built.
     with pytest.raises(RuntimeError, match="enumeration cap"):
         normal_form_enumerate(14)
-    with pytest.raises(RuntimeError, match="enumeration cap 100 exceeded"):
-        enumerate_group(list(alice_generators(4)), cap=100)
     assert not groupkit.group_order_exceeds_cap(13)
     assert groupkit.group_order_exceeds_cap(14)
     assert groupkit.group_order_exceeds_cap(10**12)
+    # The closure reads the cap when it runs.
+    monkeypatch.setattr(groupkit, "ENUMERATION_CAP", 100)
+    with pytest.raises(RuntimeError, match="enumeration cap 100 exceeded"):
+        enumerate_group(list(alice_generators(4)))
 
 
 def _bytes_layers(generators):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from znlcs.ncpoly import NCPolynomial, apply_nc, canonical_word, eval_nc
+from znlcs.ncpoly import (NCPolynomial, apply_nc, canonical_word, eval_nc,
+                          word_adjoint)
 from znlcs.numerics import (random_order_n_observable,
                             random_order_n_observables, random_state, rng)
 
@@ -59,6 +60,18 @@ def test_canonical_word_sorts_and_merges():
     assert canonical_word([("A", 1, 3)], n) == ()
     assert canonical_word([("A", 0, 1), ("A", 1, 1), ("A", 1, 2)], n) == \
         (("A", 0, 1),)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 7))
+def test_word_adjoint_matches_reducing_the_reversed_word(data, n):
+    # Reference: reduce the reversed letters with negated exponents.
+    raw = data.draw(st.lists(st.tuples(
+        st.sampled_from("AB"), st.integers(0, 1), st.integers(-n, 2 * n)),
+        max_size=12))
+    w = canonical_word(raw, n)
+    assert word_adjoint(w, n) == canonical_word(
+        [(p, i, -e) for p, i, e in reversed(w)], n)
 
 
 def test_polynomial_ring_axioms():

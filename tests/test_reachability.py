@@ -26,12 +26,6 @@ GATE = ROOT / "tests" / "test_acceptance.py"
 ALLOWED = {
     "bcskit.BinaryLCS.to_game":
         "the game of a binary LCS, kept for an LCS classical-value command",
-    "bcskit.perfect_conditions_residual":
-        "perfect-strategy conditions of an LCS strategy, kept with the game",
-    "bcskit.winning_identity_residual":
-        "sum-of-squares form of an LCS strategy's losing probability",
-    "bcskit.solution_group_defect":
-        "solution-group relators on an operator solution",
 }
 
 

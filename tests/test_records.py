@@ -4,11 +4,12 @@ import types
 
 import numpy as np
 import pytest
+from test_bcskit import SolutionGroupPresentation
 from test_cli import subprocess_env
 
 import znlcs
 from znlcs.bcskit import (BinaryLCS, LCSStrategy, OperatorSolution,
-                          SolutionGroupPresentation, SolutionReport)
+                          SolutionReport)
 from znlcs.biaskit import BiasReport
 from znlcs.gamekit import GameSpec, LinearSystem, ModNGameParams
 from znlcs.groupkit import Irrep, MonomialUnitary
@@ -93,7 +94,9 @@ def test_every_record_is_sampled():
                for cls in vars(module).values()
                if isinstance(cls, type) and issubclass(cls, Record)
                and cls is not Record}
-    assert records == {cls for cls, _, _ in SAMPLES}
+    # SolutionGroupPresentation is a test reference's record.
+    assert records == {cls for cls, _, _ in SAMPLES
+                       if cls.__module__.startswith("znlcs.")}
 
 
 @pytest.mark.parametrize("cls,fields,change", SAMPLES, ids=IDS)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_groupkit import unpack_row
 from test_numerics import partial_trace_B
 
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
-from znlcs.groupkit import evaluate_word_matrix, normal_form_enumerate
+from znlcs.groupkit import (evaluate_word_matrix, normal_form_enumerate,
+                            normal_form_words)
 from znlcs.ncpoly import NCPolynomial
 from znlcs.numerics import rng
 from znlcs.strategykit import (PROJECTOR_BYTES_CAP, SCHMIDT_RANK_THRESHOLD,
@@ -177,7 +179,9 @@ def _reference_psi_residuals(s):
     element pairs (x, y) of ||f(x) f(y)|psi> - f(xy)|psi>||, for f_A on the
     first tensor factor and f_B on the second."""
     n = s.order
-    pairs = normal_form_enumerate(n, "alt" if n == 3 else "standard")
+    variant = "alt" if n == 3 else "standard"
+    pairs = [(w, unpack_row(row)) for w, row in zip(
+        normal_form_words(n, variant), normal_form_enumerate(n, variant))]
     element = {g.key(): g for _, g in pairs}
     omega = np.exp(2j * np.pi / n)
     psi = s.state.reshape(s.dimA, s.dimB)
