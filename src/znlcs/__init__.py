@@ -2,11 +2,20 @@
 
 Every submodule except ``cli`` is registered here as a lazy module: it sits
 in ``sys.modules`` (and on this package) from the start, and its code, with
-what it imports (numpy too), runs only when one of its attributes is first
-read. So a command pays only for the modules it uses. ``cli`` is left out
-because ``python -m znlcs.cli`` warns when its module is already loaded.
+what it imports, runs only when one of its attributes is first read. So a
+command pays only for the modules it uses. ``cli`` is left out because
+``python -m znlcs.cli`` warns when its module is already loaded.
 The submodules are the ``.py`` files of this directory, listed directly
 (``pkgutil.iter_modules`` would import ``inspect`` in every process).
+
+Numpy rule: ``ncpoly``, ``gamekit``, ``biaskit`` and ``npakit`` import
+numpy inside the functions that build or read arrays, not at the top, so
+``npa export``, which only rewrites words and writes text, loads no numpy
+(its import is about half of such a job). Numpy cannot be registered as a
+lazy module instead: every ``import numpy as np`` statement reads the
+module's ``__spec__``, and that first attribute read runs the deferred
+load. The other modules import numpy at the top; every other command
+uses it.
 
 Sibling-import rule: a submodule imports its siblings as modules,
 ``from . import ncpoly``, and names what it uses at the call site,

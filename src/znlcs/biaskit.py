@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 from . import gamekit, ncpoly, numerics, strategykit
 from .records import Record
 
@@ -30,7 +28,10 @@ def bias_polynomial(p: gamekit.ModNGameParams) -> ncpoly.NCPolynomial:
     """B = sum_{i=1}^{n-1} A0^i B0^{-i} + w^{-i m1} A0^i B1^i
     + A1^i B0^{-i} + w^{-i m2} A1^i B1^i."""
     n = p.n
-    omega = np.exp(2j * np.pi / n)
+    # cmath.exp(2j * pi / n) gives the same bits (exp(0) is exactly 1), but
+    # loading cmath's extension module adds about 0.1 MB to each process.
+    t = 2 * math.pi / n
+    omega = complex(math.cos(t), math.sin(t))
     terms = {}
     for i in range(1, n):
         terms[(("A", 0, i), ("B", 0, n - i))] = 1.0
@@ -43,6 +44,7 @@ def bias_polynomial(p: gamekit.ModNGameParams) -> ncpoly.NCPolynomial:
 def bias_operator(p: gamekit.ModNGameParams,
                   s: strategykit.Strategy) -> np.ndarray:
     """Evaluate the bias polynomial on a strategy's observables."""
+    import numpy as np
     if s.order != p.n:
         raise ValueError("strategy order does not match game modulus")
     B = ncpoly.eval_nc(bias_polynomial(p), s.assignment(), s.dimA, s.dimB)
@@ -54,6 +56,7 @@ def bias_operator(p: gamekit.ModNGameParams,
 
 def bias_value(p: gamekit.ModNGameParams, s: strategykit.Strategy) -> float:
     """Winning probability via the bias: <psi|B|psi>/(4n) + 1/n."""
+    import numpy as np
     B = bias_operator(p, s)
     return float(np.real(np.vdot(s.state, B @ s.state))) / (4 * p.n) + 1.0 / p.n
 
@@ -69,6 +72,7 @@ def bias_spectrum(p: gamekit.ModNGameParams,
                   s: strategykit.Strategy) -> BiasReport:
     """Top eigenvalue of the bias operator, its multiplicity (eigenvalues
     clustered at 1e-7), and the eigenvector when it is unique."""
+    import numpy as np
     B = bias_operator(p, s)
     eig = numerics.hermitian_eig(B)
     w = eig.eigenvalues
@@ -88,6 +92,7 @@ def bias_eigenvalue_formula(n: int) -> float:
 def eigenrelation_residual(n: int) -> float:
     """||B_n |psi_n> - (2n - 4 + 2/sin(pi/2n)) |psi_n>|| for the canonical
     strategy."""
+    import numpy as np
     s = strategykit.canonical_strategy(n)
     B = bias_operator(gamekit.ModNGameParams(n, 0, 1), s)
     psi = strategykit.canonical_state(n)

@@ -321,6 +321,8 @@ def _out_file_check(args) -> Optional[str]:
     directory that exists (a bare name is in the current one)."""
     if args.out is None:
         return None
+    if not args.out:
+        return "argument --out: empty path"
     if os.path.exists(args.out) and not os.path.isfile(args.out):
         return f"argument --out: not a regular file, got {args.out}"
     parent = os.path.dirname(args.out)

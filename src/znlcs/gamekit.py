@@ -10,8 +10,6 @@ from __future__ import annotations
 import itertools
 from typing import List, Tuple
 
-import numpy as np
-
 from .records import Record
 
 # Most payoff evaluations a classical-value search may make.
@@ -34,6 +32,7 @@ class GameSpec(Record):
     predicate: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         dist = np.asarray(self.distribution, dtype=np.float64)
         pred = np.asarray(self.predicate, dtype=bool)
         if dist.shape != (self.nA, self.nB):
@@ -111,6 +110,7 @@ def make_mod_n_game(p: ModNGameParams) -> GameSpec:
     On (i, 0) the answers must agree; on (i, 1) they must sum to m_{i+1}
     mod n (answers are exponents of the n-th root of unity).
     """
+    import numpy as np
     n = p.n
     pred = np.zeros((2, 2, n, n), dtype=bool)
     a = np.arange(n)[:, None]
@@ -131,6 +131,7 @@ def make_lcs_game(sys: LinearSystem) -> GameSpec:
     his variable. The question distribution is uniform over valid
     (equation, variable) pairs.
     """
+    import numpy as np
     n = sys.modulus
     r = len(sys.equations)
     nvars = sys.variable_count
@@ -160,6 +161,7 @@ def _best_response_numpy(W: np.ndarray) -> Tuple[float, int]:
     functions are counted in base mB and evaluated in chunks. Returns
     (best value, number of optimal deterministic pairs).
     """
+    import numpy as np
     nA, nB, mA, mB = W.shape
     total = mB ** nB
     place = mB ** np.arange(nB, dtype=np.int64)
@@ -221,6 +223,6 @@ def classical_value(g: GameSpec) -> Tuple[float, int]:
     W = g.distribution[:, :, None, None] * g.predicate
     if count_B > count_A:
         # Swap roles so the kernel always enumerates the second player.
-        W = np.transpose(W, (1, 0, 3, 2))
+        W = W.transpose(1, 0, 3, 2)
     value, pairs = _best_response_numpy(W)
     return float(value), int(pairs)

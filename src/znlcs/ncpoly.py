@@ -11,8 +11,6 @@ from __future__ import annotations
 from functools import reduce
 from typing import Dict, Iterable, Mapping, Tuple
 
-import numpy as np
-
 Letter = Tuple[str, int, int]
 Word = Tuple[Letter, ...]
 
@@ -110,7 +108,7 @@ class NCPolynomial:
         out: Dict[Word, complex] = {}
         for w, c in self.terms.items():
             rw = word_adjoint(w, self.n)
-            out[rw] = out.get(rw, 0.0) + np.conj(c)
+            out[rw] = out.get(rw, 0.0) + c.conjugate()
         return NCPolynomial(self.n, out, _canonical=True)
 
     def __eq__(self, other) -> bool:
@@ -140,6 +138,7 @@ def _letter_powers(poly: NCPolynomial,
 
     Keys are letters with the exponent reduced mod n; operators may carry
     leading batch axes, which np.linalg.matrix_power keeps."""
+    import numpy as np
     powers: Dict[Letter, np.ndarray] = {}
     for word in poly.terms:
         for player, idx, exp in word:
@@ -163,6 +162,7 @@ def eval_nc(poly: NCPolynomial,
     together (none for a single assignment); the result is
     (..., dimA*dimB, dimA*dimB). The sum over terms c_k (P_k (x) Q_k) is
     one matmul (dimA^2, K) @ (K, dimB^2) followed by an axis swap."""
+    import numpy as np
     powers = _letter_powers(poly, assignment)
     batch = np.broadcast_shapes(
         *(np.shape(M)[:-2] for M in assignment.values()))
@@ -192,6 +192,7 @@ def apply_nc(poly: NCPolynomial,
              assignment: Mapping[Tuple[str, int], np.ndarray],
              state: np.ndarray, dimA: int, dimB: int) -> np.ndarray:
     """Apply the evaluated polynomial to a bipartite state vector."""
+    import numpy as np
     powers = _letter_powers(poly, assignment)
     psi = state.reshape(dimA, dimB)
     out = np.zeros_like(psi)

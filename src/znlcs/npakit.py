@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from . import biaskit, gamekit, ncpoly, numerics, strategykit
 from .records import Record
 
@@ -86,17 +84,17 @@ class MomentProblem(Record):
     """Moment-matrix data: indexed words, one variable per conjugate pair of
     reduced words, and the bias objective over those variables.
 
-    ``cell_class[r, c]`` is the class id of the moment-matrix cell
-    reduce(words[r]^* words[c]) and ``cell_conj[r, c]`` marks a cell holding
-    the conjugate of its class variable."""
+    ``cell_class[r][c]`` is the class id of the moment-matrix cell
+    reduce(words[r]^* words[c]) and ``cell_conj[r][c]`` marks a cell holding
+    the conjugate of its class variable; both are lists of rows."""
 
     n: int
     level: int
     words: List[ncpoly.Word]
     class_keys: List[ncpoly.Word]
     objective: Dict[int, complex]
-    cell_class: np.ndarray
-    cell_conj: np.ndarray
+    cell_class: List[List[int]]
+    cell_conj: List[List[bool]]
 
     @property
     def size(self) -> int:
@@ -109,11 +107,8 @@ class MomentProblem(Record):
 
 
 def _sized(name: str, value) -> str:
-    """``name=<size>``, the shape of an array or the length of anything
-    else: a repr that names sizes stays short where the contents would run
-    to megabytes."""
-    if isinstance(value, np.ndarray):
-        return f"{name}=<{'x'.join(map(str, value.shape))}>"
+    """``name=<length>``: a repr that names sizes stays short where the
+    contents would run to megabytes."""
     return f"{name}=<{len(value)}>"
 
 
@@ -127,8 +122,8 @@ def build_moment_problem(p: gamekit.ModNGameParams,
     words = generate_words(n, level)
     N = len(words)
     ids: Dict[ncpoly.Word, int] = {}
-    cell_class = np.empty((N, N), dtype=np.int64)
-    cell_conj = np.empty((N, N), dtype=bool)
+    cell_class = [[0] * N for _ in range(N)]
+    cell_conj = [[False] * N for _ in range(N)]
     for r, u in enumerate(words):
         ua = ncpoly.word_adjoint(u, n)
         for c in range(r, N):
@@ -136,9 +131,9 @@ def build_moment_problem(p: gamekit.ModNGameParams,
             wa = ncpoly.word_adjoint(w, n)
             key = min(w, wa)
             cid = ids.setdefault(key, len(ids))
-            cell_class[r, c] = cell_class[c, r] = cid
-            cell_conj[r, c] = key != w
-            cell_conj[c, r] = key != wa
+            cell_class[r][c] = cell_class[c][r] = cid
+            cell_conj[r][c] = key != w
+            cell_conj[c][r] = key != wa
 
     objective: Dict[int, complex] = {}
     for w, coeff in biaskit.bias_polynomial(p).terms.items():
@@ -146,7 +141,7 @@ def build_moment_problem(p: gamekit.ModNGameParams,
         if key not in ids:
             raise RuntimeError(f"no moment-matrix cell holds bias word {w}")
         cid = ids[key]
-        c = coeff if key == w else np.conj(coeff)
+        c = coeff if key == w else coeff.conjugate()
         objective[cid] = objective.get(cid, 0.0) + c
     return MomentProblem(n=n, level=level, words=words,
                          class_keys=list(ids), objective=objective,
@@ -157,6 +152,7 @@ def strategy_moments(mp: MomentProblem,
                      s: strategykit.Strategy) -> Dict[int, complex]:
     """Moment value per variable for an explicit strategy:
     y(w) = <psi| w(A, B) |psi> evaluated at the class representative."""
+    import numpy as np
     assignment = s.assignment()
     out: Dict[int, complex] = {}
     for cid, key in enumerate(mp.class_keys):
@@ -169,10 +165,12 @@ def strategy_moments(mp: MomentProblem,
 def moment_matrix(mp: MomentProblem,
                   moments: Dict[int, complex]) -> np.ndarray:
     """Assemble M[u, v] from a moment-variable valuation."""
+    import numpy as np
     y = np.array([moments[cid] for cid in range(len(mp.class_keys))],
                  dtype=np.complex128)
-    M = y[mp.cell_class]
-    M[mp.cell_conj] = M[mp.cell_conj].conj()
+    M = y[np.array(mp.cell_class)]
+    conj = np.array(mp.cell_conj)
+    M[conj] = M[conj].conj()
     return M
 
 
@@ -180,13 +178,14 @@ def objective_value(mp: MomentProblem,
                     moments: Dict[int, complex]) -> float:
     total = sum(coeff * moments[cid]
                 for cid, coeff in mp.objective.items())
-    return float(np.real(total))
+    return float(total.real)
 
 
 def strategy_feasibility(mp: MomentProblem,
                          s: strategykit.Strategy) -> Tuple[float, float]:
     """(min eigenvalue of the strategy's moment matrix, objective value);
     a genuine strategy always yields a feasible (PSD) matrix."""
+    import numpy as np
     moments = strategy_moments(mp, s)
     M = moment_matrix(mp, moments)
     herm_defect = float(np.linalg.norm(M - M.conj().T))
@@ -257,8 +256,7 @@ def sdpa_from_moment_problem(mp: MomentProblem) -> SDPAProblem:
     # (N + r, N + c), and -Im = -x_im (+x_im if conjugate) at (r, N + c);
     # upper triangle, 1-indexed.
     entries: Dict[Tuple[int, int, int, int], float] = {}
-    for r, (classes, conjs) in enumerate(zip(mp.cell_class.tolist(),
-                                             mp.cell_conj.tolist())):
+    for r, (classes, conjs) in enumerate(zip(mp.cell_class, mp.cell_conj)):
         for c, (cid, conj) in enumerate(zip(classes, conjs)):
             if r <= c:
                 re = var_pos[(cid, "re")]
@@ -270,7 +268,7 @@ def sdpa_from_moment_problem(mp: MomentProblem) -> SDPAProblem:
 
     # Normalization block: x_e - 1 >= 0 and 1 - x_e >= 0.
     # generate_words puts the empty word first.
-    e_var = var_pos[(int(mp.cell_class[0, 0]), "re")]
+    e_var = var_pos[(mp.cell_class[0][0], "re")]
     entries[(e_var, 2, 1, 1)] = 1.0
     entries[(e_var, 2, 2, 2)] = -1.0
     entries[(0, 2, 1, 1)] = 1.0
@@ -280,9 +278,9 @@ def sdpa_from_moment_problem(mp: MomentProblem) -> SDPAProblem:
     # subtraction and addition never yields -0.0, so no "-0" token.
     objective = [0.0] * nvars
     for cid, c in mp.objective.items():
-        objective[var_pos[(cid, "re")] - 1] -= float(np.real(c))
+        objective[var_pos[(cid, "re")] - 1] -= c.real
         if (cid, "im") in var_pos:
-            objective[var_pos[(cid, "im")] - 1] += float(np.imag(c))
+            objective[var_pos[(cid, "im")] - 1] += c.imag
     # Each coefficient as the file writes it (12 digits format back to the
     # same text), so parsing the rendered file returns an equal problem.
     objective = [float(f"{c:.12g}") for c in objective]

@@ -146,6 +146,20 @@ def test_bad_input_exits_2_without_traceback(capsys, argv, flag):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["npa", "export", "--n", "2", "--out", ""],
+    ["strategy", "entropy", "--n-max", "3", "--out", ""],
+])
+def test_empty_out_is_a_usage_error(capsys, argv):
+    # An empty path names no file: refused before any work, not a
+    # FileNotFoundError traceback nor a silently skipped CSV.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --out:" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_work_caps_admit_their_bound():
     # The pre-flight checks alone, since a run at either cap takes seconds
     # to a minute. Each cap admits its command's default.
@@ -405,6 +419,15 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
         code, loaded = modules_loaded_by(*argv)
         assert code == 0
         assert "numpy.ma" not in loaded, argv
+
+    # The export is word rewriting and text: its modules import numpy only
+    # inside the functions that build arrays, and it calls none of them.
+    for level in ("1", "2"):
+        code, loaded = modules_loaded_by(
+            "npa", "export", "--n", "2", "--level", level,
+            "--out", str(tmp_path / f"2-{level}.dat-s"))
+        assert code == 0
+        assert "numpy" not in loaded, level
 
 
 def test_no_module_names_numpy_random():
