@@ -8,14 +8,15 @@ command pays only for the modules it uses. ``cli`` is left out because
 The submodules are the ``.py`` files of this directory, listed directly
 (``pkgutil.iter_modules`` would import ``inspect`` in every process).
 
-Numpy rule: ``ncpoly``, ``gamekit``, ``biaskit`` and ``npakit`` import
-numpy inside the functions that build or read arrays, not at the top, so
-``npa export``, which only rewrites words and writes text, loads no numpy
-(its import is about half of such a job). Numpy cannot be registered as a
-lazy module instead: every ``import numpy as np`` statement reads the
-module's ``__spec__``, and that first attribute read runs the deferred
-load. The other modules import numpy at the top; every other command
-uses it.
+Numpy rule: ``ncpoly``, ``gamekit``, ``biaskit``, ``npakit`` and
+``strategykit`` import numpy inside the functions that build or read
+arrays, not at the top, so ``npa export``, which only rewrites words and
+writes text, and ``strategy entropy``, which reads the canonical state's
+amplitudes, load no numpy (its import is about half of such a job).
+Numpy cannot be registered as a lazy module instead: every ``import numpy
+as np`` statement reads the module's ``__spec__``, and that first
+attribute read runs the deferred load. The other modules import numpy at
+the top; every other command uses it.
 
 Sibling-import rule: a submodule imports its siblings as modules,
 ``from . import ncpoly``, and names what it uses at the call site,

@@ -2,26 +2,34 @@
 
 The winning probability of any strategy equals <psi|B|psi>/(4n) + 1/n where
 B is the bias operator, so value claims reduce to spectral claims about B.
+
+A general strategy's B is the dense matrix ``bias_operator``. The canonical
+strategy's observables are monomial (a cyclic shift times phases), so its
+B keeps (a + b) mod n fixed on |a, b> and splits into n blocks of size n:
+``bias_blocks`` builds them from the generators' shifts and phases, and the
+CLI's spectra and values run on them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional, Sequence
 
-from . import gamekit, ncpoly, numerics, strategykit
+from . import gamekit, monomial, ncpoly, numerics, strategykit
 from .records import Record
 
 CLUSTER_TOL = 1e-7
-# Largest dense bias operator the CLI's spectrum builds: 64 MiB of
-# complex128, so n <= 45 for the canonical strategy (n^2 x n^2).
+# Largest block stack of the canonical bias operator the CLI builds: 64 MiB
+# of complex128, so n <= 161 (n blocks of n x n). `bias spectrum --n 161`
+# takes 1.5 s and 102 MB peak RSS, most of it the n eigensolves (2-core
+# Xeon).
 SPECTRUM_BYTES_CAP = 1 << 26
 
 
-def operator_bytes(n: int) -> int:
-    """Bytes of the canonical strategy's dense bias operator: n^2 x n^2
-    complex128 entries, 16 n^4."""
-    return 16 * n ** 4
+def block_bytes(n: int) -> int:
+    """Bytes of the canonical strategy's bias operator as ``bias_blocks``
+    builds it: n blocks of n x n complex128 entries, 16 n^3."""
+    return 16 * n ** 3
 
 
 def bias_polynomial(p: gamekit.ModNGameParams) -> ncpoly.NCPolynomial:
@@ -84,6 +92,101 @@ def bias_spectrum(p: gamekit.ModNGameParams,
         predicted_value=top / (4 * p.n) + 1.0 / p.n)
 
 
+def _powers(g: monomial.MonomialUnitary) -> List[monomial.MonomialUnitary]:
+    """g^0, g^1, ..., g^(n-1), each the one before times g."""
+    out = [monomial.MonomialUnitary.identity(g.n)]
+    for _ in range(1, g.n):
+        out.append(out[-1] @ g)
+    return out
+
+
+def bias_blocks(p: gamekit.ModNGameParams,
+                sums: Optional[Sequence[int]] = None) -> np.ndarray:
+    """The canonical strategy's bias operator block by block: M[k] is the
+    n x n matrix of B on |a, s - a>, a = 0..n-1, for s = sums[k] (by
+    default every s, so M[s]).
+
+    A term c A_x^i B_y^j of ``bias_polynomial(p)`` is the product of the
+    generators' powers: Alice's factor sends |a> to z^alpha[a] |a + t>,
+    Bob's |b> to z^beta[b] |b + u>. Since t + u = 0 mod n, the term maps
+    column a of block s to row a + t of the same block, with entry
+    c z^(alpha[a] + beta[s - a]). A term whose shifts do not cancel would
+    leave its block: it raises ValueError.
+    """
+    import numpy as np
+    n = p.n
+    powers = {}
+    for party, gens in (("A", monomial.alice_generators(n)),
+                        ("B", monomial.bob_generators(n))):
+        for x, g in enumerate(gens):
+            powers[party, x] = _powers(g)
+    identity = monomial.MonomialUnitary.identity(n)
+    by_shift = {}
+    for word, coeff in bias_polynomial(p).terms.items():
+        factors = {"A": identity, "B": identity}
+        for party, x, e in word:
+            factors[party] = factors[party] @ powers[party, x][e % n]
+        alice, bob = factors["A"], factors["B"]
+        if (alice.shift + bob.shift) % n:
+            raise ValueError(
+                f"bias term {word} moves a + b by "
+                f"{(alice.shift + bob.shift) % n} mod {n}")
+        by_shift.setdefault(alice.shift, []).append(
+            (coeff, alice.phases, bob.phases))
+    a = np.arange(n)
+    s = a if sums is None else np.asarray(sums)
+    b = (s[:, None] - a) % n
+    # z^e for every e = alpha[a] + beta[b], a sum of two exponents mod 4n.
+    zpow = np.exp(1j * np.pi / (2 * n) * np.arange(8 * n))
+    blocks = np.zeros((len(s), n, n), dtype=np.complex128)
+    for t, terms in by_shift.items():
+        blocks[:, (a + t) % n, a] = sum(
+            (coeff * zpow)[np.add(alpha, np.asarray(beta)[b])]
+            for coeff, alpha, beta in terms)
+    return blocks
+
+
+def canonical_bias_spectrum(p: gamekit.ModNGameParams) -> BiasReport:
+    """``bias_spectrum(p, canonical_strategy(p.n))`` on ``bias_blocks(p)``:
+    the top eigenvalue over the blocks, its multiplicity over all of them
+    (eigenvalues clustered at CLUSTER_TOL), and, when it is unique, its
+    eigenvector placed in C^n (x) C^n."""
+    import numpy as np
+    n = p.n
+    values = np.empty((n, n))
+    top_vectors = np.empty((n, n), dtype=np.complex128)
+    for s, M in enumerate(bias_blocks(p)):
+        eig = numerics.hermitian_eig(M)
+        values[s] = eig.eigenvalues
+        top_vectors[s] = eig.eigenvectors[:, -1]
+    s = int(np.argmax(values[:, -1]))
+    top = float(values[s, -1])
+    mult = int(np.sum(values > top - CLUSTER_TOL))
+    vec = None
+    if mult == 1:
+        a = np.arange(n)
+        vec = np.zeros(n * n, dtype=np.complex128)
+        vec[a * n + (s - a) % n] = top_vectors[s]
+    return BiasReport(
+        top_eigenvalue=top, multiplicity=mult, top_eigenvector=vec,
+        predicted_value=top / (4 * n) + 1.0 / n)
+
+
+def _canonical_block(p: gamekit.ModNGameParams):
+    """Block 0 of ``bias_blocks(p)`` and the canonical state on it: that
+    state is supported on |i, -i>, which block 0 spans."""
+    import numpy as np
+    M = bias_blocks(p, sums=[0])[0]
+    return M, np.array(strategykit.canonical_amplitudes(p.n))
+
+
+def canonical_bias_value(p: gamekit.ModNGameParams) -> float:
+    """``bias_value(p, canonical_strategy(p.n))`` on block 0."""
+    import numpy as np
+    M, psi = _canonical_block(p)
+    return float(np.real(np.vdot(psi, M @ psi))) / (4 * p.n) + 1.0 / p.n
+
+
 def bias_eigenvalue_formula(n: int) -> float:
     """The analytic bias of the canonical strategy: 2n - 4 + 2/sin(pi/2n)."""
     return 2 * n - 4 + 2.0 / math.sin(math.pi / (2 * n))
@@ -91,9 +194,7 @@ def bias_eigenvalue_formula(n: int) -> float:
 
 def eigenrelation_residual(n: int) -> float:
     """||B_n |psi_n> - (2n - 4 + 2/sin(pi/2n)) |psi_n>|| for the canonical
-    strategy."""
+    strategy, on block 0."""
     import numpy as np
-    s = strategykit.canonical_strategy(n)
-    B = bias_operator(gamekit.ModNGameParams(n, 0, 1), s)
-    psi = strategykit.canonical_state(n)
-    return float(np.linalg.norm(B @ psi - bias_eigenvalue_formula(n) * psi))
+    M, psi = _canonical_block(gamekit.ModNGameParams(n, 0, 1))
+    return float(np.linalg.norm(M @ psi - bias_eigenvalue_formula(n) * psi))

@@ -118,13 +118,13 @@ def cmd_game_classical(args, rep: Report) -> None:
 
 
 def cmd_strategy_value(args, rep: Report) -> None:
-    s = strategykit.canonical_strategy(args.n)
     p = gamekit.ModNGameParams(args.n, 0, 1)
     if args.via == "bias":
-        value = biaskit.bias_value(p, s)
+        value = biaskit.canonical_bias_value(p)
     else:
+        game = gamekit.make_mod_n_game(p)
         value = strategykit.strategy_value_direct(
-            gamekit.make_mod_n_game(p), s)
+            game, strategykit.canonical_strategy(args.n))
     formula = strategykit.canonical_value_formula(args.n)
     rep.result("value", value, tolerance=1e-9, target=formula)
     rep.result("formula_value", formula)
@@ -133,7 +133,7 @@ def cmd_strategy_value(args, rep: Report) -> None:
 def cmd_strategy_entropy(args, rep: Report) -> None:
     rows = []
     for n in range(2, args.n_max + 1):
-        sd = strategykit.schmidt(strategykit.canonical_state(n), n, n)
+        sd = strategykit.canonical_schmidt(n)
         ratio = sd.entropy / math.log2(n)
         rows.append((n, strategykit.canonical_value_formula(n), ratio))
         if sd.rank != n:
@@ -153,7 +153,7 @@ def cmd_strategy_entropy(args, rep: Report) -> None:
 
 def cmd_bias_spectrum(args, rep: Report) -> None:
     p = gamekit.ModNGameParams(args.n, 0, 1)
-    report = biaskit.bias_spectrum(p, strategykit.canonical_strategy(args.n))
+    report = biaskit.canonical_bias_spectrum(p)
     formula = biaskit.bias_eigenvalue_formula(args.n)
     rep.result("top_eigenvalue", report.top_eigenvalue, tolerance=1e-9,
                target=formula)
@@ -279,15 +279,17 @@ def _bytes_check(args, what: str, size: int, cap: int) -> Optional[str]:
 
 
 def _operator_size_check(args) -> Optional[str]:
-    """The dense n^2 x n^2 bias operator must fit the byte cap."""
-    return _bytes_check(args, "the dense bias operator",
-                        biaskit.operator_bytes(args.n),
+    """The canonical bias operator's n blocks of n x n must fit the byte
+    cap."""
+    return _bytes_check(args, "the bias operator's blocks",
+                        biaskit.block_bytes(args.n),
                         biaskit.SPECTRUM_BYTES_CAP)
 
 
 def _strategy_value_check(args) -> Optional[str]:
-    """The bias path builds the dense bias operator, the direct path the
-    projectors of all four observables."""
+    """The bias path builds block 0 of the canonical bias operator and is
+    held to the bound of ``bias spectrum``, which builds all n blocks; the
+    direct path builds the projectors of all four observables."""
     if args.via == "bias":
         return _operator_size_check(args)
     return _bytes_check(args, "the direct sum's projector stack",
@@ -296,7 +298,8 @@ def _strategy_value_check(args) -> Optional[str]:
 
 
 def _entropy_check(args) -> Optional[str]:
-    """--n-max (one SVD for each n up to it) under its cap, and --out."""
+    """--n-max (n amplitudes for each n up to it) under its cap, and
+    --out."""
     if args.n_max > strategykit.ENTROPY_N_MAX:
         return (f"argument --n-max: over the cap of "
                 f"{strategykit.ENTROPY_N_MAX}, got {args.n_max}")

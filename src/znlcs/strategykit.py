@@ -3,15 +3,15 @@
 The canonical strategy S_n (shift/sign observables and the analytic optimal
 state), winning-probability evaluation through projective measurements,
 Schmidt/entropy analysis, state-dependent relation residuals, and the
-state-restricted representation test.
+state-restricted representation test. The canonical state's amplitudes
+and Schmidt data are plain Python; the functions that build arrays import
+numpy where they run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from . import gamekit, groupkit, monomial, ncpoly, numerics
 from .records import Record
@@ -23,9 +23,10 @@ ORDER_TOL = 1e-8
 # of complex128, so n <= 101 for the canonical strategy (1.9 s and 108 MB
 # peak RSS at n = 101, one BLAS thread on a 2-core Xeon).
 PROJECTOR_BYTES_CAP = 1 << 26
-# Largest --n-max of the CLI's entropy table, one SVD for each n up to it:
-# 4.5 s at 400 and 12.6 s at 500 (one BLAS thread on a 2-core Xeon).
-ENTROPY_N_MAX = 400
+# Largest --n-max of the CLI's entropy table, which takes the n amplitudes
+# of each n up to it in pure Python, O(n-max^2) work: 1.0-1.4 s and 16 MB
+# peak RSS at 2000 (2-core Xeon).
+ENTROPY_N_MAX = 2000
 
 
 class Strategy(Record):
@@ -39,6 +40,7 @@ class Strategy(Record):
     state: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         object.__setattr__(self, "alice_obs", tuple(
             np.asarray(M, dtype=np.complex128) for M in self.alice_obs))
         object.__setattr__(self, "bob_obs", tuple(
@@ -47,6 +49,7 @@ class Strategy(Record):
             self, "state", np.asarray(self.state, dtype=np.complex128))
 
     def validate(self) -> None:
+        import numpy as np
         n = self.order
         for dim, obs in ((self.dimA, self.alice_obs),
                          (self.dimB, self.bob_obs)):
@@ -74,14 +77,24 @@ class Strategy(Record):
         return out
 
 
+def canonical_amplitudes(n: int) -> List[complex]:
+    """The analytic optimal state's amplitudes (1 - z^{n+2i+1})/gamma on
+    |i, -i mod n>, i = 0..n-1, with z = e^{i pi/2n} and
+    gamma^2 = 2n + 2/sin(pi/2n)."""
+    t = math.pi / (2 * n)
+    gamma = math.sqrt(2 * n + 2.0 / math.sin(t))
+    cos, sin = math.cos, math.sin
+    return [complex(1.0 - cos(k * t), -sin(k * t)) / gamma
+            for k in range(n + 1, 3 * n, 2)]
+
+
 def canonical_state(n: int) -> np.ndarray:
-    """The analytic optimal state: amplitudes (1 - z^{n+2i+1})/gamma on the
-    anti-diagonal |i, -i mod n>, with gamma^2 = 2n + 2/sin(pi/2n)."""
-    z = np.exp(1j * np.pi / (2 * n))
-    gamma = math.sqrt(2 * n + 2.0 / math.sin(math.pi / (2 * n)))
+    """The analytic optimal state in C^n (x) C^n: ``canonical_amplitudes``
+    on the anti-diagonal |i, -i mod n>, zero elsewhere."""
+    import numpy as np
+    i = np.arange(n)
     psi = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        psi[i, (-i) % n] = (1.0 - z ** (n + 2 * i + 1)) / gamma
+    psi[i, -i % n] = canonical_amplitudes(n)
     return psi.reshape(n * n)
 
 
@@ -110,6 +123,7 @@ def canonical_value_formula(n: int) -> float:
 def observable_to_pvm(U: np.ndarray, n: int) -> List[np.ndarray]:
     """Spectral projectors E_i = (1/n) sum_k (omega^{-i} U)^k of an order-n
     observable; they satisfy sum_i omega^i E_i = U."""
+    import numpy as np
     dim = U.shape[0]
     if numerics.frob(np.linalg.matrix_power(U, n) - np.eye(dim)) > ORDER_TOL:
         raise ValueError(f"input is not an order-{n} observable")
@@ -131,6 +145,7 @@ def projector_bytes(n: int) -> int:
 def strategy_value_direct(g: gamekit.GameSpec, s: Strategy) -> float:
     """Winning probability as the explicit measurement sum
     sum_{ijab} pi(i,j) V(i,j,a,b) <psi| E_{i,a} (x) F_{j,b} |psi>."""
+    import numpy as np
     if len(s.alice_obs) != g.nA or len(s.bob_obs) != g.nB:
         raise ValueError("observable count does not match question counts")
     if g.mA != s.order or g.mB != s.order:
@@ -154,7 +169,9 @@ def strategy_value_direct(g: gamekit.GameSpec, s: Strategy) -> float:
 
 
 class SchmidtData(Record):
-    coefficients: np.ndarray
+    # Nonincreasing: an array from ``schmidt``, a tuple from
+    # ``canonical_schmidt``.
+    coefficients: Sequence[float]
     rank: int
     entropy: float
 
@@ -166,6 +183,7 @@ def schmidt(state: np.ndarray, dimA: int, dimB: int) -> SchmidtData:
     Their squares are the eigenvalues of the reduced density matrix
     Tr_B |psi><psi|.
     """
+    import numpy as np
     state = np.asarray(state, dtype=np.complex128)
     if state.size != dimA * dimB:
         raise ValueError(
@@ -183,8 +201,20 @@ def schmidt(state: np.ndarray, dimA: int, dimB: int) -> SchmidtData:
                        entropy=entropy)
 
 
+def canonical_schmidt(n: int) -> SchmidtData:
+    """``schmidt(canonical_state(n), n, n)`` without the SVD or numpy: the
+    state has one amplitude per row and per column, so its Schmidt
+    coefficients are the moduli of ``canonical_amplitudes(n)``."""
+    coeffs = sorted(map(abs, canonical_amplitudes(n)), reverse=True)
+    kept = [c * c for c in coeffs if c > SCHMIDT_RANK_THRESHOLD]
+    log2 = math.log2
+    return SchmidtData(coefficients=tuple(coeffs), rank=len(kept),
+                       entropy=-sum([p * log2(p) for p in kept]))
+
+
 def check_state_relation(s: Strategy, L: ncpoly.NCPolynomial) -> float:
     """Residual ||L(A, B)|psi>|| of a state-dependent operator relation."""
+    import numpy as np
     out = ncpoly.apply_nc(L, s.assignment(), s.state, s.dimA, s.dimB)
     return float(np.linalg.norm(out))
 
@@ -200,6 +230,7 @@ def psi_representation_residuals(s: Strategy) -> Tuple[float, float]:
     exact multiplication table, so groups above its size bound raise
     ValueError before any matrix is formed.
     """
+    import numpy as np
     n = s.order
     variant = "alt" if n == 3 else "standard"
     table = groupkit.multiplication_table(

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from znlcs.biaskit import (SPECTRUM_BYTES_CAP,
+from znlcs import monomial
+from znlcs.biaskit import (SPECTRUM_BYTES_CAP, bias_blocks,
                            bias_eigenvalue_formula, bias_operator,
                            bias_polynomial, bias_spectrum, bias_value,
-                           eigenrelation_residual, operator_bytes)
+                           block_bytes, canonical_bias_spectrum,
+                           canonical_bias_value, eigenrelation_residual)
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
-from znlcs.strategykit import (canonical_strategy, canonical_value_formula,
-                               random_strategy, strategy_value_direct)
+from znlcs.strategykit import (canonical_state, canonical_strategy,
+                               canonical_value_formula, random_strategy,
+                               strategy_value_direct)
 
 
 def test_bias_polynomial_chsh_reduces_to_classic_form():
@@ -91,10 +96,80 @@ def test_predicted_value_equals_value_formula():
             canonical_value_formula(n), abs=1e-12), n
 
 
-def test_operator_bytes_is_the_dense_operator_size():
+def test_block_bytes_is_the_block_stack_size():
     for n in (2, 3, 4):
-        B = bias_operator(ModNGameParams(n, 0, 1), canonical_strategy(n))
-        assert B.nbytes == operator_bytes(n)
-    # The CLI's cap admits n <= 45, well above the sizes the benchmark
+        assert bias_blocks(ModNGameParams(n, 0, 1)).nbytes == block_bytes(n)
+    # The CLI's cap admits n <= 161, well above the sizes the benchmark
     # (n <= 10) and the README run.
-    assert operator_bytes(45) <= SPECTRUM_BYTES_CAP < operator_bytes(46)
+    assert block_bytes(161) <= SPECTRUM_BYTES_CAP < block_bytes(162)
+
+
+def block_indices(n, s):
+    """Indices in C^n (x) C^n of block s's basis |a, s - a>, a = 0..n-1."""
+    a = np.arange(n)
+    return a * n + (s - a) % n
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_dense_operator_is_the_blocks_and_zero_off_them(n):
+    p = ModNGameParams(n, 0, 1)
+    dense = bias_operator(p, canonical_strategy(n))
+    blocks = bias_blocks(p)
+    off_block = np.ones(dense.shape, dtype=bool)
+    for s in range(n):
+        idx = np.ix_(block_indices(n, s), block_indices(n, s))
+        assert np.abs(dense[idx] - blocks[s]).max() <= 1e-12
+        off_block[idx] = False
+    assert np.all(dense[off_block] == 0.0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), data=st.data())
+def test_block_spectrum_matches_the_dense_spectrum(n, data):
+    m1, m2 = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+    p = ModNGameParams(n, m1, m2)
+    s = canonical_strategy(n)
+    dense = bias_spectrum(p, s)
+    dense_values = np.linalg.eigvalsh(bias_operator(p, s))
+    block_values = np.sort(np.linalg.eigvalsh(bias_blocks(p)), axis=None)
+    assert np.abs(block_values - dense_values).max() <= 1e-12
+    report = canonical_bias_spectrum(p)
+    assert abs(report.top_eigenvalue - dense.top_eigenvalue) <= 1e-12
+    assert report.multiplicity == dense.multiplicity
+    assert report.predicted_value == pytest.approx(dense.predicted_value,
+                                                   abs=1e-12)
+    assert (report.top_eigenvector is None) == (dense.top_eigenvector is None)
+    if report.top_eigenvector is not None:
+        assert abs(np.vdot(report.top_eigenvector, dense.top_eigenvector)) \
+            >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 20, 45])
+def test_block_top_eigenvector_is_the_canonical_state(n):
+    report = canonical_bias_spectrum(ModNGameParams(n, 0, 1))
+    assert report.multiplicity == 1
+    assert report.top_eigenvalue == pytest.approx(
+        bias_eigenvalue_formula(n), abs=1e-9)
+    overlap = abs(np.vdot(report.top_eigenvector, canonical_state(n)))
+    assert overlap >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_block_value_is_the_dense_bias_value(n):
+    p = ModNGameParams(n, 0, 1)
+    assert canonical_bias_value(p) == pytest.approx(
+        bias_value(p, canonical_strategy(n)), abs=1e-12)
+
+
+def test_a_term_that_leaves_its_block_raises(monkeypatch):
+    # B1 shifted one step further: A_x^i B1^i then moves a + b by i.
+    bob_generators = monomial.bob_generators
+
+    def mutated(n):
+        b0, b1 = bob_generators(n)
+        return b0, monomial.MonomialUnitary(n, b1.shift + 1, b1.phases)
+
+    monkeypatch.setattr(monomial, "bob_generators", mutated)
+    for n in (2, 3, 5):
+        with pytest.raises(ValueError, match="moves a \\+ b"):
+            bias_blocks(ModNGameParams(n, 0, 1))

@@ -131,9 +131,9 @@ BAD_INPUT = [
     ("npa export --n 2 --out no-such-dir/x.dat-s", "--out"),
     ("strategy value --n 200 --via direct", "--n"),
     ("sos verify --cert chsh --trials 200000", "--trials"),
-    ("strategy entropy --n-max 500", "--n-max"),
     ("sos verify --cert chsh --seed -1", "--seed"),
     ("sos verify --cert chsh --seed abc", "--seed"),
+    ("strategy entropy --n-max 2001", "--n-max"),
 ]
 
 
@@ -161,10 +161,19 @@ def test_empty_out_is_a_usage_error(capsys, argv):
 
 
 def test_work_caps_admit_their_bound():
-    # The pre-flight checks alone, since a run at either cap takes seconds
+    # The pre-flight checks alone, since a run at any cap takes seconds
     # to a minute. Each cap admits its command's default.
     entropy_check = znlcs.cli.COMMANDS[("strategy", "entropy")][1]
     trials_check = znlcs.cli.COMMANDS[("sos", "verify")][1]
+    spectrum_check = znlcs.cli.COMMANDS[("bias", "spectrum")][1]
+    value_check = znlcs.cli.COMMANDS[("strategy", "value")][1]
+    # The bias operator's blocks, 16 n^3 bytes, fit the cap up to n = 161.
+    assert spectrum_check(argparse.Namespace(n=161)) is None
+    assert spectrum_check(argparse.Namespace(n=162)
+                          ).startswith("argument --n:")
+    assert value_check(argparse.Namespace(n=161, via="bias")) is None
+    assert value_check(argparse.Namespace(n=162, via="bias")
+                       ).startswith("argument --n:")
     n_max = znlcs.strategykit.ENTROPY_N_MAX
     trials = znlcs.soskit.TRIALS_CAP
     assert n_max >= 40 and trials >= 100
@@ -283,15 +292,15 @@ def test_named_command_tree_holds_that_command_only(capsys):
 
 
 def test_report_clock_covers_the_check(capsys, monkeypatch):
-    # Only the size check of bias spectrum reads operator_bytes; the
-    # report's wall time must count it, as it counts the command's work.
-    size = znlcs.biaskit.operator_bytes
+    # Only the size check of bias spectrum reads block_bytes; the report's
+    # wall time must count it, as it counts the command's work.
+    size = znlcs.biaskit.block_bytes
 
     def slow_size(n):
         time.sleep(0.05)
         return size(n)
 
-    monkeypatch.setattr(znlcs.biaskit, "operator_bytes", slow_size)
+    monkeypatch.setattr(znlcs.biaskit, "block_bytes", slow_size)
     code, report = run(capsys, "bias", "spectrum", "--n", "2")
     assert code == 0
     assert report["wallTimeSeconds"] >= 0.05
@@ -428,6 +437,13 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
             "--out", str(tmp_path / f"2-{level}.dat-s"))
         assert code == 0
         assert "numpy" not in loaded, level
+
+    # The canonical state's Schmidt data are its amplitudes' moduli: plain
+    # Python, with no SVD and no array.
+    for out in ([], ["--out", str(tmp_path / "entropy.csv")]):
+        code, loaded = modules_loaded_by("strategy", "entropy", *out)
+        assert code == 0
+        assert "numpy" not in loaded, out
 
 
 def test_no_module_names_numpy_random():

@@ -13,11 +13,13 @@ from znlcs.groupkit import (evaluate_word_matrix, normal_form_enumerate,
 from znlcs.ncpoly import NCPolynomial
 from znlcs.numerics import rng
 from znlcs.strategykit import (PROJECTOR_BYTES_CAP, SCHMIDT_RANK_THRESHOLD,
-                               Strategy, canonical_state, canonical_strategy,
-                               canonical_value_formula, check_state_relation,
-                               observable_to_pvm, projector_bytes,
-                               psi_representation_residuals, random_strategy,
-                               schmidt, strategy_value_direct)
+                               Strategy, canonical_amplitudes,
+                               canonical_schmidt, canonical_state,
+                               canonical_strategy, canonical_value_formula,
+                               check_state_relation, observable_to_pvm,
+                               projector_bytes, psi_representation_residuals,
+                               random_strategy, schmidt,
+                               strategy_value_direct)
 
 
 
@@ -88,6 +90,29 @@ def test_schmidt_canonical_state():
         sd = schmidt(canonical_state(n), n, n)
         assert sd.rank == n
         assert 0.0 < sd.entropy <= math.log2(n) + 1e-12
+
+
+def test_canonical_state_scatters_its_amplitudes():
+    for n in (2, 3, 7, 12):
+        psi = canonical_state(n).reshape(n, n)
+        amps = canonical_amplitudes(n)
+        for i in range(n):
+            assert psi[i, -i % n] == amps[i]
+            psi[i, -i % n] = 0.0
+        assert not psi.any()
+
+
+def test_canonical_schmidt_is_the_svd_of_the_canonical_state():
+    # One amplitude per row and per column: the singular values are the
+    # amplitudes' moduli.
+    for n in range(2, 61):
+        sd = schmidt(canonical_state(n), n, n)
+        fast = canonical_schmidt(n)
+        assert isinstance(fast.coefficients, tuple)
+        assert fast.rank == sd.rank == n
+        assert abs(fast.entropy - sd.entropy) <= 1e-12, n
+        assert np.abs(np.array(fast.coefficients)
+                      - sd.coefficients).max() <= 1e-14, n
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
