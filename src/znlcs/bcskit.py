@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from . import gamekit, numerics
+from . import numerics
 from .records import Record
 
 # Largest Frobenius defect an operator solution may show and still verify.
@@ -45,17 +45,6 @@ class BinaryLCS(Record):
                 raise ValueError(f"sign must be +1 or -1, got {sign}")
             cons.append((variables, int(sign)))
         object.__setattr__(self, "constraints", tuple(cons))
-
-    def to_linear_system(self) -> gamekit.LinearSystem:
-        """Additive Z_2 form: sign +1 -> rhs 0, sign -1 -> rhs 1."""
-        return gamekit.LinearSystem(
-            modulus=2,
-            equations=tuple(
-                (variables, (1,) * len(variables), 0 if sign == 1 else 1)
-                for variables, sign in self.constraints))
-
-    def to_game(self) -> gamekit.GameSpec:
-        return gamekit.make_lcs_game(self.to_linear_system())
 
     def satisfying_signs(self, index: int) -> List[Tuple[int, ...]]:
         """+/-1 assignments to the constraint's variables with the right

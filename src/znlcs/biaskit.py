@@ -21,8 +21,8 @@ from .records import Record
 CLUSTER_TOL = 1e-7
 # Largest block stack of the canonical bias operator the CLI builds: 64 MiB
 # of complex128, so n <= 161 (n blocks of n x n). `bias spectrum --n 161`
-# takes 1.5 s and 102 MB peak RSS, most of it the n eigensolves (2-core
-# Xeon).
+# takes 0.9 s and 101 MB peak RSS, most of it the n eigenvalue solves
+# (2-core Xeon, one BLAS thread).
 SPECTRUM_BYTES_CAP = 1 << 26
 
 
@@ -150,23 +150,23 @@ def canonical_bias_spectrum(p: gamekit.ModNGameParams) -> BiasReport:
     """``bias_spectrum(p, canonical_strategy(p.n))`` on ``bias_blocks(p)``:
     the top eigenvalue over the blocks, its multiplicity over all of them
     (eigenvalues clustered at CLUSTER_TOL), and, when it is unique, its
-    eigenvector placed in C^n (x) C^n."""
+    eigenvector placed in C^n (x) C^n. Every block's eigenvalues come from
+    the values-only solver; the block holding the top eigenvalue is then
+    fully decomposed, for the reported value and eigenvector."""
     import numpy as np
     n = p.n
-    values = np.empty((n, n))
-    top_vectors = np.empty((n, n), dtype=np.complex128)
-    for s, M in enumerate(bias_blocks(p)):
-        eig = numerics.hermitian_eig(M)
-        values[s] = eig.eigenvalues
-        top_vectors[s] = eig.eigenvectors[:, -1]
+    blocks = bias_blocks(p)
+    values = np.array([numerics.hermitian_eig(M, vectors=False).eigenvalues
+                       for M in blocks])
     s = int(np.argmax(values[:, -1]))
-    top = float(values[s, -1])
+    eig = numerics.hermitian_eig(blocks[s])
+    top = float(eig.eigenvalues[-1])
     mult = int(np.sum(values > top - CLUSTER_TOL))
     vec = None
     if mult == 1:
         a = np.arange(n)
         vec = np.zeros(n * n, dtype=np.complex128)
-        vec[a * n + (s - a) % n] = top_vectors[s]
+        vec[a * n + (s - a) % n] = eig.eigenvectors[:, -1]
     return BiasReport(
         top_eigenvalue=top, multiplicity=mult, top_eigenvector=vec,
         predicted_value=top / (4 * n) + 1.0 / n)

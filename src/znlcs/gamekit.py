@@ -1,14 +1,13 @@
 """Two-player game data model and exact classical values.
 
 Covers the mod-n two-equation family (question sets [2]x[2], answers in
-Z_n), general linear-constraint-system games over Z_n, and an exhaustive
-classical-value search over deterministic strategy pairs.
+Z_n) and an exhaustive classical-value search over deterministic strategy
+pairs of any finite game.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import List, Tuple
+from typing import Tuple
 
 from .records import Record
 
@@ -64,46 +63,6 @@ class ModNGameParams(Record):
             raise ValueError("m1, m2 must lie in [0, n)")
 
 
-class LinearSystem(Record):
-    """Linear equations over Z_n in multiplicative form.
-
-    Each equation is (variables, exponents, rhs): sum_k exponents[k] *
-    x[variables[k]] = rhs (mod modulus).
-    """
-
-    modulus: int
-    equations: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...] = ()
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        eqs = []
-        for variables, exponents, rhs in self.equations:
-            variables = tuple(int(v) for v in variables)
-            exponents = tuple(int(e) % self.modulus for e in exponents)
-            if len(variables) != len(exponents):
-                raise ValueError("variables and exponents length mismatch")
-            if any(v < 0 for v in variables):
-                raise ValueError("negative variable index")
-            eqs.append((variables, exponents, int(rhs) % self.modulus))
-        object.__setattr__(self, "equations", tuple(eqs))
-
-    @property
-    def variable_count(self) -> int:
-        return 1 + max(v for vs, _, _ in self.equations for v in vs)
-
-    def satisfying_assignments(self, eq_index: int) -> List[Tuple[int, ...]]:
-        """All assignments to the equation's own variables, in lexicographic
-        order, that satisfy it."""
-        variables, exponents, rhs = self.equations[eq_index]
-        n = self.modulus
-        out = []
-        for vals in itertools.product(range(n), repeat=len(variables)):
-            if sum(e * v for e, v in zip(exponents, vals)) % n == rhs:
-                out.append(vals)
-        return out
-
-
 def make_mod_n_game(p: ModNGameParams) -> GameSpec:
     """The four-question game: questions (i, j) in [2]x[2], answers in Z_n.
 
@@ -120,38 +79,6 @@ def make_mod_n_game(p: ModNGameParams) -> GameSpec:
     pred[1, 1] = (a + b) % n == p.m2
     dist = np.full((2, 2), 0.25)
     return GameSpec(nA=2, nB=2, mA=n, mB=n, distribution=dist, predicate=pred)
-
-
-def make_lcs_game(sys: LinearSystem) -> GameSpec:
-    """Game form of a linear system: Alice gets an equation and answers a
-    satisfying assignment; Bob gets one of its variables and answers a value.
-
-    Alice's answer index enumerates the equation's satisfying assignments in
-    lexicographic order; they win iff Bob's value matches her assignment at
-    his variable. The question distribution is uniform over valid
-    (equation, variable) pairs.
-    """
-    import numpy as np
-    n = sys.modulus
-    r = len(sys.equations)
-    nvars = sys.variable_count
-    sat = [sys.satisfying_assignments(i) for i in range(r)]
-    if any(len(s) == 0 for s in sat):
-        bad = next(i for i, s in enumerate(sat) if not s)
-        raise ValueError(f"equation {bad} has no satisfying assignment")
-    mA = max(len(s) for s in sat)
-    pred = np.zeros((r, nvars, mA, n), dtype=bool)
-    dist = np.zeros((r, nvars))
-    for i in range(r):
-        variables = sys.equations[i][0]
-        for j in variables:
-            dist[i, j] = 1.0
-            pos = variables.index(j)
-            for a, assignment in enumerate(sat[i]):
-                pred[i, j, a, assignment[pos]] = True
-    dist /= dist.sum()
-    return GameSpec(nA=r, nB=nvars, mA=mA, mB=n,
-                    distribution=dist, predicate=pred)
 
 
 def _best_response_numpy(W: np.ndarray) -> Tuple[float, int]:

@@ -372,6 +372,16 @@ def alice_images(n: int) -> Dict[str, MonomialUnitary]:
     return {"P0": a0, "P1": a1, "J": scalar_j(n)}
 
 
+def _power_rows(g: MonomialUnitary) -> np.ndarray:
+    """The rows of g^0, g^1, ..., g^(n-1), each the one before times g."""
+    step = pack_rows([g], g.n)
+    cols = step_columns(step)
+    rows = [pack_rows([MonomialUnitary.identity(g.n)], g.n)]
+    for _ in range(1, g.n):
+        rows.append(compose_steps(rows[-1], cols, step)[:, 0])
+    return np.concatenate(rows)
+
+
 def normal_form_enumerate(n: int, variant: str = "standard") -> np.ndarray:
     """The rows of every normal-form word evaluated on (A0, A1, z^4 I), in
     the order of ``normal_form_words(n, variant)``, checked pairwise
@@ -379,8 +389,9 @@ def normal_form_enumerate(n: int, variant: str = "standard") -> np.ndarray:
 
     The 2^(n-1) tails, products of the optional factors, are built as
     prefix products with one more factor per mask bit, and then
-    left-multiplied by the n^2 heads J^i P0^j. A word count above
-    ENUMERATION_CAP is refused before any of it.
+    left-multiplied by the n^2 heads J^i P0^j, themselves every product of
+    a power of J by a power of P0. A word count above ENUMERATION_CAP is
+    refused before any of it.
     """
     if group_order_exceeds_cap(n):
         raise RuntimeError(
@@ -394,8 +405,10 @@ def normal_form_enumerate(n: int, variant: str = "standard") -> np.ndarray:
         step = pack_rows([factor], n)
         tails = np.concatenate(
             [tails, compose_steps(tails, step_columns(step), step)[:, 0]])
-    heads = pack_rows([evaluate_word((("J", i), ("P0", j)), images, n)
-                       for i in range(n) for j in range(n)], n)
+    j_powers = _power_rows(images["J"])
+    p0_powers = _power_rows(images["P0"])
+    heads = compose_steps(j_powers, step_columns(p0_powers), p0_powers
+                          ).reshape(-1, n + 1)
     rows = compose_steps(heads, step_columns(tails), tails
                          ).reshape(-1, n + 1)
     keys = _keys(rows, _phase_step(np.concatenate([heads, tails])))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Optional
 
 import numpy as np
 
@@ -130,24 +131,31 @@ def require_hermitian(M: np.ndarray, name: str = "matrix") -> None:
 
 
 class HermitianEig(Record):
-    """Eigendecomposition M = V diag(w) V* with w ascending."""
+    """Eigendecomposition M = V diag(w) V* with w ascending (V is None when
+    only the eigenvalues were asked for)."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: Optional[np.ndarray]
 
 
-def hermitian_eig(M: np.ndarray) -> HermitianEig:
+def hermitian_eig(M: np.ndarray, vectors: bool = True) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix (LAPACK via numpy.linalg.eigh).
 
     The input must be square, finite and Hermitian to within
     HERMITIAN_TOL * max(||M||_F, 1).
     Eigenvalues are returned ascending; eigenvectors are the matching
-    columns of a unitary matrix.
+    columns of a unitary matrix. With ``vectors`` false the eigenvectors
+    are None and the eigenvalues come from LAPACK's values-only driver
+    (numpy.linalg.eigvalsh), which is faster.
     """
     require_square(M, "hermitian_eig input")
     require_finite(M, "hermitian_eig input")
     require_hermitian(M, "hermitian_eig input")
-    w, V = np.linalg.eigh(np.asarray(M, dtype=np.complex128))
+    M = np.asarray(M, dtype=np.complex128)
+    if not vectors:
+        return HermitianEig(eigenvalues=np.linalg.eigvalsh(M),
+                            eigenvectors=None)
+    w, V = np.linalg.eigh(M)
     return HermitianEig(eigenvalues=w, eigenvectors=V)
 
 

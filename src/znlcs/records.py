@@ -1,20 +1,20 @@
 """Immutable records declared by their class annotations.
 
-A subclass of ``Record`` lists its fields as annotations, with optional
-defaults::
+A subclass of ``Record`` lists its fields as annotations, all of them
+required (a field has no default)::
 
     class Point(Record):
         x: int
-        y: int = 0
+        y: int
 
-and gets positional and keyword construction (``Point(1)``,
+and gets positional and keyword construction (``Point(1, 2)``,
 ``Point(x=1, y=2)``), field-wise ``==`` and ``hash``, a ``repr`` naming
 every field, and ``AttributeError`` on assignment or deletion. A
 ``__post_init__`` method runs after the fields are set, to validate or
 normalise them (with ``object.__setattr__``).
 
-The field names and defaults are read once, when the class is created, and
-no code is generated for it, so defining a record costs no compilation.
+The field names are read once, when the class is created, and no code
+is generated for it, so defining a record costs no compilation.
 Only a class's own annotations are its fields: a record class is not meant
 to be subclassed.
 """
@@ -22,14 +22,11 @@ to be subclassed.
 
 class Record:
     _fields: tuple = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # The class's own annotations, in order (not a base class's).
         cls._fields = tuple(cls.__annotations__)
-        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
-                         if name in cls.__dict__}
 
     def __init__(self, *args, **kwargs):
         name = type(self).__name__
@@ -48,13 +45,10 @@ class Record:
             values[key] = value
         state = self.__dict__
         for key in fields:
-            if key in values:
-                state[key] = values[key]
-            elif key in self._defaults:
-                state[key] = self._defaults[key]
-            else:
+            if key not in values:
                 raise TypeError(
                     f"{name}() missing required argument: {key!r}")
+            state[key] = values[key]
         self.__post_init__()
 
     def __post_init__(self) -> None:

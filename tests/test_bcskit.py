@@ -4,6 +4,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 from test_acceptance import literal_glued_solution
+from test_gamekit import binary_lcs_game
 
 from znlcs import numerics
 from znlcs.bcskit import (BinaryLCS, LCSStrategy, OperatorSolution,
@@ -161,9 +162,12 @@ def test_magic_square_has_no_scalar_solution():
 
 
 def test_magic_square_classical_value():
+    # 17 of the 18 (constraint, variable) pairs at best, reached by 288
+    # deterministic pairs.
     lcs, _ = magic_square()
-    value, _ = classical_value(lcs.to_game())
+    value, pairs = classical_value(binary_lcs_game(lcs))
     assert value == pytest.approx(17.0 / 18.0, abs=1e-12)
+    assert pairs == 288
 
 
 def test_magic_square_strategy_is_perfect():

@@ -327,6 +327,16 @@ def test_normal_forms_index_words_in_order():
     assert _elements(forms) == [evaluate_word(w, images, 3) for w in words]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_standard_normal_forms_index_words_in_order(n):
+    # The heads J^i P0^j come from power tables, not from words: the rows
+    # must still be the words' elements, in the words' order.
+    forms = normal_form_enumerate(n)
+    words = normal_form_words(n)
+    images = alice_images(n)
+    assert _elements(forms) == [evaluate_word(w, images, n) for w in words]
+
+
 def test_normal_form_collision_raises(monkeypatch):
     images = alice_images(4)
     images["P1"] = images["P0"]  # every optional factor becomes I

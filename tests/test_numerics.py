@@ -53,21 +53,28 @@ def test_hermitian_eig_properties(dim, seed, degenerate):
     assert np.linalg.norm(V.conj().T @ V - np.eye(d)) < 1e-10
     assert np.all(np.diff(w) >= 0.0)
     assert np.allclose(w, np.linalg.eigvalsh(H), atol=1e-10 * scale)
+    # The values-only solver gives the same spectrum and no vectors.
+    values = hermitian_eig(H, vectors=False)
+    assert values.eigenvectors is None
+    assert np.abs(values.eigenvalues - w).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
 def test_hermitian_eig_rejects_non_finite(bad):
     H = np.eye(3, dtype=complex)
     H[1, 1] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        hermitian_eig(H)
+    for vectors in (True, False):
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eig(H, vectors=vectors)
 
 
 def test_hermitian_eig_rejects_non_hermitian_and_non_square():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="square"):
-        hermitian_eig(np.zeros((2, 3)))
+    for vectors in (True, False):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                          vectors=vectors)
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eig(np.zeros((2, 3)), vectors=vectors)
 
 
 def test_partial_trace_product_state():

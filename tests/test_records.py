@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from test_bcskit import SolutionGroupPresentation
 from test_cli import subprocess_env
+from test_gamekit import LinearSystem
 
 import znlcs
 from znlcs.bcskit import (BinaryLCS, LCSStrategy, OperatorSolution,
                           SolutionReport)
 from znlcs.biaskit import BiasReport
-from znlcs.gamekit import GameSpec, LinearSystem, ModNGameParams
+from znlcs.gamekit import GameSpec, ModNGameParams
 from znlcs.groupkit import Irrep, MonomialUnitary
 from znlcs.ncpoly import NCPolynomial
 from znlcs.npakit import MomentProblem, SDPAProblem, build_moment_problem
@@ -94,7 +95,8 @@ def test_every_record_is_sampled():
                for cls in vars(module).values()
                if isinstance(cls, type) and issubclass(cls, Record)
                and cls is not Record}
-    # SolutionGroupPresentation is a test reference's record.
+    # SolutionGroupPresentation and LinearSystem are test references'
+    # records.
     assert records == {cls for cls, _, _ in SAMPLES
                        if cls.__module__.startswith("znlcs.")}
 
@@ -152,11 +154,6 @@ def test_bad_arguments_raise_type_error(cls, fields, change):
         cls(*values, None)
 
 
-def test_defaults_fill_missing_fields():
-    assert LinearSystem(3) == LinearSystem(3, ())
-    assert LinearSystem(modulus=3).equations == ()
-
-
 @pytest.mark.parametrize("build,message", [
     (lambda: BinaryLCS(2, (((), 1),)), "empty"),
     (lambda: BinaryLCS(2, (((0, 2), 1),)), "out of range"),
@@ -165,7 +162,7 @@ def test_defaults_fill_missing_fields():
     (lambda: GameSpec(1, 1, 1, 1, [[1.0, 0.0]], [[[[True]]]]), "shape"),
     (lambda: ModNGameParams(1, 0, 0), "n must be"),
     (lambda: ModNGameParams(3, 3, 0), "m1, m2"),
-    (lambda: LinearSystem(1), "modulus"),
+    (lambda: LinearSystem(1, ()), "modulus"),
     (lambda: LinearSystem(3, (((0, 1), (1,), 0),)), "length mismatch"),
     (lambda: MonomialUnitary(2, 0, (0,)), "phase vector"),
     (lambda: SOSCertificate(2, 1.0, ((0.0, NCPolynomial(2)),)), "positive"),
