@@ -8,11 +8,12 @@ command pays only for the modules it uses. ``cli`` is left out because
 The submodules are the ``.py`` files of this directory, listed directly
 (``pkgutil.iter_modules`` would import ``inspect`` in every process).
 
-Numpy rule: ``ncpoly``, ``gamekit``, ``biaskit``, ``npakit`` and
-``strategykit`` import numpy inside the functions that build or read
-arrays, not at the top, so ``npa export``, which only rewrites words and
-writes text, and ``strategy entropy``, which reads the canonical state's
-amplitudes, load no numpy (its import is about half of such a job).
+Numpy rule: ``npakit`` imports no numpy at all, and ``ncpoly``,
+``gamekit``, ``biaskit`` and ``strategykit`` import it inside the
+functions that build or read arrays, not at the top, so ``npa export``,
+which only rewrites words and writes text, and ``strategy entropy``,
+which reads the canonical state's amplitudes, load no numpy (its import
+is about half of such a job).
 Numpy cannot be registered as a lazy module instead: every ``import numpy
 as np`` statement reads the module's ``__spec__``, and that first
 attribute read runs the deferred load. The other modules import numpy at

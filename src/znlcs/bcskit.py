@@ -177,17 +177,6 @@ def glued_magic_square() -> Tuple[BinaryLCS, OperatorSolution,
             OperatorSolution(dim=4, observables=tuple(f_obs)))
 
 
-def glue_product(sol: OperatorSolution, lcs: BinaryLCS) -> np.ndarray:
-    """Product of the observables along the shared six-variable
-    constraint."""
-    variables, _ = next(
-        (vs, sg) for vs, sg in lcs.constraints if len(vs) == 6)
-    prod = np.eye(sol.dim, dtype=np.complex128)
-    for v in variables:
-        prod = prod @ sol.observables[v]
-    return prod
-
-
 # ---------------------------------------------------------------------------
 # Perfect strategies from operator solutions
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from .records import Record
 CLUSTER_TOL = 1e-7
 # Largest block stack of the canonical bias operator the CLI builds: 64 MiB
 # of complex128, so n <= 161 (n blocks of n x n). `bias spectrum --n 161`
-# takes 0.9 s and 101 MB peak RSS, most of it the n eigenvalue solves
-# (2-core Xeon, one BLAS thread).
+# takes 0.85-0.9 s and 101 MB peak RSS; of the 0.61 s in
+# canonical_bias_spectrum, the n values-only eigensolves take 0.34 s and
+# bias_blocks 0.20 s (2-core Xeon, one BLAS thread, best of 3).
 SPECTRUM_BYTES_CAP = 1 << 26
 
 
@@ -60,13 +61,6 @@ def bias_operator(p: gamekit.ModNGameParams,
     if defect > 1e-10 * max(1.0, float(np.linalg.norm(B))):
         raise ValueError(f"bias operator has Hermitian defect {defect:.3e}")
     return (B + B.conj().T) / 2
-
-
-def bias_value(p: gamekit.ModNGameParams, s: strategykit.Strategy) -> float:
-    """Winning probability via the bias: <psi|B|psi>/(4n) + 1/n."""
-    import numpy as np
-    B = bias_operator(p, s)
-    return float(np.real(np.vdot(s.state, B @ s.state))) / (4 * p.n) + 1.0 / p.n
 
 
 class BiasReport(Record):
@@ -181,7 +175,8 @@ def _canonical_block(p: gamekit.ModNGameParams):
 
 
 def canonical_bias_value(p: gamekit.ModNGameParams) -> float:
-    """``bias_value(p, canonical_strategy(p.n))`` on block 0."""
+    """The canonical strategy's winning probability,
+    <psi|B|psi>/(4n) + 1/n, on block 0."""
     import numpy as np
     M, psi = _canonical_block(p)
     return float(np.real(np.vdot(psi, M @ psi))) / (4 * p.n) + 1.0 / p.n

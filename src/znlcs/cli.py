@@ -78,7 +78,7 @@ class Report:
     construction."""
 
     def __init__(self, command: str, parameters: Dict[str, Any],
-                 seed: Optional[int] = None):
+                 seed: Optional[int]):
         self.data: Dict[str, Any] = {
             "command": command,
             "parameters": parameters,
@@ -88,16 +88,16 @@ class Report:
         self.t0 = time.perf_counter()
 
     def result(self, name: str, value: Any, tolerance: Optional[float] = None,
-               target: Any = None, ok: Optional[bool] = None) -> None:
+               target: Any = None) -> None:
+        """Add a result; one with a tolerance and a target passes when
+        |value - target| <= tolerance."""
         entry: Dict[str, Any] = {"name": name, "value": value}
         if tolerance is not None:
             entry["tolerance"] = tolerance
         if target is not None:
             entry["target"] = target
-        if ok is None and tolerance is not None and target is not None:
-            ok = abs(value - target) <= tolerance
-        if ok is not None:
-            entry["pass"] = bool(ok)
+        if tolerance is not None and target is not None:
+            entry["pass"] = bool(abs(value - target) <= tolerance)
         self.data["results"].append(entry)
 
     def finish(self) -> int:
@@ -138,7 +138,7 @@ def cmd_strategy_entropy(args, rep: Report) -> None:
         rows.append((n, strategykit.canonical_value_formula(n), ratio))
         if sd.rank != n:
             rep.result(f"schmidt_rank_n{n}", sd.rank, target=n,
-                       tolerance=0.0, ok=False)
+                       tolerance=0.0)
     if args.out:
         import csv
 

@@ -2,19 +2,17 @@
 
 Builds the word list and moment-variable identification of the standard
 semidefinite hierarchy and exports the problem in sparse SDPA text form.
-The module certifies structure and the feasibility of explicit strategies;
-solving the SDP is left to external tools.
+It rewrites words and writes text, and imports no numpy; solving the SDP,
+and checking an explicit strategy's moments against it, is left to
+external tools and to the tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from . import biaskit, gamekit, ncpoly, numerics, strategykit
+from . import biaskit, gamekit, ncpoly
 from .records import Record
-
-# Largest Frobenius distance of a strategy's moment matrix from its adjoint.
-MOMENT_HERMITIAN_TOL = 1e-8
 
 # ---------------------------------------------------------------------------
 # Words
@@ -43,37 +41,6 @@ def generate_words(n: int, level: int) -> List[ncpoly.Word]:
                     nxt.append(r)
         frontier = nxt
     return sorted(seen, key=lambda w: (len(w), w))
-
-
-def randomized_reduce(letters_seq: Sequence[ncpoly.Letter], n: int,
-                      gen: numerics.Stream) -> ncpoly.Word:
-    """Reduce a word by applying single rewrite steps (merge an adjacent
-    equal pair, drop a zero exponent, or commute a B letter past an A
-    letter) in random order until none applies."""
-    word = [(p, i, e % n) for p, i, e in letters_seq]
-    while True:
-        moves = []
-        for k, (p, i, e) in enumerate(word):
-            if e % n == 0:
-                moves.append(("drop", k))
-        for k in range(len(word) - 1):
-            p1, i1, _ = word[k]
-            p2, i2, _ = word[k + 1]
-            if p1 == p2 and i1 == i2:
-                moves.append(("merge", k))
-            elif p1 == "B" and p2 == "A":
-                moves.append(("swap", k))
-        if not moves:
-            return tuple(word)
-        kind, k = moves[gen.integers(len(moves))]
-        if kind == "drop":
-            word.pop(k)
-        elif kind == "merge":
-            p, i, e1 = word[k]
-            _, _, e2 = word[k + 1]
-            word[k:k + 2] = [(p, i, (e1 + e2) % n)]
-        else:
-            word[k], word[k + 1] = word[k + 1], word[k]
 
 
 # ---------------------------------------------------------------------------
@@ -146,53 +113,6 @@ def build_moment_problem(p: gamekit.ModNGameParams,
     return MomentProblem(n=n, level=level, words=words,
                          class_keys=list(ids), objective=objective,
                          cell_class=cell_class, cell_conj=cell_conj)
-
-
-def strategy_moments(mp: MomentProblem,
-                     s: strategykit.Strategy) -> Dict[int, complex]:
-    """Moment value per variable for an explicit strategy:
-    y(w) = <psi| w(A, B) |psi> evaluated at the class representative."""
-    import numpy as np
-    assignment = s.assignment()
-    out: Dict[int, complex] = {}
-    for cid, key in enumerate(mp.class_keys):
-        word = ncpoly.NCPolynomial(mp.n, {key: 1.0}, _canonical=True)
-        M = ncpoly.eval_nc(word, assignment, s.dimA, s.dimB)
-        out[cid] = complex(np.vdot(s.state, M @ s.state))
-    return out
-
-
-def moment_matrix(mp: MomentProblem,
-                  moments: Dict[int, complex]) -> np.ndarray:
-    """Assemble M[u, v] from a moment-variable valuation."""
-    import numpy as np
-    y = np.array([moments[cid] for cid in range(len(mp.class_keys))],
-                 dtype=np.complex128)
-    M = y[np.array(mp.cell_class)]
-    conj = np.array(mp.cell_conj)
-    M[conj] = M[conj].conj()
-    return M
-
-
-def objective_value(mp: MomentProblem,
-                    moments: Dict[int, complex]) -> float:
-    total = sum(coeff * moments[cid]
-                for cid, coeff in mp.objective.items())
-    return float(total.real)
-
-
-def strategy_feasibility(mp: MomentProblem,
-                         s: strategykit.Strategy) -> Tuple[float, float]:
-    """(min eigenvalue of the strategy's moment matrix, objective value);
-    a genuine strategy always yields a feasible (PSD) matrix."""
-    import numpy as np
-    moments = strategy_moments(mp, s)
-    M = moment_matrix(mp, moments)
-    herm_defect = float(np.linalg.norm(M - M.conj().T))
-    if herm_defect > MOMENT_HERMITIAN_TOL:
-        raise RuntimeError(f"moment matrix Hermitian defect {herm_defect}")
-    eigs = np.linalg.eigvalsh((M + M.conj().T) / 2)
-    return float(eigs[0]), objective_value(mp, moments)
 
 
 # ---------------------------------------------------------------------------

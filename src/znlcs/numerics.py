@@ -1,9 +1,9 @@
 """Dense complex matrix kernel.
 
-Hermitian eigendecomposition (LAPACK via numpy.linalg.eigh) and seeded
-random generalized observables and states. All operators are plain
-complex128 ndarrays; helpers validate shape, finiteness and Hermiticity at
-the boundary.
+Hermitian eigendecomposition (LAPACK via numpy.linalg.eigh), a seeded
+integer stream and seeded random generalized observables. All operators
+are plain complex128 ndarrays; helpers validate shape, finiteness and
+Hermiticity at the boundary.
 
 Randomness comes from the standard library's Mersenne Twister
 (``random.Random``, MT19937), which ``import numpy`` loads anyway, so no
@@ -12,6 +12,8 @@ stream, so every "random" test object is reproducible. Every draw takes
 whole 64-bit words, as ``getrandbits(64)`` returns them: one per integer,
 two per Gaussian. A block of words comes from one ``getrandbits(64 *
 count)`` call, whose little-endian bytes are those words in draw order.
+``Stream`` draws integers only; the observables turn words into
+Gaussians (``_gaussians``) themselves.
 """
 
 from __future__ import annotations
@@ -50,12 +52,8 @@ def _gaussians(words: np.ndarray) -> np.ndarray:
     return radius * np.cos(2.0 * np.pi * u[..., 1::2])
 
 
-def _shape(size) -> tuple:
-    return (size,) if np.ndim(size) == 0 else tuple(size)
-
-
 class Stream:
-    """Seeded stream of integers and Gaussians over MT19937."""
+    """Seeded stream of integers over MT19937."""
 
     __slots__ = ("_twister",)
 
@@ -78,18 +76,13 @@ class Stream:
                 f"need 0 < high - low <= 2^63, got [{low}, {high})")
         if size is None:
             return low + self._twister.getrandbits(64) % span
-        shape = _shape(size)
+        shape = (size,) if np.ndim(size) == 0 else tuple(size)
         words = self._words(math.prod(shape)) % np.uint64(span)
         return words.astype(np.int64).reshape(shape) + low
 
     def choice(self, seq):
         """One element of seq, uniformly: seq[integers(len(seq))]."""
         return seq[self.integers(len(seq))]
-
-    def standard_normal(self, shape) -> np.ndarray:
-        """Standard normals of the given shape, two words each."""
-        shape = _shape(shape)
-        return _gaussians(self._words(2 * math.prod(shape))).reshape(shape)
 
 
 def rng(seed: int) -> Stream:
@@ -164,12 +157,12 @@ def random_order_n_observables(order: int, dim: int, seeds) -> np.ndarray:
     U^order = I, each deterministic in its seed.
 
     U = V diag(omega^e) V* with uniform eigenvalue exponents e and V a
-    random unitary. Each seed's stream gives, as ``rng(seed)`` would draw
-    them, the exponents (``integers(0, order, size=dim)``), then the real
-    and the imaginary part of the Gaussian matrix behind V
-    (``standard_normal((dim, dim))`` each). Those dim + 4 dim^2 words are
-    taken with one call a seed, and converted, and the QR step run, on the
-    whole stack at once.
+    random unitary. Each seed's stream gives the exponents, as
+    ``rng(seed).integers(0, order, size=dim)`` would draw them, then the
+    real and the imaginary part of the Gaussian matrix behind V, dim^2
+    normals each at two words a normal (``_gaussians``). Those
+    dim + 4 dim^2 words are taken with one call a seed, and converted, and
+    the QR step run, on the whole stack at once.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -191,16 +184,3 @@ def random_order_n_observables(order: int, dim: int, seeds) -> np.ndarray:
     omega = np.exp(2j * np.pi / order)
     return (V * (omega ** exps)[:, None, :]) @ V.conj().swapaxes(-1, -2)
 
-
-def random_order_n_observable(order: int, dim: int, seed: int) -> np.ndarray:
-    """Random generalized observable U with U^order = I, deterministic in
-    seed: the one-seed case of ``random_order_n_observables``."""
-    return random_order_n_observables(order, dim, [seed])[0]
-
-
-def random_state(dim: int, gen: Stream) -> np.ndarray:
-    """Random unit vector with complex Gaussian entries: the real parts,
-    then the imaginary parts, from one draw of 2 dim normals."""
-    z = gen.standard_normal(2 * dim)
-    v = z[:dim] + 1j * z[dim:]
-    return v / np.linalg.norm(v)

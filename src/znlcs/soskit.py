@@ -153,15 +153,14 @@ def annihilation_residuals(cert: SOSCertificate,
             for k, (_, p) in enumerate(cert.squares)]
 
 
-def h3_polynomial(conjugated: bool = False) -> ncpoly.NCPolynomial:
-    """H = omega (A0 A1 A0 + A0^* A1 + A1 A0^*), or its adjoint H^*."""
+def h3_polynomial() -> ncpoly.NCPolynomial:
+    """H = omega (A0 A1 A0 + A0^* A1 + A1 A0^*)."""
     w = np.exp(2j * np.pi / 3)
-    H = ncpoly.NCPolynomial(3, {
+    return ncpoly.NCPolynomial(3, {
         (("A", 0, 1), ("A", 1, 1), ("A", 0, 1)): w,
         (("A", 0, 2), ("A", 1, 1)): w,
         (("A", 1, 1), ("A", 0, 2)): w,
     })
-    return H.adjoint() if conjugated else H
 
 
 def derived_relations_g3() -> List[Tuple[str, ncpoly.NCPolynomial]]:
@@ -170,6 +169,8 @@ def derived_relations_g3() -> List[Tuple[str, ncpoly.NCPolynomial]]:
     w = np.exp(2j * np.pi / 3)
     wc = np.conj(w)
     one = ncpoly.NCPolynomial.one(3)
+    H = h3_polynomial()
+    H_star = H.adjoint()
 
     def p(terms):
         return ncpoly.NCPolynomial(3, terms)
@@ -203,10 +204,9 @@ def derived_relations_g3() -> List[Tuple[str, ncpoly.NCPolynomial]]:
                            (("A", 1, 2), ("A", 0, 1)): -w})),
         ("group_rel_2", p({(("A", 1, 1), ("A", 0, 2)): 1,
                            (("A", 0, 1), ("A", 1, 2)): -w})),
-        ("ring_H", h3_polynomial() + one),
-        ("ring_H_star", h3_polynomial(conjugated=True) + one),
-        ("ring_sum", h3_polynomial() + h3_polynomial(conjugated=True)
-         + 2.0 * one),
+        ("ring_H", H + one),
+        ("ring_H_star", H_star + one),
+        ("ring_sum", H + H_star + 2.0 * one),
         ("triple_product", p({(("A", 0, 1), ("A", 1, 1), ("A", 0, 1)): 1,
                               (("A", 0, 2), ("A", 1, 2), ("A", 0, 2)): -w})),
         ("commutator_on_state",

@@ -257,14 +257,3 @@ def psi_representation_residuals(s: Strategy) -> Tuple[float, float]:
             for fx, products in zip(f, table)))
     return residuals[0], residuals[1]
 
-
-def random_strategy(n: int, dimA: int, dimB: int, seed: int) -> Strategy:
-    """Seeded random admissible strategy (order-n observables, random
-    state)."""
-    gen = numerics.rng(seed)
-    obs = [numerics.random_order_n_observable(
-               n, d, gen.integers(2 ** 63))
-           for d in (dimA, dimA, dimB, dimB)]
-    return Strategy(order=n, dimA=dimA, dimB=dimB,
-                    alice_obs=(obs[0], obs[1]), bob_obs=(obs[2], obs[3]),
-                    state=numerics.random_state(dimA * dimB, gen))

@@ -2,6 +2,9 @@
 
 Every test prints "[acceptance NN] <name>: PASS|FAIL" so the suite's output
 doubles as a checklist. Tolerances are stated inline next to each assertion.
+The oracles that no command runs (random strategies, the bias value of a
+general strategy, the n = 3 irreps, moment feasibility, randomized word
+reduction) are references in the unit-test module of the code they check.
 """
 
 import functools
@@ -9,25 +12,27 @@ import math
 
 import numpy as np
 import pytest
+from test_biaskit import bias_value
+from test_groupkit import g3_irreps, ring_relation_defect
+from test_npakit import randomized_reduce, strategy_feasibility
+from test_strategykit import random_strategy
 
 from znlcs.biaskit import (bias_eigenvalue_formula, bias_polynomial,
-                           bias_spectrum, bias_value, eigenrelation_residual)
+                           bias_spectrum, eigenrelation_residual)
 from znlcs.gamekit import ModNGameParams, classical_value, make_mod_n_game
-from znlcs.groupkit import (alice_generators, enumerate_group, g3_irreps,
-                            normal_form_enumerate, ring_relation_defect,
-                            verify_presentation)
+from znlcs.groupkit import (alice_generators, enumerate_group,
+                            normal_form_enumerate, verify_presentation)
 from znlcs.ncpoly import canonical_word, eval_nc
 from znlcs.npakit import (build_moment_problem, export_sdpa, generate_words,
-                          letters, parse_sdpa, randomized_reduce,
-                          strategy_feasibility)
-from znlcs.numerics import random_order_n_observable, rng
+                          letters, parse_sdpa)
+from znlcs.numerics import random_order_n_observables, rng
 from znlcs.soskit import (annihilation_residuals, certificate_chsh,
                           certificate_g3, derived_relations_g3,
                           verify_sos_identity)
 from znlcs.strategykit import (canonical_state, canonical_strategy,
                                canonical_value_formula, check_state_relation,
-                               psi_representation_residuals, random_strategy,
-                               schmidt, strategy_value_direct)
+                               psi_representation_residuals, schmidt,
+                               strategy_value_direct)
 from znlcs import bcskit
 
 
@@ -153,8 +158,8 @@ def test_08_sos_certificates():
     gen = rng(72)
     for _ in range(50):
         dim = int(gen.choice([3, 6]))
-        assign = {key: random_order_n_observable(
-            3, dim, int(gen.integers(2**31)))
+        assign = {key: random_order_n_observables(
+            3, dim, [int(gen.integers(2**31))])[0]
             for key in (("A", 0), ("A", 1), ("B", 0), ("B", 1))}
         B = eval_nc(b3, assign, dim, dim)
         B = (B + B.conj().T) / 2
@@ -211,7 +216,8 @@ def test_12_glued_magic_square():
     glue_index = next(i for i, (vs, _) in enumerate(lcs_lit.constraints)
                       if len(vs) == 6)
     assert glue_index in {i for i, _ in report.product_defects}
-    prod = bcskit.glue_product(E_lit, lcs_lit)
+    prod = np.linalg.multi_dot(
+        [E_lit.observables[v] for v in lcs_lit.constraints[glue_index][0]])
     assert np.allclose(prod, np.diag([1.0] * 4 + [-1.0] * 4), atol=1e-12)
 
 

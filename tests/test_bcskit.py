@@ -8,7 +8,7 @@ from test_gamekit import binary_lcs_game
 
 from znlcs import numerics
 from znlcs.bcskit import (BinaryLCS, LCSStrategy, OperatorSolution,
-                          glue_product, glued_magic_square,
+                          glued_magic_square,
                           lcs_strategy_value, magic_square,
                           magic_square_observables, maximally_entangled,
                           nonrigidity_witness, solution_to_strategy,
@@ -196,7 +196,8 @@ def test_glued_literal_mapping_breaks_glue_constraint():
     glue_index = next(i for i, (vs, _) in enumerate(lcs.constraints)
                       if len(vs) == 6)
     assert glue_index in {i for i, _ in report.product_defects}
-    prod = glue_product(E, lcs)
+    prod = np.linalg.multi_dot(
+        [E.observables[v] for v in lcs.constraints[glue_index][0]])
     expected = np.diag([1.0] * 4 + [-1.0] * 4)
     assert np.allclose(prod, expected, atol=1e-12)
 

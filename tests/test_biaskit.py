@@ -2,17 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_strategykit import random_strategy
 
-from znlcs import monomial
+from znlcs import gamekit, monomial, strategykit
 from znlcs.biaskit import (SPECTRUM_BYTES_CAP, bias_blocks,
                            bias_eigenvalue_formula, bias_operator,
-                           bias_polynomial, bias_spectrum, bias_value,
-                           block_bytes, canonical_bias_spectrum,
-                           canonical_bias_value, eigenrelation_residual)
+                           bias_polynomial, bias_spectrum, block_bytes,
+                           canonical_bias_spectrum, canonical_bias_value,
+                           eigenrelation_residual)
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
 from znlcs.strategykit import (canonical_state, canonical_strategy,
-                               canonical_value_formula, random_strategy,
+                               canonical_value_formula,
                                strategy_value_direct)
+
+
+def bias_value(p: gamekit.ModNGameParams, s: strategykit.Strategy) -> float:
+    """Winning probability via the bias: <psi|B|psi>/(4n) + 1/n."""
+    B = bias_operator(p, s)
+    return float(np.real(np.vdot(s.state, B @ s.state))) / (4 * p.n) + 1.0 / p.n
 
 
 def test_bias_polynomial_chsh_reduces_to_classic_form():

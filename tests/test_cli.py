@@ -88,6 +88,28 @@ def test_npa_export_fails_when_the_file_loses_entries(capsys, tmp_path,
     assert code == 1
 
 
+def test_entropy_fails_on_a_schmidt_rank_below_n(capsys, monkeypatch):
+    # A canonical state of rank n - 1 at one n: that n's entry, and only
+    # it, fails the report.
+    from znlcs import strategykit
+    schmidt = strategykit.canonical_schmidt
+
+    def rank_short_at_4(n):
+        sd = schmidt(n)
+        if n != 4:
+            return sd
+        return strategykit.SchmidtData(sd.coefficients, n - 1, sd.entropy)
+
+    monkeypatch.setattr(strategykit, "canonical_schmidt", rank_short_at_4)
+    code, report = run(capsys, "strategy", "entropy", "--n-max", "5")
+    ranks = [r for r in report["results"]
+             if r["name"].startswith("schmidt_rank")]
+    assert ranks == [{"name": "schmidt_rank_n4", "value": 3,
+                      "tolerance": 0.0, "target": 4, "pass": False}]
+    assert report["pass"] is False
+    assert code == 1
+
+
 def test_entropy_csv_schema(capsys, tmp_path):
     out = tmp_path / "entropy.csv"
     code, _ = run(capsys, "strategy", "entropy", "--n-max", "5",

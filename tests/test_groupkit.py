@@ -2,6 +2,7 @@ import ast
 import hashlib
 import subprocess
 import sys
+from typing import Dict, List
 
 import numpy as np
 import pytest
@@ -11,12 +12,70 @@ from hypothesis import strategies as st
 from znlcs import groupkit
 from znlcs.groupkit import (MonomialUnitary, alice_generators, alice_images,
                             enumerate_group, evaluate_word,
-                            evaluate_word_matrix, g3_irreps, invert_rows,
+                            evaluate_word_matrix, invert_rows,
                             multiplication_table, normal_form_enumerate,
                             normal_form_words, pack_rows,
-                            presentation_relators, ring_relation_defect,
-                            scalar_j, verify_presentation)
+                            presentation_relators, scalar_j,
+                            verify_presentation)
 from znlcs.monomial import bob_generators, shift_x
+from znlcs.records import Record
+
+
+# ---------------------------------------------------------------------------
+# Reference: irreducible representations of the n = 3 group, which no
+# command reports
+# ---------------------------------------------------------------------------
+
+class Irrep(Record):
+    name: str
+    degree: int
+    images: Dict[str, np.ndarray]
+
+    def relator_defect(self) -> float:
+        eye = np.eye(self.degree)
+        worst = 0.0
+        for rel in presentation_relators(3):
+            M = evaluate_word_matrix(rel, self.images)
+            worst = max(worst, float(np.linalg.norm(M - eye)))
+        return worst
+
+
+def g3_irreps() -> List[Irrep]:
+    """The 12 irreducible representations of the 36-element n = 3 group:
+    nine of degree 1 and three of degree 3."""
+    w = np.exp(2j * np.pi / 3)
+    irreps = []
+    for i in range(3):
+        for j in range(3):
+            irreps.append(Irrep(
+                name=f"chi_{i}{j}", degree=1,
+                images={"P0": np.array([[w ** i]]),
+                        "P1": np.array([[w ** j]]),
+                        "J": np.array([[w ** ((2 * (j - i)) % 3)]])}))
+    perm = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
+    perm_t = perm.T.copy()
+    wc = np.conj(w)
+    g1_p1 = np.array([[0, 0, wc], [-wc, 0, 0], [0, -wc, 0]])
+    g2_p1 = np.array([[0, 0, -1], [-1, 0, 0], [0, 1, 0]], dtype=complex)
+    g3_p1 = np.array([[0, w, 0], [0, 0, -w], [-w, 0, 0]])
+    eye3 = np.eye(3, dtype=complex)
+    irreps.append(Irrep("g1", 3, {"P0": perm, "P1": g1_p1, "J": w * eye3}))
+    irreps.append(Irrep("g2", 3, {"P0": perm, "P1": g2_p1, "J": eye3}))
+    irreps.append(Irrep("g3", 3, {"P0": perm_t, "P1": g3_p1, "J": wc * eye3}))
+    return irreps
+
+
+def ring_relation_defect(rep: Irrep) -> float:
+    """Norm of H_3 + I under the representation, where
+    H_3 = omega * sum_i P0^i P1 P0^{2-i} and omega = e^{2 pi i / 3}."""
+    P0, P1 = rep.images["P0"], rep.images["P1"]
+    d = rep.degree
+    H = np.zeros((d, d), dtype=complex)
+    for i in range(3):
+        H += (np.linalg.matrix_power(P0, i) @ P1
+              @ np.linalg.matrix_power(P0, 2 - i))
+    H *= np.exp(2j * np.pi / 3)
+    return float(np.linalg.norm(H + np.eye(d)))
 
 
 def unpack_row(row):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_numerics import random_state
 
 from znlcs.ncpoly import (NCPolynomial, apply_nc, canonical_word, eval_nc,
                           word_adjoint)
-from znlcs.numerics import (random_order_n_observable,
-                            random_order_n_observables, random_state, rng)
+from znlcs.numerics import random_order_n_observables, rng
 
 KEYS = (("A", 0), ("A", 1), ("B", 0), ("B", 1))
 
@@ -89,8 +89,8 @@ def _random_assignment(n, dim, seed, dimB=None):
     """Alice's operators at dim, Bob's at dimB (default dim)."""
     gen = rng(seed)
     dims = {"A": dim, "B": dim if dimB is None else dimB}
-    return {key: random_order_n_observable(n, dims[key[0]],
-                                           int(gen.integers(2**31)))
+    return {key: random_order_n_observables(
+                n, dims[key[0]], [int(gen.integers(2**31))])[0]
             for key in KEYS}
 
 

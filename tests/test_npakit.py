@@ -1,19 +1,109 @@
 import hashlib
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_strategykit import random_strategy
 
+from znlcs import ncpoly, numerics, strategykit
 from znlcs.gamekit import ModNGameParams
 from znlcs.ncpoly import canonical_word, word_adjoint
-from znlcs.npakit import (SDPAProblem, build_moment_problem, export_sdpa,
-                          generate_words, letters, moment_matrix,
-                          objective_value, parse_sdpa, randomized_reduce,
-                          sdpa_from_moment_problem, strategy_feasibility,
-                          strategy_moments)
+from znlcs.npakit import (MomentProblem, SDPAProblem, build_moment_problem,
+                          export_sdpa, generate_words, letters, parse_sdpa,
+                          sdpa_from_moment_problem)
 from znlcs.numerics import rng
-from znlcs.strategykit import canonical_strategy, random_strategy
+from znlcs.strategykit import canonical_strategy
+
+
+# ---------------------------------------------------------------------------
+# Reference: an explicit strategy's moments and their feasibility, and the
+# rewrite steps in random order, which no command runs
+# ---------------------------------------------------------------------------
+
+# Largest Frobenius distance of a strategy's moment matrix from its adjoint.
+MOMENT_HERMITIAN_TOL = 1e-8
+
+
+def randomized_reduce(letters_seq: Sequence[ncpoly.Letter], n: int,
+                      gen: numerics.Stream) -> ncpoly.Word:
+    """Reduce a word by applying single rewrite steps (merge an adjacent
+    equal pair, drop a zero exponent, or commute a B letter past an A
+    letter) in random order until none applies."""
+    word = [(p, i, e % n) for p, i, e in letters_seq]
+    while True:
+        moves = []
+        for k, (p, i, e) in enumerate(word):
+            if e % n == 0:
+                moves.append(("drop", k))
+        for k in range(len(word) - 1):
+            p1, i1, _ = word[k]
+            p2, i2, _ = word[k + 1]
+            if p1 == p2 and i1 == i2:
+                moves.append(("merge", k))
+            elif p1 == "B" and p2 == "A":
+                moves.append(("swap", k))
+        if not moves:
+            return tuple(word)
+        kind, k = moves[gen.integers(len(moves))]
+        if kind == "drop":
+            word.pop(k)
+        elif kind == "merge":
+            p, i, e1 = word[k]
+            _, _, e2 = word[k + 1]
+            word[k:k + 2] = [(p, i, (e1 + e2) % n)]
+        else:
+            word[k], word[k + 1] = word[k + 1], word[k]
+
+
+def strategy_moments(mp: MomentProblem,
+                     s: strategykit.Strategy) -> Dict[int, complex]:
+    """Moment value per variable for an explicit strategy:
+    y(w) = <psi| w(A, B) |psi> evaluated at the class representative."""
+    assignment = s.assignment()
+    out: Dict[int, complex] = {}
+    for cid, key in enumerate(mp.class_keys):
+        word = ncpoly.NCPolynomial(mp.n, {key: 1.0}, _canonical=True)
+        M = ncpoly.eval_nc(word, assignment, s.dimA, s.dimB)
+        out[cid] = complex(np.vdot(s.state, M @ s.state))
+    return out
+
+
+def moment_matrix(mp: MomentProblem,
+                  moments: Dict[int, complex]) -> np.ndarray:
+    """Assemble M[u, v] from a moment-variable valuation."""
+    y = np.array([moments[cid] for cid in range(len(mp.class_keys))],
+                 dtype=np.complex128)
+    M = y[np.array(mp.cell_class)]
+    conj = np.array(mp.cell_conj)
+    M[conj] = M[conj].conj()
+    return M
+
+
+def objective_value(mp: MomentProblem,
+                    moments: Dict[int, complex]) -> float:
+    total = sum(coeff * moments[cid]
+                for cid, coeff in mp.objective.items())
+    return float(total.real)
+
+
+def strategy_feasibility(mp: MomentProblem,
+                         s: strategykit.Strategy) -> Tuple[float, float]:
+    """(min eigenvalue of the strategy's moment matrix, objective value);
+    a genuine strategy always yields a feasible (PSD) matrix."""
+    moments = strategy_moments(mp, s)
+    M = moment_matrix(mp, moments)
+    herm_defect = float(np.linalg.norm(M - M.conj().T))
+    if herm_defect > MOMENT_HERMITIAN_TOL:
+        raise RuntimeError(f"moment matrix Hermitian defect {herm_defect}")
+    eigs = np.linalg.eigvalsh((M + M.conj().T) / 2)
+    return float(eigs[0]), objective_value(mp, moments)
+
+
+# ---------------------------------------------------------------------------
+# Words, moment problems and the SDPA export
+# ---------------------------------------------------------------------------
 
 
 def test_word_counts_level1():

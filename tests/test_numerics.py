@@ -1,10 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from znlcs.numerics import (hermitian_eig, random_order_n_observable,
-                            random_order_n_observables, random_state, rng)
+from znlcs import numerics
+from znlcs.numerics import hermitian_eig, random_order_n_observables, rng
+
+
+def standard_normal(gen, shape):
+    """Standard normals of the given shape (an int or a tuple) from the
+    stream gen, two 64-bit words each (``numerics._gaussians``)."""
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    return numerics._gaussians(
+        gen._words(2 * math.prod(shape))).reshape(shape)
+
+
+def random_state(dim, gen):
+    """Random unit vector with complex Gaussian entries: the real parts,
+    then the imaginary parts, from one draw of 2 dim normals."""
+    z = standard_normal(gen, 2 * dim)
+    v = z[:dim] + 1j * z[dim:]
+    return v / np.linalg.norm(v)
 
 
 def partial_trace_B(rho, dimA, dimB):
@@ -16,8 +34,8 @@ def partial_trace_B(rho, dimA, dimB):
 @pytest.mark.parametrize("dim", [2, 5, 16, 64])
 def test_hermitian_eig_reconstructs(dim):
     gen = rng(11 + dim)
-    M = (gen.standard_normal((dim, dim))
-         + 1j * gen.standard_normal((dim, dim)))
+    M = (standard_normal(gen, (dim, dim))
+         + 1j * standard_normal(gen, (dim, dim)))
     H = M + M.conj().T
     eig = hermitian_eig(H)
     V, w = eig.eigenvectors, eig.eigenvalues
@@ -30,8 +48,8 @@ def test_hermitian_eig_reconstructs(dim):
 
 
 def _random_hermitian(dim, gen):
-    M = (gen.standard_normal((dim, dim))
-         + 1j * gen.standard_normal((dim, dim)))
+    M = (standard_normal(gen, (dim, dim))
+         + 1j * standard_normal(gen, (dim, dim)))
     return M + M.conj().T
 
 
@@ -91,7 +109,7 @@ def test_partial_trace_maximally_entangled():
 def test_partial_trace_hand_expansion():
     # Oracle: sum the 2x2 diagonal blocks by hand on a random density matrix.
     gen = rng(3)
-    M = gen.standard_normal((6, 6)) + 1j * gen.standard_normal((6, 6))
+    M = standard_normal(gen, (6, 6)) + 1j * standard_normal(gen, (6, 6))
     rho = M @ M.conj().T
     rho /= np.trace(rho)
     expected = np.zeros((3, 3), dtype=complex)
@@ -106,8 +124,8 @@ def test_partial_trace_hand_expansion():
 def test_kron_mixed_product_property():
     gen = rng(5)
     for _ in range(5):
-        A, B, C, D = (gen.standard_normal((3, 3))
-                      + 1j * gen.standard_normal((3, 3))
+        A, B, C, D = (standard_normal(gen, (3, 3))
+                      + 1j * standard_normal(gen, (3, 3))
                       for _ in range(4))
         lhs = np.kron(A, B) @ np.kron(C, D)
         rhs = np.kron(A @ C, B @ D)
@@ -116,10 +134,10 @@ def test_kron_mixed_product_property():
 
 @pytest.mark.parametrize("order,dim", [(2, 1), (2, 4), (3, 3), (5, 7)])
 def test_random_order_n_observable(order, dim):
-    U = random_order_n_observable(order, dim, 17)
+    U = random_order_n_observables(order, dim, [17])[0]
     assert np.linalg.norm(
         np.linalg.matrix_power(U, order) - np.eye(dim)) < 1e-10
-    assert np.allclose(U, random_order_n_observable(order, dim, 17))
+    assert np.allclose(U, random_order_n_observables(order, dim, [17])[0])
     if dim == 1 and order == 2:
         assert abs(abs(U[0, 0]) - 1.0) < 1e-12
         assert abs(U[0, 0].imag) < 1e-12
@@ -129,7 +147,8 @@ def _observable_reference(order, dim, seed):
     """One observable from its own stream: exponents, then the Gaussian."""
     gen = rng(seed)
     exps = gen.integers(0, order, size=dim)
-    G = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    G = (standard_normal(gen, (dim, dim))
+         + 1j * standard_normal(gen, (dim, dim)))
     Q, R = np.linalg.qr(G)
     V = Q * (np.diag(R) / np.abs(np.diag(R)))
     omega = np.exp(2j * np.pi / order)
@@ -144,7 +163,7 @@ def test_random_order_n_observables_stack(order, dim):
     assert U.shape == (len(seeds), dim, dim)
     eye = np.eye(dim)
     for t, seed in enumerate(seeds):
-        one = random_order_n_observable(order, dim, seed)
+        one = random_order_n_observables(order, dim, [seed])[0]
         assert np.abs(U[t] - one).max() < 1e-14
         assert np.abs(U[t] - _observable_reference(order, dim, seed)).max() \
             < 1e-14
@@ -160,9 +179,18 @@ def test_random_state_normalized():
 
 def test_random_state_is_one_draw_of_real_then_imaginary_parts():
     gen = rng(2)
-    v = gen.standard_normal(9) + 1j * gen.standard_normal(9)
+    v = standard_normal(gen, 9) + 1j * standard_normal(gen, 9)
     assert np.abs(random_state(9, rng(2)) - v / np.linalg.norm(v)).max() \
         < 1e-15
+
+
+def test_random_state_draw_is_pinned():
+    # Seed 7's draw; a change to the stream or to the Gaussians shows.
+    assert np.abs(random_state(4, rng(7)) - np.array([
+        -0.6981381940386174 - 0.1343012503477047j,
+        0.04956387189878023 - 0.25620134760038876j,
+        -0.14037796713139833 - 0.11641425876544854j,
+        0.17552556410619305 - 0.6019992120551628j])).max() <= 1e-12
 
 
 def test_stream_first_draws_are_pinned():
@@ -174,7 +202,7 @@ def test_stream_first_draws_are_pinned():
         7106521602475165645, 7198729688045931692, 746805015404516437]
     assert gen.integers(0, 10, size=5).tolist() == [2, 6, 6, 7, 1]
     assert gen.integers(-5, 5) == -5
-    assert gen.standard_normal(3).tolist() == pytest.approx(
+    assert standard_normal(gen, 3).tolist() == pytest.approx(
         [0.41530241384699385, 0.3497803424934713, 0.1363484151199732],
         rel=1e-12)
     assert gen.choice("abc") == "b"
@@ -209,7 +237,7 @@ def test_integers_reject_an_empty_or_too_wide_range():
 def test_standard_normal_moments():
     # 10^5 draws: mean and variance within 5 standard errors of 0 and 1.
     count = 10**5
-    z = rng(8).standard_normal(count)
+    z = standard_normal(rng(8), count)
     assert z.shape == (count,)
     assert abs(z.mean()) < 5 / np.sqrt(count)
     assert abs(z.var() - 1.0) < 5 * np.sqrt(2.0 / count)

@@ -1,18 +1,22 @@
 """Every top-level function, class and method of ``src/znlcs`` is reached
-from a command or from the acceptance gate.
+from a command or from the benchmark's tracer.
 
 Reachability is read from the source with ``ast``, by name. The roots are
 the module-level statements of every module (``cli.COMMANDS`` names each
-command's handler and pre-flight check), the whole acceptance gate, and
-``ALLOWED``. A reached definition reaches what its body reads: a name
-defined in its module or imported from a sibling by name, and, through
-``x.attr``, every definition called ``attr``. A reached class reaches its
-bases, decorators, class-level statements and dunder methods. Annotations
-are left out: they name types, not code that runs.
+command's handler and pre-flight check) and each function that
+``perfbench/tracer.py`` names in ``TRACED``, the one user of ``src/``
+outside the tests. A ``TRACED`` name resolves through its module's imports:
+``groupkit.MonomialUnitary.power`` is ``monomial.MonomialUnitary.power``.
+A reached definition reaches what its body reads: a name defined in its
+module or imported from a sibling by name, and, through ``x.attr``, every
+definition called ``attr``. A reached class reaches its bases, decorators,
+class-level statements and dunder methods. Annotations are left out: they
+name types, not code that runs.
 
-Code that only its own unit tests reach does not belong in ``src/``: an
-independent oracle, or a check of a paper claim that no command reports,
-moves into the tests as a reference; anything else is deleted.
+Code that only tests reach does not belong in ``src/``: an independent
+oracle, or a check of a paper claim that no command reports (the
+acceptance gate's references among them), moves into the tests as a
+reference; anything else is deleted.
 """
 
 import ast
@@ -20,10 +24,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "znlcs"
-GATE = ROOT / "tests" / "test_acceptance.py"
-
-# Unreached on purpose: qualified name -> why it stays.
-ALLOWED = {}
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _reads(nodes):
@@ -45,18 +46,16 @@ def _reads(nodes):
     return names, attrs
 
 
-def _imported_names(tree, prefix):
-    """{local name: "module.name"} for each ``from <prefix>module import
-    name`` in tree."""
+def _imported_names(tree):
+    """{local name: "module.name"} for each ``from .module import name``
+    in tree."""
     out = {}
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        path = "." * node.level + (node.module or "")
-        if path.startswith(prefix) and len(path) > len(prefix):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                and node.module:
             for alias in node.names:
                 out[alias.asname or alias.name] = \
-                    f"{path[len(prefix):]}.{alias.name}"
+                    f"{node.module}.{alias.name}"
     return out
 
 
@@ -67,7 +66,7 @@ def _parse():
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
         tree = trees[module] = ast.parse(path.read_text())
-        scopes[module] = _imported_names(tree, ".")
+        scopes[module] = _imported_names(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[f"{module}.{node.name}"] = node
@@ -77,6 +76,24 @@ def _parse():
                     if isinstance(sub, ast.FunctionDef):
                         defs[f"{module}.{node.name}.{sub.name}"] = sub
     return defs, trees, scopes
+
+
+def _traced():
+    """{(module, qualified name): the definition it names, or None} for
+    each entry of the tracer's ``TRACED``, read from its source."""
+    defs, _, scopes = _parse()
+    tree = ast.parse(TRACER.read_text())
+    value = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets]
+                 == ["TRACED"])
+    out = {}
+    for module, qualname, _ in ast.literal_eval(value):
+        head, *rest = qualname.split(".")
+        target = scopes.get(module, {}).get(head)
+        name = ".".join([target, *rest]) if target else None
+        out[module, qualname] = name if name in defs else None
+    return out
 
 
 def _reached(extra_roots):
@@ -94,8 +111,6 @@ def _reached(extra_roots):
     for module, tree in trees.items():
         work += refs([node for node in tree.body if not isinstance(
             node, (ast.FunctionDef, ast.ClassDef))], scopes[module])
-    gate = ast.parse(GATE.read_text())
-    work += refs([gate], _imported_names(gate, "znlcs."))
     reached = set()
     while work:
         qualname = work.pop()
@@ -115,14 +130,20 @@ def _reached(extra_roots):
     return set(defs), reached
 
 
+def test_every_traced_name_is_a_definition():
+    assert [entry for entry, name in _traced().items() if name is None] == []
+
+
 def test_every_definition_is_reached():
-    defs, reached = _reached(ALLOWED)
+    defs, reached = _reached(filter(None, _traced().values()))
     assert sorted(defs - reached) == []
 
 
-def test_every_allowed_name_is_otherwise_unreached():
-    # Dropping an entry leaves that name unreached and no other: an entry
-    # keeps only itself alive.
-    for name in ALLOWED:
-        defs, reached = _reached(set(ALLOWED) - {name})
-        assert sorted(defs - reached) == [name]
+def test_what_only_the_tracer_reaches():
+    # No command runs these; the benchmark traces them. A benchmark that
+    # stops tracing one leaves it to the tests, where it moves.
+    _, with_tracer = _reached(filter(None, _traced().values()))
+    _, commands = _reached([])
+    assert sorted(with_tracer - commands) == [
+        "biaskit.bias_operator", "biaskit.bias_spectrum",
+        "strategykit.schmidt"]

@@ -7,13 +7,14 @@ import pytest
 from test_bcskit import SolutionGroupPresentation
 from test_cli import subprocess_env
 from test_gamekit import LinearSystem
+from test_groupkit import Irrep
 
 import znlcs
 from znlcs.bcskit import (BinaryLCS, LCSStrategy, OperatorSolution,
                           SolutionReport)
 from znlcs.biaskit import BiasReport
 from znlcs.gamekit import GameSpec, ModNGameParams
-from znlcs.groupkit import Irrep, MonomialUnitary
+from znlcs.groupkit import MonomialUnitary
 from znlcs.ncpoly import NCPolynomial
 from znlcs.npakit import MomentProblem, SDPAProblem, build_moment_problem
 from znlcs.numerics import HermitianEig

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
+from test_strategykit import random_strategy
 
 from znlcs import numerics
 from znlcs.biaskit import bias_polynomial
 from znlcs.gamekit import ModNGameParams
 from znlcs.ncpoly import eval_nc
-from znlcs.numerics import (random_order_n_observable,
-                            random_order_n_observables, rng)
+from znlcs.numerics import random_order_n_observables, rng
 from znlcs.soskit import (BLOCK_TRIALS, SOSCertificate,
                           annihilation_residuals, certificate_chsh,
                           certificate_g3, derived_relations_g3,
                           h3_polynomial, verify_sos_identity)
-from znlcs.strategykit import (canonical_strategy, check_state_relation,
-                               random_strategy)
+from znlcs.strategykit import canonical_strategy, check_state_relation
 
 
 def _verify_reference(cert, bias, trials, seed):
@@ -23,7 +22,8 @@ def _verify_reference(cert, bias, trials, seed):
     for _ in range(trials):
         dim = int(gen.choice([n, 2 * n]))
         assignment = {
-            key: random_order_n_observable(n, dim, int(gen.integers(2 ** 63)))
+            key: random_order_n_observables(
+                n, dim, [int(gen.integers(2 ** 63))])[0]
             for key in (("A", 0), ("A", 1), ("B", 0), ("B", 1))
         }
         total_dim = dim * dim
@@ -141,8 +141,8 @@ def test_certificate_implies_eigenvalue_pincer():
     gen = rng(13)
     for _ in range(20):
         dim = int(gen.choice([3, 6]))
-        assign = {key: random_order_n_observable(
-            3, dim, int(gen.integers(2**31)))
+        assign = {key: random_order_n_observables(
+            3, dim, [int(gen.integers(2**31))])[0]
             for key in (("A", 0), ("A", 1), ("B", 0), ("B", 1))}
         B = eval_nc(bias, assign, dim, dim)
         B = (B + B.conj().T) / 2
@@ -170,7 +170,7 @@ def test_h3_ring_relation():
     one = NCPolynomial.one(3)
     assert check_state_relation(s, h3_polynomial() + one) < 1e-9
     assert check_state_relation(
-        s, h3_polynomial(conjugated=True) + one) < 1e-9
+        s, h3_polynomial().adjoint() + one) < 1e-9
 
 
 def test_certificate_g3_order_lambda_and_weights():

@@ -5,22 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_groupkit import unpack_row
-from test_numerics import partial_trace_B
+from test_numerics import partial_trace_B, random_state, standard_normal
 
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
 from znlcs.groupkit import (evaluate_word_matrix, normal_form_enumerate,
                             normal_form_words)
 from znlcs.ncpoly import NCPolynomial
-from znlcs.numerics import rng
+from znlcs.numerics import random_order_n_observables, rng
 from znlcs.strategykit import (PROJECTOR_BYTES_CAP, SCHMIDT_RANK_THRESHOLD,
                                Strategy, canonical_amplitudes,
                                canonical_schmidt, canonical_state,
                                canonical_strategy, canonical_value_formula,
                                check_state_relation, observable_to_pvm,
                                projector_bytes, psi_representation_residuals,
-                               random_strategy, schmidt,
-                               strategy_value_direct)
+                               schmidt, strategy_value_direct)
 
+
+def random_strategy(n: int, dimA: int, dimB: int, seed: int) -> Strategy:
+    """Seeded random admissible strategy (order-n observables, random
+    state)."""
+    gen = rng(seed)
+    obs = [random_order_n_observables(n, d, [gen.integers(2 ** 63)])[0]
+           for d in (dimA, dimA, dimB, dimB)]
+    return Strategy(order=n, dimA=dimA, dimB=dimB,
+                    alice_obs=(obs[0], obs[1]), bob_obs=(obs[2], obs[3]),
+                    state=random_state(dimA * dimB, gen))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
@@ -125,7 +134,7 @@ def test_schmidt_matches_reduced_density_matrix(dims, terms, seed):
     gen = rng(seed)
 
     def vec(d):
-        return gen.standard_normal(d) + 1j * gen.standard_normal(d)
+        return standard_normal(gen, d) + 1j * standard_normal(gen, d)
 
     psi = sum(np.kron(vec(dimA), vec(dimB)) for _ in range(terms))
     psi /= np.linalg.norm(psi)
@@ -197,6 +206,38 @@ def test_random_strategy_valid_and_seeded():
     s2 = random_strategy(3, 3, 4, 99)
     assert np.allclose(s.state, s2.state)
     assert np.allclose(s.alice_obs[0], s2.alice_obs[0])
+
+
+def test_random_strategy_draw_is_pinned():
+    # Criterion 9's non-optimal strategy: the first row of each observable
+    # and the state, as seed 90210 draws them.
+    s = random_strategy(3, 3, 3, 90210)
+    rows = [
+        [0.7851986775523387 - 0.12401560133744485j,
+         -0.42221180714465834 - 0.1941858070679386j,
+         0.33341049960152175 + 0.20236024409811704j],
+        [-0.07117201987225115 - 0.6184414540216391j,
+         -0.3015087362537099 + 0.5643810664232801j,
+         -0.10936073483092552 - 0.4371171868478253j],
+        [-0.14766397541920895 + 0.6626041051475167j,
+         -0.20767336864903146 - 0.348475631813363j,
+         0.018283174482211062 + 0.6117625206909527j],
+        [0.9598507632497316 - 0.010726757771619501j,
+         -0.014481323474708515 + 0.1777045631333412j,
+         -0.09047011853197526 + 0.19646370179103223j]]
+    state = [
+        -0.030594735667818514 - 0.579959161448445j,
+        -0.02498491157665241 - 0.26571889226227935j,
+        0.04234739478839012 + 0.552803342077486j,
+        0.021624716589113916 - 0.24345860087576698j,
+        0.02849602285077219 - 0.14219654889945912j,
+        -0.10810352559851197 + 0.3089043824539531j,
+        -0.15766838474526404 - 0.03936527868517668j,
+        0.10769555340492148 - 0.1592996254581995j,
+        -0.10819579900679283 - 0.14534734951147088j]
+    got = [U[0] for U in s.alice_obs + s.bob_obs]
+    assert np.abs(np.array(got) - np.array(rows)).max() <= 1e-12
+    assert np.abs(s.state - np.array(state)).max() <= 1e-12
 
 
 def _reference_psi_residuals(s):
