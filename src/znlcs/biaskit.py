@@ -5,9 +5,10 @@ B is the bias operator, so value claims reduce to spectral claims about B.
 
 A general strategy's B is the dense matrix ``bias_operator``. The canonical
 strategy's observables are monomial (a cyclic shift times phases), so its
-B keeps (a + b) mod n fixed on |a, b> and splits into n blocks of size n:
-``bias_blocks`` builds them from the generators' shifts and phases, and the
-CLI's spectra and values run on them.
+B keeps (a + b) mod n fixed on |a, b> and splits into n blocks of size n.
+Each term of the bias polynomial is one Alice letter and one Bob letter, so
+``bias_blocks`` builds the blocks from one power of each party's generator,
+and the CLI's spectra and values run on them.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .records import Record
 CLUSTER_TOL = 1e-7
 # Largest block stack of the canonical bias operator the CLI builds: 64 MiB
 # of complex128, so n <= 161 (n blocks of n x n). `bias spectrum --n 161`
-# takes 0.85-0.9 s and 101 MB peak RSS; of the 0.61 s in
-# canonical_bias_spectrum, the n values-only eigensolves take 0.34 s and
-# bias_blocks 0.20 s (2-core Xeon, one BLAS thread, best of 3).
+# takes 0.75 s and 99 MB peak RSS; in canonical_bias_spectrum the n
+# values-only eigensolves take 0.37-0.57 s and bias_blocks 0.22-0.27 s
+# (2-core Xeon, one BLAS thread, best of 3 in each of four noisy runs).
 SPECTRUM_BYTES_CAP = 1 << 26
 
 
@@ -100,12 +101,12 @@ def bias_blocks(p: gamekit.ModNGameParams,
     n x n matrix of B on |a, s - a>, a = 0..n-1, for s = sums[k] (by
     default every s, so M[s]).
 
-    A term c A_x^i B_y^j of ``bias_polynomial(p)`` is the product of the
-    generators' powers: Alice's factor sends |a> to z^alpha[a] |a + t>,
-    Bob's |b> to z^beta[b] |b + u>. Since t + u = 0 mod n, the term maps
-    column a of block s to row a + t of the same block, with entry
-    c z^(alpha[a] + beta[s - a]). A term whose shifts do not cancel would
-    leave its block: it raises ValueError.
+    A term c A_x^i B_y^j of ``bias_polynomial(p)`` is one Alice letter and
+    one Bob letter, each a power of a generator: A_x^i sends |a> to
+    z^alpha[a] |a + t>, B_y^j sends |b> to z^beta[b] |b + u>. Since
+    t + u = 0 mod n, the term maps column a of block s to row a + t of the
+    same block, with entry c z^(alpha[a] + beta[s - a]). A term whose
+    shifts do not cancel would leave its block: it raises ValueError.
     """
     import numpy as np
     n = p.n
@@ -114,13 +115,10 @@ def bias_blocks(p: gamekit.ModNGameParams,
                         ("B", monomial.bob_generators(n))):
         for x, g in enumerate(gens):
             powers[party, x] = _powers(g)
-    identity = monomial.MonomialUnitary.identity(n)
     by_shift = {}
     for word, coeff in bias_polynomial(p).terms.items():
-        factors = {"A": identity, "B": identity}
-        for party, x, e in word:
-            factors[party] = factors[party] @ powers[party, x][e % n]
-        alice, bob = factors["A"], factors["B"]
+        (_, x, i), (_, y, j) = word
+        alice, bob = powers["A", x][i], powers["B", y][j]
         if (alice.shift + bob.shift) % n:
             raise ValueError(
                 f"bias term {word} moves a + b by "

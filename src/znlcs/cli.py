@@ -321,7 +321,8 @@ def _witness_check(args) -> Optional[str]:
 
 def _out_file_check(args) -> Optional[str]:
     """--out, when given, must name a regular file or nothing yet, in a
-    directory that exists (a bare name is in the current one)."""
+    directory that exists (a bare name is in the current one), that the OS
+    opens for appending (which truncates nothing)."""
     if args.out is None:
         return None
     if not args.out:
@@ -331,6 +332,10 @@ def _out_file_check(args) -> Optional[str]:
     parent = os.path.dirname(args.out)
     if parent and not os.path.isdir(parent):
         return f"argument --out: no directory {parent}, got {args.out}"
+    try:
+        open(args.out, "a").close()
+    except OSError as err:
+        return f"argument --out: {err.strerror}, got {args.out}"
     return None
 
 

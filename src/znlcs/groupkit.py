@@ -19,7 +19,8 @@ normal-form check and the multiplication table compare rows through exact
 integer keys (``_keys``: one mixed-radix number per row, in as few uint64
 words as hold it), which they sort, dedupe and search as arrays, with no
 Python object per row. Closure (``enumerate_group``) and the normal forms
-(``normal_form_enumerate``) both return rows.
+(``normal_form_enumerate``) both return rows. Every n has one normal form,
+J^i P0^j prod_k (P0^k P1^{-k})^{q_k}, which names each element once.
 """
 
 from __future__ import annotations
@@ -324,42 +325,27 @@ def multiplication_table(rows: np.ndarray) -> np.ndarray:
 # Normal forms and presentation checks
 # ---------------------------------------------------------------------------
 
-def _check_variant(n: int, variant: str) -> None:
-    if variant == "alt" and n != 3:
-        raise ValueError("the alt normal form is specific to n = 3")
-
-
-def _normal_form_factor(k: int, variant: str) -> GroupWord:
-    """The k-th optional factor: P0^k P1^{-k}, or P0^{-1} P1 for k = 2 of
-    the alt form."""
-    if variant == "alt" and k == 2:
-        return (("P0", -1), ("P1", 1))
+def _normal_form_factor(k: int) -> GroupWord:
+    """The k-th optional factor, P0^k P1^{-k}."""
     return (("P0", k), ("P1", -k))
 
 
-def _normal_form_word(n: int, variant: str, index: int) -> GroupWord:
-    """Word number ``index`` of ``normal_form_words(n, variant)``."""
+def _normal_form_word(n: int, index: int) -> GroupWord:
+    """Word number ``index`` of ``normal_form_words(n)``."""
     tails = 2 ** (n - 1)
     i, j, mask = index // (n * tails), (index // tails) % n, index % tails
     word: List[Tuple[str, int]] = [("J", i), ("P0", j)]
     for k in range(1, n):
         if (mask >> (k - 1)) & 1:
-            word += _normal_form_factor(k, variant)
+            word += _normal_form_factor(k)
     return tuple(word)
 
 
-def normal_form_words(n: int, variant: str = "standard") -> List[GroupWord]:
-    """All n*n*2^(n-1) candidate normal-form words over J, P0, P1, with i
-    outermost and the mask innermost.
-
-    "standard": J^i P0^j prod_k (P0^k P1^{-k})^{q_k} for k = 1..n-1, where
-    q_k is bit k - 1 of the mask.
-    "alt" (n = 3 only): J^i P0^j (P0 P1^{-1})^{q1} (P0^{-1} P1)^{q2},
-    the form under which the induced maps below are defined.
-    """
-    _check_variant(n, variant)
-    return [_normal_form_word(n, variant, index)
-            for index in range(group_order(n))]
+def normal_form_words(n: int) -> List[GroupWord]:
+    """All n*n*2^(n-1) normal-form words J^i P0^j prod_k (P0^k P1^{-k})^{q_k}
+    for k = 1..n-1, where q_k is bit k - 1 of the mask; i outermost and the
+    mask innermost."""
+    return [_normal_form_word(n, index) for index in range(group_order(n))]
 
 
 def alice_images(n: int) -> Dict[str, MonomialUnitary]:
@@ -377,9 +363,9 @@ def _power_rows(g: MonomialUnitary) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def normal_form_enumerate(n: int, variant: str = "standard") -> np.ndarray:
+def normal_form_enumerate(n: int) -> np.ndarray:
     """The rows of every normal-form word evaluated on (A0, A1, z^4 I), in
-    the order of ``normal_form_words(n, variant)``, checked pairwise
+    the order of ``normal_form_words(n)``, checked pairwise
     distinct (each word names a distinct element).
 
     The 2^(n-1) tails, products of the optional factors, are built as
@@ -392,11 +378,10 @@ def normal_form_enumerate(n: int, variant: str = "standard") -> np.ndarray:
         raise RuntimeError(
             f"{n}^2 * 2^{n - 1} normal forms exceed the enumeration cap "
             f"{ENUMERATION_CAP}")
-    _check_variant(n, variant)
     images = alice_images(n)
     tails = pack_rows([MonomialUnitary.identity(n)], n)
     for k in range(1, n):
-        factor = evaluate_word(_normal_form_factor(k, variant), images, n)
+        factor = evaluate_word(_normal_form_factor(k), images, n)
         step = pack_rows([factor], n)
         tails = np.concatenate(
             [tails, compose_steps(tails, step_columns(step), step)[:, 0]])
@@ -415,8 +400,8 @@ def normal_form_enumerate(n: int, variant: str = "standard") -> np.ndarray:
         first, second = sorted([int(at[second]), int(second)])
         raise RuntimeError(
             f"normal-form collision: "
-            f"{_normal_form_word(n, variant, second)} and "
-            f"{_normal_form_word(n, variant, first)} "
+            f"{_normal_form_word(n, second)} and "
+            f"{_normal_form_word(n, first)} "
             f"evaluate to the same element")
     return rows
 

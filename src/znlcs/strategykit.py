@@ -232,10 +232,8 @@ def psi_representation_residuals(s: Strategy) -> Tuple[float, float]:
     """
     import numpy as np
     n = s.order
-    variant = "alt" if n == 3 else "standard"
-    table = groupkit.multiplication_table(
-        groupkit.normal_form_enumerate(n, variant))
-    words = groupkit.normal_form_words(n, variant)
+    table = groupkit.multiplication_table(groupkit.normal_form_enumerate(n))
+    words = groupkit.normal_form_words(n)
     omega = np.exp(2j * np.pi / n)
     psi = s.state.reshape(s.dimA, s.dimB)
     # f acting on the second factor sends psi to psi f^T = (f psi^T)^T, so

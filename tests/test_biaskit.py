@@ -168,6 +168,51 @@ def test_block_value_is_the_dense_bias_value(n):
         bias_value(p, canonical_strategy(n)), abs=1e-12)
 
 
+def reference_blocks(p, sums=None):
+    """``bias_blocks`` for words of any length: each party's factor is the
+    product of its letters' generator powers, starting from the identity."""
+    n = p.n
+    powers = {}
+    for party, gens in (("A", monomial.alice_generators(n)),
+                        ("B", monomial.bob_generators(n))):
+        for x, g in enumerate(gens):
+            powers[party, x] = [monomial.MonomialUnitary.identity(n)]
+            for _ in range(1, n):
+                powers[party, x].append(powers[party, x][-1] @ g)
+    identity = monomial.MonomialUnitary.identity(n)
+    by_shift = {}
+    for word, coeff in bias_polynomial(p).terms.items():
+        factors = {"A": identity, "B": identity}
+        for party, x, e in word:
+            factors[party] = factors[party] @ powers[party, x][e % n]
+        alice, bob = factors["A"], factors["B"]
+        if (alice.shift + bob.shift) % n:
+            raise ValueError(
+                f"bias term {word} moves a + b by "
+                f"{(alice.shift + bob.shift) % n} mod {n}")
+        by_shift.setdefault(alice.shift, []).append(
+            (coeff, alice.phases, bob.phases))
+    a = np.arange(n)
+    s = a if sums is None else np.asarray(sums)
+    b = (s[:, None] - a) % n
+    zpow = np.exp(1j * np.pi / (2 * n) * np.arange(8 * n))
+    blocks = np.zeros((len(s), n, n), dtype=np.complex128)
+    for t, terms in by_shift.items():
+        blocks[:, (a + t) % n, a] = sum(
+            (coeff * zpow)[np.add(alpha, np.asarray(beta)[b])]
+            for coeff, alpha, beta in terms)
+    return blocks
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 161])
+def test_blocks_are_bit_identical_to_the_general_word_reference(n):
+    for m1, m2 in sorted({(0, 1), (1, 0), (n - 1, 0)}):
+        p = ModNGameParams(n, m1, m2)
+        for sums in (None, [0]):
+            assert np.array_equal(bias_blocks(p, sums),
+                                  reference_blocks(p, sums))
+
+
 def test_a_term_that_leaves_its_block_raises(monkeypatch):
     # B1 shifted one step further: A_x^i B1^i then moves a + b by i.
     bob_generators = monomial.bob_generators

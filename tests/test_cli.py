@@ -156,6 +156,8 @@ BAD_INPUT = [
     ("sos verify --cert chsh --seed -1", "--seed"),
     ("sos verify --cert chsh --seed abc", "--seed"),
     ("strategy entropy --n-max 2001", "--n-max"),
+    (f"npa export --n 2 --out {'x' * 300}.dat-s", "--out"),
+    (f"strategy entropy --n-max 3 --out {'x' * 300}.csv", "--out"),
 ]
 
 
@@ -180,6 +182,16 @@ def test_empty_out_is_a_usage_error(capsys, argv):
     assert captured.out == ""
     assert "error: argument --out:" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_out_is_probed_only_after_the_other_checks(capsys, tmp_path):
+    # The --out probe creates the file it opens: a command refused on
+    # another flag must not leave one behind.
+    out = tmp_path / "f.csv"
+    assert main(["strategy", "entropy", "--n-max", "2001",
+                 "--out", str(out)]) == 2
+    assert "error: argument --n-max:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_work_caps_admit_their_bound():

@@ -245,9 +245,8 @@ def _reference_psi_residuals(s):
     element pairs (x, y) of ||f(x) f(y)|psi> - f(xy)|psi>||, for f_A on the
     first tensor factor and f_B on the second."""
     n = s.order
-    variant = "alt" if n == 3 else "standard"
     pairs = [(w, unpack_row(row)) for w, row in zip(
-        normal_form_words(n, variant), normal_form_enumerate(n, variant))]
+        normal_form_words(n), normal_form_enumerate(n))]
     element = {g.key(): g for _, g in pairs}
     omega = np.exp(2j * np.pi / n)
     psi = s.state.reshape(s.dimA, s.dimB)
