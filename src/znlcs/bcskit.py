@@ -11,6 +11,7 @@ glued double are shipped with their known operator solutions, which
 from __future__ import annotations
 
 import itertools
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -52,7 +53,7 @@ class BinaryLCS(Record):
         variables, sign = self.constraints[index]
         out = []
         for bits in itertools.product((1, -1), repeat=len(variables)):
-            if int(np.prod(bits)) == sign:
+            if math.prod(bits) == sign:
                 out.append(bits)
         return out
 

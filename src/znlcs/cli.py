@@ -26,7 +26,8 @@ command's work; ``build_parser(argv)`` builds the parsers of the command
 argv names only.
 
 ``run()`` is the process entry point (the ``znlcs`` script and ``python
--m znlcs.cli``) and skips the interpreter's teardown collection;
+-m znlcs.cli``): it runs the whole command with the cyclic garbage
+collector off and skips the interpreter's teardown collection.
 ``main(argv)`` is the in-process API and leaves the collector as it is.
 """
 
@@ -465,11 +466,20 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def run() -> None:
-    """Process entry point: main(), then exit without the teardown
-    collection. gc.freeze moves every surviving object (numpy's and these
-    modules') into the permanent generation, which the interpreter's final
-    collections skip, and the OS reclaims the memory. ``finally`` blocks,
-    atexit handlers and the std-stream flush still run."""
+    """Process entry point: main() with the cyclic collector off, then exit
+    without the teardown collection.
+
+    A command's work leaves no cyclic garbage that grows with its size
+    (``tests/test_cli.py``
+    ``test_no_command_leaves_cyclic_garbage_growing_with_size``), so
+    reference counting frees its memory, and the collections that loading
+    numpy and these modules would trigger are skipped. The interpreter's
+    final collection at exit runs even with the collector off, so gc.freeze
+    still moves every surviving object (numpy's and these modules') into
+    the permanent generation, which that collection skips, and the OS
+    reclaims the memory. ``finally`` blocks, atexit handlers and the
+    std-stream flush still run."""
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

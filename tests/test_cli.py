@@ -285,7 +285,7 @@ def test_report_envelope_mirrors_the_command(capsys, tmp_path, monkeypatch,
 
 def test_every_command_is_in_the_corpus():
     named = {tuple(argv.split()[:2]) for argv in EVERY_COMMAND}
-    assert named == set(znlcs.cli.COMMANDS)
+    assert named == set(znlcs.cli.COMMANDS) == set(SIZES)
 
 
 @pytest.mark.parametrize("argv", EVERY_COMMAND)
@@ -510,37 +510,104 @@ def test_process_exit_keeps_every_output(tmp_path):
     assert len(table.read_text().splitlines()) == 5  # header + n = 2..5
 
 
-def test_process_bad_input_exits_2_without_traceback():
-    proc = run_process("-m", "znlcs.cli", "bias", "spectrum", "--n", "200")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "error: argument --n:" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-# Calls run() as the ``znlcs`` script does; an atexit handler, which must
-# still run, prints how many objects the collector holds frozen.
+# Calls run() as the ``znlcs`` script does on the argv that follows the
+# script; an atexit handler, which must still run, prints whether the
+# collector is on and how many objects it holds frozen.
 FREEZE_AT_EXIT = """
 import atexit, gc, sys
 import znlcs.cli
-atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
-sys.argv[1:] = ["game", "classical", "--n", "2"]
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count(),
+                              file=sys.stderr))
 znlcs.cli.run()
 """
 
 
+def run_command_process(*argv):
+    """``run()`` on argv in a fresh process, and the collector's state
+    (enabled, frozen count) that its atexit handler printed."""
+    proc = run_process("-c", FREEZE_AT_EXIT, *argv)
+    enabled, frozen = proc.stderr.splitlines()[-1].split()
+    return proc, enabled, int(frozen)
+
+
 def test_run_freezes_the_survivors_and_exits_with_main_code():
-    proc = run_process("-c", FREEZE_AT_EXIT)
+    proc, enabled, frozen = run_command_process("game", "classical", "--n",
+                                                "2")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
-    assert int(proc.stderr.splitlines()[-1]) > 0
+    assert enabled == "False"
+    assert frozen > 0
+
+
+def test_process_bad_input_exits_2_without_traceback():
+    proc, enabled, frozen = run_command_process("bias", "spectrum", "--n",
+                                                "200")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: argument --n:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert enabled == "False"
+    assert frozen > 0
 
 
 def test_main_leaves_the_collector_unfrozen(capsys):
+    # ... and on or off, as its caller set it.
+    was_enabled = gc.isenabled()
     before = gc.get_freeze_count()
-    code, _ = run(capsys, "game", "classical", "--n", "3")
-    assert code == 0
-    assert gc.get_freeze_count() == before
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            code, _ = run(capsys, "game", "classical", "--n", "3")
+            assert code == 0
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == before
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+# For every command, a small argv and a larger admitted one; the bcs
+# systems and the relations catalogue have fixed sizes, so each runs twice.
+SIZES = {
+    ("game", "classical"): ("--n 2", "--n 40"),
+    ("strategy", "value"): ("--n 3 --via bias", "--n 161 --via bias"),
+    ("strategy", "entropy"): ("--n-max 2 --out t.csv",
+                              "--n-max 500 --out t.csv"),
+    ("bias", "spectrum"): ("--n 3", "--n 120"),
+    ("group", "enumerate"): ("--n 3", "--n 11"),
+    ("group", "normal-form"): ("--n 3", "--n 11"),
+    ("sos", "verify"): ("--cert chsh --trials 10",
+                        "--cert chsh --trials 1000"),
+    ("relations", "check"): ("", ""),
+    ("bcs", "magic-square"): ("--check", "--check"),
+    ("bcs", "glued"): ("--check --witness", "--check --witness"),
+    ("npa", "export"): ("--n 2 --level 1 --out t.dat-s",
+                        "--n 5 --level 2 --out t.dat-s"),
+    ("psirep", "check"): ("--n 2", "--n 3"),
+}
+
+
+@pytest.mark.parametrize("command", SIZES, ids=" ".join)
+def test_no_command_leaves_cyclic_garbage_growing_with_size(
+        tmp_path, monkeypatch, command):
+    # run() turns the collector off for a whole command, so reference
+    # counting alone must free the command's work: what a collection finds
+    # after main() (argparse's parser tree) must not grow with the size.
+    monkeypatch.chdir(tmp_path)  # for the --out files
+    argvs = [[*command, *sizes.split()] for sizes in SIZES[command]]
+    for argv in argvs:  # warm up: first loads and caches are not garbage
+        assert main(argv) == 0
+    was_enabled = gc.isenabled()
+    found = []
+    try:
+        gc.disable()
+        for argv in argvs:
+            gc.collect()
+            assert main(argv) == 0
+            found.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert found[0] == found[1] < 1000, found
 
 
 def test_script_entry_point_is_run():
