@@ -206,22 +206,22 @@ def solution_to_strategy(lcs: BinaryLCS, sol: OperatorSolution
     its winning probability.
 
     Alice's projector for pattern x is the product of the commuting
-    projectors (I + x_j M_j)/2 over the constraint's variables; patterns
-    violating the sign get the zero projector, so the satisfying ones
-    resolve the identity.
+    projectors (I + x_j M_j)/2 (``observable_to_pvm(M_j, 2)``) over the
+    constraint's variables; patterns violating the sign get the zero
+    projector, so the satisfying ones resolve the identity.
     """
     report = verify_operator_solution(lcs, sol)
     if not report.clean:
         raise ValueError(f"operator solution fails verification: {report}")
     d = sol.dim
-    eye = np.eye(d)
+    pvms = [numerics.observable_to_pvm(M, 2) for M in sol.observables]
     alice = []
     for i, (variables, sign) in enumerate(lcs.constraints):
         projs = []
         for pattern in lcs.satisfying_signs(i):
-            P = eye
+            P = np.eye(d)
             for x, v in zip(pattern, variables):
-                P = P @ (eye + x * sol.observables[v]) / 2
+                P = P @ pvms[v][(1 - x) // 2]
             projs.append(P)
         alice.append(tuple(projs))
     bob = tuple(M.T.copy() for M in sol.observables)
@@ -236,19 +236,16 @@ def lcs_strategy_value(lcs: BinaryLCS, strat: LCSStrategy) -> float:
     pairs; they win when Bob's +/-1 outcome matches Alice's pattern at his
     variable."""
     psi = strat.state.reshape(strat.dim, strat.dim)
-    pairs = [(i, j) for i, (vs, _) in enumerate(lcs.constraints) for j in vs]
-    value = 0.0
-    eye = np.eye(strat.dim)
-    for i, j in pairs:
-        variables, _ = lcs.constraints[i]
-        pos = variables.index(j)
-        B = strat.bob_observables[j]
-        bob_proj = {1: (eye + B) / 2, -1: (eye - B) / 2}
-        for pattern, E in zip(lcs.satisfying_signs(i),
-                              strat.alice_projectors[i]):
-            F = bob_proj[pattern[pos]]
-            value += float(np.real(np.vdot(psi, E @ psi @ F.T)))
-    return value / len(pairs)
+    bob = [numerics.observable_to_pvm(B, 2) for B in strat.bob_observables]
+    value, pairs = 0.0, 0
+    for i, (variables, _) in enumerate(lcs.constraints):
+        E = np.array(strat.alice_projectors[i])
+        patterns = np.array(lcs.satisfying_signs(i))
+        for pos, j in enumerate(variables):
+            table = numerics.expectation_table(psi, E, bob[j])
+            value += table[patterns[:, pos, None] == (1, -1)].sum()
+            pairs += 1
+    return float(value / pairs)
 
 
 def nonrigidity_witness() -> Tuple[float, float, float]:

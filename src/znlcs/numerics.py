@@ -1,9 +1,9 @@
 """Dense complex matrix kernel.
 
-Hermitian eigendecomposition (LAPACK via numpy.linalg.eigh), a seeded
-integer stream and seeded random generalized observables. All operators
-are plain complex128 ndarrays; helpers validate shape, finiteness and
-Hermiticity at the boundary.
+Hermitian eigendecomposition (LAPACK via numpy.linalg.eigh), spectral
+projectors and <psi|E (x) F|psi> tables, a seeded integer stream and seeded
+random observables of order n. All operators are plain complex128 ndarrays;
+helpers validate shape, finiteness and Hermiticity at the boundary.
 
 Randomness comes from the standard library's Mersenne Twister
 (``random.Random``, MT19937), which ``import numpy`` loads anyway, so no
@@ -28,6 +28,8 @@ from .records import Record
 
 # Largest Hermitian defect hermitian_eig accepts, relative to max(||M||_F, 1).
 HERMITIAN_TOL = 1e-9
+# Largest Frobenius defect of U U* = I or U^n = I in an order-n observable.
+ORDER_TOL = 1e-8
 
 
 def _twister(seed: int) -> random.Random:
@@ -150,6 +152,32 @@ def hermitian_eig(M: np.ndarray, vectors: bool = True) -> HermitianEig:
                             eigenvectors=None)
     w, V = np.linalg.eigh(M)
     return HermitianEig(eigenvalues=w, eigenvectors=V)
+
+
+def observable_to_pvm(U: np.ndarray, n: int) -> np.ndarray:
+    """Stack (n, d, d) of the spectral projectors E_i = (1/n) sum_k
+    omega^{-ik} U^k of an order-n observable on C^d (sum_i omega^i E_i =
+    U): U^0..U^n fill one preallocated stack, whose last entry checks the
+    order, and the n sums are one product with the DFT matrix."""
+    d = require_square(U, "observable")
+    powers = np.empty((n + 1, d, d), dtype=np.complex128)
+    powers[0] = np.eye(d)
+    for k in range(n):
+        np.matmul(powers[k], U, out=powers[k + 1])
+    if frob(powers[n] - powers[0]) > ORDER_TOL:
+        raise ValueError(f"input is not an order-{n} observable")
+    k = np.arange(n)  # omega^{-ik} from ik mod n: exact at any ik
+    dft = np.exp(np.outer(k, k) % n * (-2j * np.pi / n)) / n
+    return (dft @ powers[:n].reshape(n, d * d)).reshape(n, d, d)
+
+
+def expectation_table(psi: np.ndarray, E: np.ndarray,
+                      F: np.ndarray) -> np.ndarray:
+    """Real table <psi| E_a (x) F_b |psi> over Hermitian stacks E (m, dA,
+    dA) and F (p, dB, dB), psi given as its dA x dB coefficient matrix:
+    sum_yz (psi* E_a psi)_yz (F_b)_yz, one product per stack."""
+    G = adjoint(psi) @ E @ psi
+    return (G.reshape(len(E), -1) @ F.reshape(len(F), -1).T).real
 
 
 def random_order_n_observables(order: int, dim: int, seeds) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from test_acceptance import literal_glued_solution
 from test_gamekit import binary_lcs_game
+from test_numerics import random_state
 
 from znlcs import numerics
 from znlcs.bcskit import (BinaryLCS, LCSStrategy, OperatorSolution,
@@ -14,12 +15,33 @@ from znlcs.bcskit import (BinaryLCS, LCSStrategy, OperatorSolution,
                           nonrigidity_witness, solution_to_strategy,
                           verify_operator_solution)
 from znlcs.gamekit import classical_value
+from znlcs.numerics import rng
 from znlcs.records import Record
 
 
 # ---------------------------------------------------------------------------
 # References: checks of LCS claims that no command reports
 # ---------------------------------------------------------------------------
+
+def reference_lcs_strategy_value(lcs: BinaryLCS,
+                                 strat: LCSStrategy) -> float:
+    """The LCS value as a loop over patterns, one vdot per pattern: the
+    reference for ``lcs_strategy_value``'s expectation tables."""
+    psi = strat.state.reshape(strat.dim, strat.dim)
+    pairs = [(i, j) for i, (vs, _) in enumerate(lcs.constraints) for j in vs]
+    value = 0.0
+    eye = np.eye(strat.dim)
+    for i, j in pairs:
+        variables, _ = lcs.constraints[i]
+        pos = variables.index(j)
+        B = strat.bob_observables[j]
+        bob_proj = {1: (eye + B) / 2, -1: (eye - B) / 2}
+        for pattern, E in zip(lcs.satisfying_signs(i),
+                              strat.alice_projectors[i]):
+            F = bob_proj[pattern[pos]]
+            value += float(np.real(np.vdot(psi, E @ psi @ F.T)))
+    return value / len(pairs)
+
 
 def alice_constraint_observable(strat: LCSStrategy, lcs: BinaryLCS,
                                 i: int, j: int) -> np.ndarray:
@@ -179,6 +201,23 @@ def test_magic_square_strategy_is_perfect():
     assert match < 1e-9
     assert complete < 1e-9
     assert winning_identity_residual(lcs, strat, sol) < 1e-9
+
+
+def test_lcs_value_matches_reference():
+    lcs, sol = magic_square()
+    glued, E, F = glued_magic_square()
+    cases = [(lcs, solution_to_strategy(lcs, sol)[0])]
+    cases += [(glued, solution_to_strategy(glued, s)[0]) for s in (E, F)]
+    # The square's strategy on a random state, which loses sometimes.
+    strat = cases[0][1]
+    cases.append((lcs, LCSStrategy(
+        dim=strat.dim, alice_projectors=strat.alice_projectors,
+        bob_observables=strat.bob_observables,
+        state=random_state(strat.dim ** 2, rng(23)))))
+    values = [lcs_strategy_value(*case) for case in cases]
+    assert values[-1] < 0.99
+    for case, value in zip(cases, values):
+        assert abs(value - reference_lcs_strategy_value(*case)) <= 1e-12
 
 
 def test_glued_solutions_verify_and_win():

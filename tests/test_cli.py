@@ -194,9 +194,10 @@ def test_out_is_probed_only_after_the_other_checks(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_work_caps_admit_their_bound():
-    # The pre-flight checks alone, since a run at any cap takes seconds
-    # to a minute. Each cap admits its command's default.
+def test_work_caps_admit_their_bound(capsys):
+    # The pre-flight checks, since a run at most caps takes seconds to a
+    # minute; the direct strategy value, about 0.5 s at its cap (n = 101),
+    # also runs there. Each cap admits its command's default.
     entropy_check = znlcs.cli.COMMANDS[("strategy", "entropy")][1]
     trials_check = znlcs.cli.COMMANDS[("sos", "verify")][1]
     spectrum_check = znlcs.cli.COMMANDS[("bias", "spectrum")][1]
@@ -217,6 +218,11 @@ def test_work_caps_admit_their_bound():
     assert trials_check(argparse.Namespace(trials=trials)) is None
     assert trials_check(argparse.Namespace(trials=trials + 1)
                         ).startswith("argument --trials:")
+    code, report = run(capsys, "strategy", "value", "--n", "101")
+    assert code == 0
+    value = next(r["value"] for r in report["results"]
+                 if r["name"] == "value")
+    assert abs(value - znlcs.strategykit.canonical_value_formula(101)) < 1e-9
 
 
 # One valid argv per command; then argvs the named-command tree must not
@@ -588,7 +594,7 @@ SIZES = {
 
 @pytest.mark.parametrize("command", SIZES, ids=" ".join)
 def test_no_command_leaves_cyclic_garbage_growing_with_size(
-        tmp_path, monkeypatch, command):
+        tmp_path, monkeypatch, capsys, command):
     # run() turns the collector off for a whole command, so reference
     # counting alone must free the command's work: what a collection finds
     # after main() (argparse's parser tree) must not grow with the size.
@@ -596,6 +602,7 @@ def test_no_command_leaves_cyclic_garbage_growing_with_size(
     argvs = [[*command, *sizes.split()] for sizes in SIZES[command]]
     for argv in argvs:  # warm up: first loads and caches are not garbage
         assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
     was_enabled = gc.isenabled()
     found = []
     try:
@@ -604,6 +611,7 @@ def test_no_command_leaves_cyclic_garbage_growing_with_size(
             gc.collect()
             assert main(argv) == 0
             found.append(gc.collect())
+            assert json.loads(capsys.readouterr().out)["pass"] is True
     finally:
         if was_enabled:
             gc.enable()

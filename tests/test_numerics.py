@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from znlcs import numerics
-from znlcs.numerics import hermitian_eig, random_order_n_observables, rng
+from znlcs.numerics import (hermitian_eig, observable_to_pvm,
+                            random_order_n_observables, rng)
+from znlcs.strategykit import canonical_strategy
 
 
 def standard_normal(gen, shape):
@@ -170,6 +172,38 @@ def test_random_order_n_observables_stack(order, dim):
         assert np.linalg.norm(U[t].conj().T @ U[t] - eye) < 1e-12
         assert np.linalg.norm(
             np.linalg.matrix_power(U[t], order) - eye) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_observable_to_pvm_reconstruction(n):
+    # The spectral projectors of the canonical strategy's and of random
+    # order-n observables: Hermitian, orthogonal idempotents resolving I,
+    # with sum_i omega^i E_i = U.
+    w = np.exp(2j * np.pi / n)
+    s = canonical_strategy(n)
+    observables = [*s.alice_obs, *s.bob_obs]
+    for dim in (1, 3, 8):
+        observables += list(random_order_n_observables(n, dim, [n, 10 + n]))
+    for U in observables:
+        dim = len(U)
+        pvm = observable_to_pvm(U, n)
+        assert pvm.shape == (n, dim, dim)
+        assert np.linalg.norm(pvm.sum(axis=0) - np.eye(dim)) < 1e-10
+        recon = sum(w ** i * E for i, E in enumerate(pvm))
+        assert np.linalg.norm(recon - U) < 1e-10
+        for i, E in enumerate(pvm):
+            assert np.linalg.norm(E - E.conj().T) < 1e-10
+            for j in range(n):
+                assert np.linalg.norm(
+                    E @ pvm[j] - (E if i == j else 0)) < 1e-10
+
+
+def test_observable_to_pvm_rejects_a_wrong_order():
+    U = random_order_n_observables(3, 4, [5])[0]
+    assert len(observable_to_pvm(U, 6)) == 6  # U^6 = I: order 6 holds
+    for n in (2, 4, 5):
+        with pytest.raises(ValueError, match=f"order-{n} observable"):
+            observable_to_pvm(U, n)
 
 
 def test_random_state_normalized():

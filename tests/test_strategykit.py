@@ -11,14 +11,15 @@ from znlcs.gamekit import ModNGameParams, make_mod_n_game
 from znlcs.groupkit import (evaluate_word_matrix, normal_form_enumerate,
                             normal_form_words)
 from znlcs.ncpoly import NCPolynomial
-from znlcs.numerics import random_order_n_observables, rng
+from znlcs.numerics import (observable_to_pvm, random_order_n_observables,
+                            rng)
 from znlcs.strategykit import (PROJECTOR_BYTES_CAP, SCHMIDT_RANK_THRESHOLD,
                                Strategy, canonical_amplitudes,
                                canonical_schmidt, canonical_state,
                                canonical_strategy, canonical_value_formula,
-                               check_state_relation, observable_to_pvm,
-                               projector_bytes, psi_representation_residuals,
-                               schmidt, strategy_value_direct)
+                               check_state_relation, projector_bytes,
+                               psi_representation_residuals, schmidt,
+                               strategy_value_direct)
 
 
 def random_strategy(n: int, dimA: int, dimB: int, seed: int) -> Strategy:
@@ -30,6 +31,50 @@ def random_strategy(n: int, dimA: int, dimB: int, seed: int) -> Strategy:
     return Strategy(order=n, dimA=dimA, dimB=dimB,
                     alice_obs=(obs[0], obs[1]), bob_obs=(obs[2], obs[3]),
                     state=random_state(dimA * dimB, gen))
+
+
+def reference_strategy_value_direct(g, s) -> float:
+    """The direct value as a loop over answers, one vdot per pair: the
+    reference for ``strategy_value_direct``'s expectation tables."""
+    if len(s.alice_obs) != g.nA or len(s.bob_obs) != g.nB:
+        raise ValueError("observable count does not match question counts")
+    if g.mA != s.order or g.mB != s.order:
+        raise ValueError("answer counts must equal the observable order")
+    psi = s.state.reshape(s.dimA, s.dimB)
+    alice_pvms = [observable_to_pvm(U, s.order) for U in s.alice_obs]
+    bob_pvms = [observable_to_pvm(U, s.order) for U in s.bob_obs]
+    value = 0.0
+    for i in range(g.nA):
+        for j in range(g.nB):
+            p = g.distribution[i, j]
+            if p == 0.0:
+                continue
+            for a in range(g.mA):
+                Epsi = alice_pvms[i][a] @ psi
+                for b in range(g.mB):
+                    if g.predicate[i, j, a, b]:
+                        value += p * float(np.real(
+                            np.vdot(psi, Epsi @ bob_pvms[j][b].T)))
+    return value
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_direct_value_matches_reference_on_random_strategies(n):
+    gen = rng(600 + n)
+    for dimA, dimB in ((n, n + 1), (n + 2, n - 1)):
+        m1, m2 = gen.integers(n), gen.integers(n)
+        g = make_mod_n_game(ModNGameParams(n, m1, m2))
+        s = random_strategy(n, dimA, dimB, gen.integers(2 ** 63))
+        assert abs(strategy_value_direct(g, s)
+                   - reference_strategy_value_direct(g, s)) <= 1e-12
+
+
+def test_direct_value_matches_reference_on_canonical_strategies():
+    for n in range(2, 25):
+        g = make_mod_n_game(ModNGameParams(n, 0, 1))
+        s = canonical_strategy(n)
+        assert abs(strategy_value_direct(g, s)
+                   - reference_strategy_value_direct(g, s)) <= 1e-12, n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
@@ -60,23 +105,6 @@ def test_canonical_state_reduced_density_oracle():
     expected = np.diag([abs(1 - z ** (2 * i + 4)) ** 2 / 10
                         for i in range(n)])
     assert np.allclose(rho, expected, atol=1e-12)
-
-
-def test_observable_to_pvm_reconstruction():
-    n = 4
-    s = canonical_strategy(n)
-    w = np.exp(2j * np.pi / n)
-    for U in (*s.alice_obs, *s.bob_obs):
-        pvm = observable_to_pvm(U, n)
-        assert len(pvm) == n
-        total = sum(pvm)
-        assert np.linalg.norm(total - np.eye(n)) < 1e-10
-        recon = sum(w ** i * E for i, E in enumerate(pvm))
-        assert np.linalg.norm(recon - U) < 1e-10
-        for i, E in enumerate(pvm):
-            assert np.linalg.norm(E @ E - E) < 1e-10
-            for j in range(i + 1, n):
-                assert np.linalg.norm(E @ pvm[j]) < 1e-10
 
 
 def test_schmidt_known_states():
