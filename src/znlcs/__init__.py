@@ -26,7 +26,8 @@ sibling loads only when one of its functions runs; ``from .ncpoly import
 eval_nc`` would load it with the importer. Two name imports remain, of code
 that runs when the importer loads: ``from .records import Record``, the
 base of every record class, and ``groupkit``'s import of ``monomial``'s
-element type and generators, which it re-exports.
+element type, generators and row kernels (``pack_rows``, ``step_columns``,
+``compose_steps``, ``invert_rows``, ``power_rows``), which it re-exports.
 """
 
 import importlib.util

@@ -235,15 +235,21 @@ def lcs_strategy_value(lcs: BinaryLCS, strat: LCSStrategy) -> float:
     """Winning probability: uniform over (constraint, member variable)
     pairs; they win when Bob's +/-1 outcome matches Alice's pattern at his
     variable."""
-    psi = strat.state.reshape(strat.dim, strat.dim)
-    bob = [numerics.observable_to_pvm(B, 2) for B in strat.bob_observables]
+    d = strat.dim
+    psi = strat.state.reshape(d, d)
+    # bob[j] holds variable j's projectors onto +1 and -1, in that order.
+    bob = np.array([numerics.observable_to_pvm(B, 2)
+                    for B in strat.bob_observables])
     value, pairs = 0.0, 0
     for i, (variables, _) in enumerate(lcs.constraints):
         E = np.array(strat.alice_projectors[i])
         patterns = np.array(lcs.satisfying_signs(i))
-        for pos, j in enumerate(variables):
-            table = numerics.expectation_table(psi, E, bob[j])
-            value += table[patterns[:, pos, None] == (1, -1)].sum()
+        # One table a constraint: (pattern, member variable, Bob's outcome).
+        table = numerics.expectation_table(
+            psi, E, bob[list(variables)].reshape(-1, d, d)
+        ).reshape(len(E), len(variables), 2)
+        for pos in range(len(variables)):
+            value += table[:, pos][patterns[:, pos, None] == (1, -1)].sum()
             pairs += 1
     return float(value / pairs)
 

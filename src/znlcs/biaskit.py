@@ -8,13 +8,14 @@ strategy's observables are monomial (a cyclic shift times phases), so its
 B keeps (a + b) mod n fixed on |a, b> and splits into n blocks of size n.
 Each term of the bias polynomial is one Alice letter and one Bob letter, so
 ``bias_blocks`` builds the blocks from one power of each party's generator,
-and the CLI's spectra and values run on them.
+read from ``monomial.power_rows``, the one power kernel, and the CLI's
+spectra and values run on them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import gamekit, monomial, ncpoly, numerics, strategykit
 from .records import Record
@@ -22,16 +23,22 @@ from .records import Record
 CLUSTER_TOL = 1e-7
 # Largest block stack of the canonical bias operator the CLI builds: 64 MiB
 # of complex128, so n <= 161 (n blocks of n x n). `bias spectrum --n 161`
-# takes 0.75 s and 99 MB peak RSS; in canonical_bias_spectrum the n
-# values-only eigensolves take 0.37-0.57 s and bias_blocks 0.22-0.27 s
-# (2-core Xeon, one BLAS thread, best of 3 in each of four noisy runs).
+# takes 0.7-0.8 s and 97 MB peak RSS; in canonical_bias_spectrum the n
+# values-only eigensolves take 0.36-0.57 s and bias_blocks 0.16-0.26 s
+# (2-core Xeon, one BLAS thread, best of 3 in each of three noisy runs).
 SPECTRUM_BYTES_CAP = 1 << 26
+# Largest block `strategy value --via bias` builds, block 0 alone: 32 MiB
+# of complex128, so n <= 1448. `strategy value --n 1448 --via bias` takes
+# 0.5-0.8 s and 84 MB peak RSS (same machine, four runs), inside what the
+# other caps admit (about 1.6 s and 110 MB).
+VALUE_BYTES_CAP = 1 << 25
 
 
-def block_bytes(n: int) -> int:
-    """Bytes of the canonical strategy's bias operator as ``bias_blocks``
-    builds it: n blocks of n x n complex128 entries, 16 n^3."""
-    return 16 * n ** 3
+def block_bytes(n: int, blocks: Optional[int] = None) -> int:
+    """Bytes of ``blocks`` blocks (by default all n) of the canonical
+    strategy's bias operator as ``bias_blocks`` builds them: n x n
+    complex128 entries each, 16 n^2."""
+    return 16 * (n if blocks is None else blocks) * n ** 2
 
 
 def bias_polynomial(p: gamekit.ModNGameParams) -> ncpoly.NCPolynomial:
@@ -87,14 +94,6 @@ def bias_spectrum(p: gamekit.ModNGameParams,
         predicted_value=top / (4 * p.n) + 1.0 / p.n)
 
 
-def _powers(g: monomial.MonomialUnitary) -> List[monomial.MonomialUnitary]:
-    """g^0, g^1, ..., g^(n-1), each the one before times g."""
-    out = [monomial.MonomialUnitary.identity(g.n)]
-    for _ in range(1, g.n):
-        out.append(out[-1] @ g)
-    return out
-
-
 def bias_blocks(p: gamekit.ModNGameParams,
                 sums: Optional[Sequence[int]] = None) -> np.ndarray:
     """The canonical strategy's bias operator block by block: M[k] is the
@@ -102,11 +101,12 @@ def bias_blocks(p: gamekit.ModNGameParams,
     default every s, so M[s]).
 
     A term c A_x^i B_y^j of ``bias_polynomial(p)`` is one Alice letter and
-    one Bob letter, each a power of a generator: A_x^i sends |a> to
-    z^alpha[a] |a + t>, B_y^j sends |b> to z^beta[b] |b + u>. Since
-    t + u = 0 mod n, the term maps column a of block s to row a + t of the
-    same block, with entry c z^(alpha[a] + beta[s - a]). A term whose
-    shifts do not cancel would leave its block: it raises ValueError.
+    one Bob letter, each a power of a generator, read off its row of
+    ``monomial.power_rows``: A_x^i sends |a> to z^alpha[a] |a + t>, B_y^j
+    sends |b> to z^beta[b] |b + u>. Since t + u = 0 mod n, the term maps
+    column a of block s to row a + t of the same block, with entry
+    c z^(alpha[a] + beta[s - a]); the rows' dtype holds that sum. A term
+    whose shifts do not cancel would leave its block: it raises ValueError.
     """
     import numpy as np
     n = p.n
@@ -114,17 +114,16 @@ def bias_blocks(p: gamekit.ModNGameParams,
     for party, gens in (("A", monomial.alice_generators(n)),
                         ("B", monomial.bob_generators(n))):
         for x, g in enumerate(gens):
-            powers[party, x] = _powers(g)
+            powers[party, x] = monomial.power_rows(g)
     by_shift = {}
     for word, coeff in bias_polynomial(p).terms.items():
         (_, x, i), (_, y, j) = word
         alice, bob = powers["A", x][i], powers["B", y][j]
-        if (alice.shift + bob.shift) % n:
+        t, u = int(alice[0]), int(bob[0])
+        if (t + u) % n:
             raise ValueError(
-                f"bias term {word} moves a + b by "
-                f"{(alice.shift + bob.shift) % n} mod {n}")
-        by_shift.setdefault(alice.shift, []).append(
-            (coeff, alice.phases, bob.phases))
+                f"bias term {word} moves a + b by {(t + u) % n} mod {n}")
+        by_shift.setdefault(t, []).append((coeff, alice[1:], bob[1:]))
     a = np.arange(n)
     s = a if sums is None else np.asarray(sums)
     b = (s[:, None] - a) % n
@@ -133,8 +132,7 @@ def bias_blocks(p: gamekit.ModNGameParams,
     blocks = np.zeros((len(s), n, n), dtype=np.complex128)
     for t, terms in by_shift.items():
         blocks[:, (a + t) % n, a] = sum(
-            (coeff * zpow)[np.add(alpha, np.asarray(beta)[b])]
-            for coeff, alpha, beta in terms)
+            (coeff * zpow)[alpha + beta[b]] for coeff, alpha, beta in terms)
     return blocks
 
 

@@ -288,14 +288,27 @@ def _operator_size_check(args) -> Optional[str]:
 
 
 def _strategy_value_check(args) -> Optional[str]:
-    """The bias path builds block 0 of the canonical bias operator and is
-    held to the bound of ``bias spectrum``, which builds all n blocks; the
-    direct path builds the projectors of all four observables."""
+    """The bias path builds block 0 of the canonical bias operator, one
+    n x n block; the direct path builds the projectors of all four
+    observables."""
     if args.via == "bias":
-        return _operator_size_check(args)
+        return _bytes_check(args, "block 0 of the bias operator",
+                            biaskit.block_bytes(args.n, blocks=1),
+                            biaskit.VALUE_BYTES_CAP)
     return _bytes_check(args, "the direct sum's projector stack",
                         strategykit.projector_bytes(args.n),
                         strategykit.PROJECTOR_BYTES_CAP)
+
+
+def _npa_export_check(args) -> Optional[str]:
+    """The moment matrix's words under the cap, counted before any is
+    built, and then --out."""
+    words = npakit.word_count(args.n, args.level)
+    if words > npakit.WORDS_CAP:
+        return (f"argument --n: the level-{args.level} moment matrix has "
+                f"{words} words, over the cap of {npakit.WORDS_CAP}, "
+                f"got {args.n}")
+    return _out_file_check(args)
 
 
 def _entropy_check(args) -> Optional[str]:
@@ -375,7 +388,7 @@ COMMANDS = {
         ("--n", {"type": int, "choices": [3], "default": 3})]),
     ("bcs", "magic-square"): (cmd_bcs, _witness_check, _BCS_FLAGS),
     ("bcs", "glued"): (cmd_bcs, None, _BCS_FLAGS),
-    ("npa", "export"): (cmd_npa_export, _out_file_check, [
+    ("npa", "export"): (cmd_npa_export, _npa_export_check, [
         ("--n", {"type": _int_at_least(2), "required": True}),
         ("--level", {"type": int, "choices": [1, 2], "default": 1}),
         ("--out", {"required": True})]),

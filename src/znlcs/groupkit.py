@@ -1,24 +1,15 @@
 """Exact enumeration of the monomial-unitary groups behind the mod-n games.
 
-Every element is a monomial unitary, stored exactly as a cyclic shift plus
-phase exponents mod 4n (see ``monomial``), so group closure, normal forms
-and relator checks involve no floating point at all.
-
-``monomial`` owns single elements: ``MonomialUnitary`` and the canonical
-generators. This module evaluates words and checks relators on single
-elements, and owns batches: m elements of dimension n are one unsigned
-integer array ``rows[m, n + 1]`` whose column 0 holds the shifts (mod n)
-and columns 1..n the phases (mod 4n), i.e. ``rows[:, 0]`` is shift[m] and
-``rows[:, 1:]`` is phases[m, n]. The dtype (uint8 up to n = 32) holds the
-sum of two reduced entries, so a product with a fixed element is one
-gather, one add and one conditional subtract of the modulus.
-``compose_steps`` is the only batched product: it multiplies rows by fixed
-right factors through their column maps (``step_columns``), and closure,
-normal forms and the multiplication table all use it. Closures, the
-normal-form check and the multiplication table compare rows through exact
-integer keys (``_keys``: one mixed-radix number per row, in as few uint64
-words as hold it), which they sort, dedupe and search as arrays, with no
-Python object per row. Closure (``enumerate_group``) and the normal forms
+Elements are stored exactly in ``monomial``'s format, which that module
+owns with its arithmetic: ``MonomialUnitary``, the canonical generators,
+and integer rows holding a batch of elements, with their products
+(``compose_steps``), inverses and power tables. So group closure, normal
+forms and relator checks involve no floating point at all. This module
+evaluates words and checks relators on single elements, and compares rows
+through exact integer keys (``_keys``: one mixed-radix number per row, in
+as few uint64 words as hold it), which closures, the normal-form check and
+the multiplication table sort, dedupe and search as arrays, with no Python
+object per row. Closure (``enumerate_group``) and the normal forms
 (``normal_form_enumerate``) both return rows. Every n has one normal form,
 J^i P0^j prod_k (P0^k P1^{-k})^{q_k}, which names each element once.
 """
@@ -26,13 +17,15 @@ J^i P0^j prod_k (P0^k P1^{-k})^{q_k}, which names each element once.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-# Names, not the module: the element type and generators are part of this
-# module's interface, and every function here uses them.
-from .monomial import MonomialUnitary, alice_generators, scalar_j
+# Names, not the module: the element type, generators and row kernels run
+# whenever this module does, and are part of its interface.
+from .monomial import (MonomialUnitary, _row_dtype, alice_generators,
+                       compose_steps, invert_rows, pack_rows, power_rows,
+                       scalar_j, step_columns)
 
 # Most elements a closure may hold, and most normal-form words evaluated.
 ENUMERATION_CAP = 10**6
@@ -49,68 +42,8 @@ GroupWord = Tuple[Tuple[str, int], ...]
 
 
 # ---------------------------------------------------------------------------
-# Batches of elements as integer rows
+# Exact keys of rows
 # ---------------------------------------------------------------------------
-
-def _row_dtype(n: int) -> np.dtype:
-    """Narrowest unsigned dtype holding 8n - 2, the largest sum of two
-    reduced row entries."""
-    return np.min_scalar_type(8 * n - 2)
-
-
-def pack_rows(elements: Iterable[MonomialUnitary], n: int) -> np.ndarray:
-    """The rows of elements of dimension n, in order."""
-    values = []
-    for g in elements:
-        if g.n != n:
-            raise ValueError("elements must share dimension n")
-        values.append((g.shift,) + g.phases)
-    rows = np.array(values, dtype=_row_dtype(n))
-    return rows.reshape(len(values), n + 1)
-
-
-def _moduli(n: int, dtype: np.dtype) -> np.ndarray:
-    return np.array([n] + [4 * n] * n, dtype=dtype)
-
-
-def _shifted_columns(n: int, by: np.ndarray) -> np.ndarray:
-    """Column map reading phase k from phase (k + by) % n and keeping the
-    shift column. ``by`` is an integer array of shape (..., 1); the map has
-    shape (..., n + 1)."""
-    cols = 1 + (np.arange(n) + by) % n
-    return np.concatenate([np.zeros_like(cols[..., :1]), cols], axis=-1)
-
-
-def step_columns(steps: np.ndarray) -> np.ndarray:
-    """The column map of each fixed right factor ``steps[s]``:
-    ``rows[:, cols[s]] + steps[s]``, reduced, is ``rows @ steps[s]``."""
-    return _shifted_columns(steps.shape[-1] - 1,
-                            steps[:, :1].astype(np.intp))
-
-
-def compose_steps(rows: np.ndarray, cols: np.ndarray,
-                  steps: np.ndarray) -> np.ndarray:
-    """Every product rows[f] @ steps[s] (apply steps[s] first), shape
-    (len(rows), len(steps), n + 1), given ``cols = step_columns(steps)``:
-    shift rows.shift + steps.shift and
-    phases[k] = steps.phases[k] + rows.phases[(k + steps.shift) % n], as one
-    gather, one add and one conditional subtract of the moduli (in place:
-    the sum of two reduced entries is under twice the modulus)."""
-    out = rows[:, cols] + steps
-    mod = _moduli(out.shape[-1] - 1, out.dtype)
-    np.subtract(out, mod, out=out, where=out >= mod)
-    return out
-
-
-def invert_rows(rows: np.ndarray) -> np.ndarray:
-    """Row-wise inverses: shift -shift and
-    phases[k] = -phases[(k - shift) % n]."""
-    mod = _moduli(rows.shape[-1] - 1, rows.dtype)
-    cols = _shifted_columns(len(mod) - 1, -rows[..., :1].astype(np.intp))
-    out = mod - np.take_along_axis(rows, cols, axis=-1)
-    out[out == mod] = 0
-    return out
-
 
 def _phase_step(factors: np.ndarray) -> int:
     """The gcd of 4n and the phases of the rows ``factors``, which divides
@@ -353,16 +286,6 @@ def alice_images(n: int) -> Dict[str, MonomialUnitary]:
     return {"P0": a0, "P1": a1, "J": scalar_j(n)}
 
 
-def _power_rows(g: MonomialUnitary) -> np.ndarray:
-    """The rows of g^0, g^1, ..., g^(n-1), each the one before times g."""
-    step = pack_rows([g], g.n)
-    cols = step_columns(step)
-    rows = [pack_rows([MonomialUnitary.identity(g.n)], g.n)]
-    for _ in range(1, g.n):
-        rows.append(compose_steps(rows[-1], cols, step)[:, 0])
-    return np.concatenate(rows)
-
-
 def normal_form_enumerate(n: int) -> np.ndarray:
     """The rows of every normal-form word evaluated on (A0, A1, z^4 I), in
     the order of ``normal_form_words(n)``, checked pairwise
@@ -385,8 +308,8 @@ def normal_form_enumerate(n: int) -> np.ndarray:
         step = pack_rows([factor], n)
         tails = np.concatenate(
             [tails, compose_steps(tails, step_columns(step), step)[:, 0]])
-    j_powers = _power_rows(images["J"])
-    p0_powers = _power_rows(images["P0"])
+    j_powers = power_rows(images["J"])
+    p0_powers = power_rows(images["P0"])
     heads = compose_steps(j_powers, step_columns(p0_powers), p0_powers
                           ).reshape(-1, n + 1)
     rows = compose_steps(heads, step_columns(tails), tails

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from test_strategykit import random_strategy
 
 from znlcs import gamekit, monomial, strategykit
-from znlcs.biaskit import (SPECTRUM_BYTES_CAP, bias_blocks,
-                           bias_eigenvalue_formula, bias_operator,
-                           bias_polynomial, bias_spectrum, block_bytes,
-                           canonical_bias_spectrum, canonical_bias_value,
-                           eigenrelation_residual)
+from znlcs.biaskit import (SPECTRUM_BYTES_CAP, VALUE_BYTES_CAP,
+                           bias_blocks, bias_eigenvalue_formula,
+                           bias_operator, bias_polynomial, bias_spectrum,
+                           block_bytes, canonical_bias_spectrum,
+                           canonical_bias_value, eigenrelation_residual)
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
 from znlcs.strategykit import (canonical_state, canonical_strategy,
                                canonical_value_formula,
@@ -109,6 +109,15 @@ def test_block_bytes_is_the_block_stack_size():
     # The CLI's cap admits n <= 161, well above the sizes the benchmark
     # (n <= 10) and the README run.
     assert block_bytes(161) <= SPECTRUM_BYTES_CAP < block_bytes(162)
+
+
+def test_one_block_bytes_is_block_zero_size():
+    for n in (2, 3, 4):
+        block = bias_blocks(ModNGameParams(n, 0, 1), sums=[0])
+        assert block.nbytes == block_bytes(n, blocks=1)
+    # `strategy value --via bias` builds block 0 only: n <= 1448.
+    assert block_bytes(1448, blocks=1) <= VALUE_BYTES_CAP
+    assert block_bytes(1449, blocks=1) > VALUE_BYTES_CAP
 
 
 def block_indices(n, s):

@@ -145,7 +145,7 @@ BAD_INPUT = [
     ("bcs magic-square --witness", "--witness"),
     ("game classical --n 300", "--n"),
     ("bias spectrum --n 200", "--n"),
-    ("strategy value --n 200 --via bias", "--n"),
+    ("strategy value --n 1449 --via bias", "--n"),
     ("npa export --n 2 --out /dev/null", "--out"),
     ("npa export --n 2 --out .", "--out"),
     ("strategy entropy --n-max 2 --out .", "--out"),
@@ -158,6 +158,8 @@ BAD_INPUT = [
     ("strategy entropy --n-max 2001", "--n-max"),
     (f"npa export --n 2 --out {'x' * 300}.dat-s", "--out"),
     (f"strategy entropy --n-max 3 --out {'x' * 300}.csv", "--out"),
+    ("npa export --n 9 --level 2 --out unused.dat-s", "--n"),
+    ("npa export --n 107 --level 1 --out unused.dat-s", "--n"),
 ]
 
 
@@ -184,6 +186,15 @@ def test_empty_out_is_a_usage_error(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def test_refused_export_writes_no_file(capsys, tmp_path):
+    # The word cap is checked before --out is probed, which creates it.
+    out = tmp_path / "x.dat-s"
+    assert main(["npa", "export", "--n", "9", "--level", "2",
+                 "--out", str(out)]) == 2
+    assert "error: argument --n:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_is_probed_only_after_the_other_checks(capsys, tmp_path):
     # The --out probe creates the file it opens: a command refused on
     # another flag must not leave one behind.
@@ -196,18 +207,20 @@ def test_out_is_probed_only_after_the_other_checks(capsys, tmp_path):
 
 def test_work_caps_admit_their_bound(capsys):
     # The pre-flight checks, since a run at most caps takes seconds to a
-    # minute; the direct strategy value, about 0.5 s at its cap (n = 101),
-    # also runs there. Each cap admits its command's default.
+    # minute; the strategy value, about 0.5 s at each path's cap (n = 101
+    # direct, n = 1448 via bias), also runs there. Each cap admits its
+    # command's default.
     entropy_check = znlcs.cli.COMMANDS[("strategy", "entropy")][1]
     trials_check = znlcs.cli.COMMANDS[("sos", "verify")][1]
     spectrum_check = znlcs.cli.COMMANDS[("bias", "spectrum")][1]
     value_check = znlcs.cli.COMMANDS[("strategy", "value")][1]
-    # The bias operator's blocks, 16 n^3 bytes, fit the cap up to n = 161.
+    # The bias operator's blocks, 16 n^3 bytes, fit the cap up to n = 161;
+    # block 0 alone, 16 n^2 bytes, fits the value's cap up to n = 1448.
     assert spectrum_check(argparse.Namespace(n=161)) is None
     assert spectrum_check(argparse.Namespace(n=162)
                           ).startswith("argument --n:")
-    assert value_check(argparse.Namespace(n=161, via="bias")) is None
-    assert value_check(argparse.Namespace(n=162, via="bias")
+    assert value_check(argparse.Namespace(n=1448, via="bias")) is None
+    assert value_check(argparse.Namespace(n=1449, via="bias")
                        ).startswith("argument --n:")
     n_max = znlcs.strategykit.ENTROPY_N_MAX
     trials = znlcs.soskit.TRIALS_CAP
@@ -218,11 +231,14 @@ def test_work_caps_admit_their_bound(capsys):
     assert trials_check(argparse.Namespace(trials=trials)) is None
     assert trials_check(argparse.Namespace(trials=trials + 1)
                         ).startswith("argument --trials:")
-    code, report = run(capsys, "strategy", "value", "--n", "101")
-    assert code == 0
-    value = next(r["value"] for r in report["results"]
-                 if r["name"] == "value")
-    assert abs(value - znlcs.strategykit.canonical_value_formula(101)) < 1e-9
+    for n, via in ((101, "direct"), (1448, "bias")):
+        code, report = run(capsys, "strategy", "value", "--n", str(n),
+                           "--via", via)
+        assert code == 0
+        value = next(r["value"] for r in report["results"]
+                     if r["name"] == "value")
+        assert abs(value - znlcs.strategykit.canonical_value_formula(n)
+                   ) < 1e-9, via
 
 
 # One valid argv per command; then argvs the named-command tree must not
@@ -456,6 +472,14 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
         code, loaded = modules_loaded_by(*argv)
         assert code == 0
         assert not loaded & NUMPY_RANDOM, argv
+
+    # The bias path's generator powers are monomial's power rows.
+    for argv in (["bias", "spectrum", "--n", "2"],
+                 ["strategy", "value", "--n", "2", "--via", "bias"]):
+        code, loaded = modules_loaded_by(*argv)
+        assert code == 0
+        assert "znlcs.monomial" in loaded, argv
+        assert "znlcs.groupkit" not in loaded, argv
 
     code, loaded = modules_loaded_by("group", "enumerate", "--n", "2")
     assert code == 0

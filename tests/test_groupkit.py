@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from znlcs import groupkit
+from znlcs import groupkit, monomial
 from znlcs.groupkit import (MonomialUnitary, alice_generators, alice_images,
                             enumerate_group, evaluate_word,
                             evaluate_word_matrix, invert_rows,
@@ -304,6 +304,17 @@ def test_power_matches_repeated_multiplication(data, n):
     for _ in range(abs(e)):
         expected = expected @ step
     assert g.power(e) == expected
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_power_rows_match_scalar_powers(data, n):
+    (g,) = data.draw(monomials(n, 1))
+    for h in (g, g.inverse()):
+        rows = monomial.power_rows(h)
+        assert rows.dtype == pack_rows([h], n).dtype
+        assert np.array_equal(rows,
+                              pack_rows([h.power(i) for i in range(n)], n))
 
 
 def _scalar_closure(generators):

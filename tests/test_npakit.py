@@ -10,9 +10,10 @@ from test_strategykit import random_strategy
 from znlcs import ncpoly, numerics, strategykit
 from znlcs.gamekit import ModNGameParams
 from znlcs.ncpoly import canonical_word, word_adjoint
-from znlcs.npakit import (MomentProblem, SDPAProblem, build_moment_problem,
-                          export_sdpa, generate_words, letters, parse_sdpa,
-                          sdpa_from_moment_problem)
+from znlcs.npakit import (WORDS_CAP, MomentProblem, SDPAProblem,
+                          build_moment_problem, export_sdpa, generate_words,
+                          letters, parse_sdpa, sdpa_from_moment_problem,
+                          word_count)
 from znlcs.numerics import rng
 from znlcs.strategykit import canonical_strategy
 
@@ -114,6 +115,15 @@ def test_word_counts_level1():
 def test_word_counts_level2():
     assert len(generate_words(2, 2)) == 13
     assert len(generate_words(3, 2)) == 41
+
+
+def test_word_count_is_the_generated_count():
+    for n in range(2, 9):
+        for level in (1, 2):
+            assert word_count(n, level) == len(generate_words(n, level))
+    # The export's cap admits n = 8 at level 2 and n = 106 at level 1.
+    assert word_count(8, 2) == word_count(106, 1) == WORDS_CAP
+    assert word_count(9, 2) > WORDS_CAP and word_count(107, 1) > WORDS_CAP
 
 
 def test_words_are_canonical_and_distinct():
