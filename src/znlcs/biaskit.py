@@ -29,8 +29,8 @@ CLUSTER_TOL = 1e-7
 SPECTRUM_BYTES_CAP = 1 << 26
 # Largest block `strategy value --via bias` builds, block 0 alone: 32 MiB
 # of complex128, so n <= 1448. `strategy value --n 1448 --via bias` takes
-# 0.5-0.8 s and 84 MB peak RSS (same machine, four runs), inside what the
-# other caps admit (about 1.6 s and 110 MB).
+# 0.26-0.42 s in-process and 83 MB peak RSS (same machine, seven runs),
+# inside what the other caps admit (about 1.6 s and 110 MB).
 VALUE_BYTES_CAP = 1 << 25
 
 

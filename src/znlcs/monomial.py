@@ -13,10 +13,11 @@ array ``rows[m, n + 1]``, shifts in column 0 and phases in columns 1..n,
 whose dtype (uint8 up to n = 32) holds the sum of two reduced entries. So
 a product with fixed right factors is one gather, one add and one
 conditional subtract (``compose_steps``, the one batched product), and
-``power_rows`` is the one power table. ``groupkit`` (keys, closures,
-normal forms, presentations) re-exports these names. A command that needs
-only the canonical observables (strategy values, bias spectra, SOS and
-relation checks) loads this module and not ``groupkit``.
+``power_rows``, which doubles a table of powers with it, is the one power
+table. ``groupkit`` (keys, closures, normal forms, presentations)
+re-exports these names. A command that needs only the canonical
+observables (strategy values, bias spectra, SOS and relation checks)
+loads this module and not ``groupkit``.
 """
 
 from __future__ import annotations
@@ -184,10 +185,18 @@ def invert_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def power_rows(g: MonomialUnitary) -> np.ndarray:
-    """The rows of g^0, g^1, ..., g^(n-1), each the one before times g."""
-    step = pack_rows([g], g.n)
-    cols = step_columns(step)
-    rows = [pack_rows([MonomialUnitary.identity(g.n)], g.n)]
-    for _ in range(1, g.n):
-        rows.append(compose_steps(rows[-1], cols, step)[:, 0])
-    return np.concatenate(rows)
+    """The rows of g^0, g^1, ..., g^(n-1), filled by doubling: once
+    g^0..g^(k-1) are in the table, rows[1:m+1] times g^(k-1) give the next
+    m powers (m < k), one ``compose_steps`` per step."""
+    n = g.n
+    rows = np.zeros((n, n + 1), dtype=_row_dtype(n))
+    if n > 1:
+        rows[1] = pack_rows([g], n)[0]
+    k = 2
+    while k < n:
+        m = min(k - 1, n - k)
+        step = rows[k - 1:k]
+        rows[k:k + m] = compose_steps(rows[1:m + 1], step_columns(step),
+                                      step)[:, 0]
+        k += m
+    return rows

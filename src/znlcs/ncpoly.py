@@ -131,25 +131,38 @@ class NCPolynomial:
         return " + ".join(parts) if parts else "0"
 
 
-def _letter_powers(poly: NCPolynomial,
-                   assignment: Mapping[Tuple[str, int], np.ndarray]
-                   ) -> Dict[Letter, np.ndarray]:
-    """Each (operator, exponent) power that poly's words use, computed once.
-
-    Keys are letters with the exponent reduced mod n; operators may carry
-    leading batch axes, which np.linalg.matrix_power keeps."""
+def _term_products(poly: NCPolynomial,
+                   assignment: Mapping[Tuple[str, int], np.ndarray],
+                   dimA: int, dimB: int) -> Tuple[np.ndarray, np.ndarray]:
+    """poly = sum_k c_k (P_k (x) Q_k) on an assignment of (..., d, d)
+    operators whose batch axes broadcast: P[..., k] = c_k P_k, shape
+    (..., dimA, dimA, K), and Q[..., k, :, :] = Q_k, shape
+    (..., K, dimB, dimB). Each (operator, exponent) power is taken once."""
     import numpy as np
     powers: Dict[Letter, np.ndarray] = {}
-    for word in poly.terms:
-        for player, idx, exp in word:
-            letter = (player, idx, exp % poly.n)
-            if letter in powers:
-                continue
-            key = (player, idx)
+
+    def power(player: str, idx: int, exp: int) -> np.ndarray:
+        key, letter = (player, idx), (player, idx, exp % poly.n)
+        if letter not in powers:
             if key not in assignment:
                 raise KeyError(f"assignment missing operator {key}")
             powers[letter] = np.linalg.matrix_power(assignment[key], letter[2])
-    return powers
+        return powers[letter]
+
+    def product(word: Word, player: str, d: int) -> np.ndarray:
+        mats = [power(*letter) for letter in word if letter[0] == player]
+        return reduce(np.matmul, mats) if mats else np.eye(d)
+
+    batch = np.broadcast_shapes(
+        *(np.shape(M)[:-2] for M in assignment.values()))
+    K = len(poly.terms)
+    P = np.empty(batch + (dimA, dimA, K), dtype=np.complex128)
+    Q = np.empty(batch + (K, dimB, dimB), dtype=np.complex128)
+    for k, word in enumerate(poly.terms):
+        P[..., k] = product(word, "A", dimA)
+        Q[..., k, :, :] = product(word, "B", dimB)
+    P *= np.fromiter(poly.terms.values(), dtype=np.complex128, count=K)
+    return P, Q
 
 
 def eval_nc(poly: NCPolynomial,
@@ -158,53 +171,25 @@ def eval_nc(poly: NCPolynomial,
     """Evaluate on a tensor-product assignment: A letters act as M (x) I,
     B letters as I (x) M.
 
-    Operators are (..., d, d) arrays whose leading batch axes broadcast
-    together (none for a single assignment); the result is
+    Operators may carry batch axes as in ``_term_products``; the result is
     (..., dimA*dimB, dimA*dimB). The sum over terms c_k (P_k (x) Q_k) is
     one matmul (dimA^2, K) @ (K, dimB^2) followed by an axis swap."""
-    import numpy as np
-    powers = _letter_powers(poly, assignment)
-    batch = np.broadcast_shapes(
-        *(np.shape(M)[:-2] for M in assignment.values()))
-    dim = dimA * dimB
-    if not poly.terms:
-        return np.zeros(batch + (dim, dim), dtype=np.complex128)
-
-    def product(word: Word, player: str, d: int) -> np.ndarray:
-        mats = [powers[(p, idx, exp % poly.n)] for p, idx, exp in word
-                if p == player]
-        return reduce(np.matmul, mats) if mats else np.eye(d)
-
-    K = len(poly.terms)
-    P = np.empty(batch + (dimA, dimA, K), dtype=np.complex128)
-    Q = np.empty(batch + (K, dimB, dimB), dtype=np.complex128)
-    for k, word in enumerate(poly.terms):
-        P[..., k] = product(word, "A", dimA)
-        Q[..., k, :, :] = product(word, "B", dimB)
-    P *= np.fromiter(poly.terms.values(), dtype=np.complex128, count=K)
+    P, Q = _term_products(poly, assignment, dimA, dimB)
+    batch, K = P.shape[:-3], P.shape[-1]
     Z = P.reshape(batch + (dimA * dimA, K)) @ Q.reshape(
         batch + (K, dimB * dimB))
     Z = Z.reshape(batch + (dimA, dimA, dimB, dimB))
-    return Z.swapaxes(-3, -2).reshape(batch + (dim, dim))
+    return Z.swapaxes(-3, -2).reshape(batch + (dimA * dimB, dimA * dimB))
 
 
 def apply_nc(poly: NCPolynomial,
              assignment: Mapping[Tuple[str, int], np.ndarray],
              state: np.ndarray, dimA: int, dimB: int) -> np.ndarray:
-    """Apply the evaluated polynomial to a bipartite state vector."""
-    import numpy as np
-    powers = _letter_powers(poly, assignment)
+    """Apply the evaluated polynomial to a bipartite state vector without
+    forming it: on the dimA x dimB coefficient matrix psi of the state,
+    c_k (P_k (x) Q_k) acts as c_k P_k psi Q_k^T. One assignment, no batch
+    axes."""
+    P, Q = _term_products(poly, assignment, dimA, dimB)
     psi = state.reshape(dimA, dimB)
-    out = np.zeros_like(psi)
-    for word, coeff in poly.terms.items():
-        cur = psi
-        # B letters act on the column index; word order within a player is
-        # right-to-left on the state.
-        for player, idx, exp in reversed(word):
-            M = powers[(player, idx, exp % poly.n)]
-            if player == "A":
-                cur = M @ cur
-            else:
-                cur = cur @ M.T
-        out = out + coeff * cur
+    out = (P.transpose(2, 0, 1) @ psi @ Q.transpose(0, 2, 1)).sum(axis=0)
     return out.reshape(dimA * dimB)

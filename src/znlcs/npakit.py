@@ -175,13 +175,16 @@ def sdpa_from_moment_problem(mp: MomentProblem) -> SDPAProblem:
     """
     n = mp.n
     N = mp.size
-    var_ids: List[Tuple[int, str]] = []
-    for cid, key in enumerate(mp.class_keys):
-        var_ids.append((cid, "re"))
-        if ncpoly.word_adjoint(key, n) != key:
-            var_ids.append((cid, "im"))
-    var_pos = {vk: k + 1 for k, vk in enumerate(var_ids)}
-    nvars = len(var_ids)
+    # Variable numbers (1-indexed) of each class's real and imaginary
+    # parts; im_var[cid] is 0 for a self-adjoint class.
+    re_var: List[int] = []
+    im_var: List[int] = []
+    nvars = 0
+    for key in mp.class_keys:
+        has_im = ncpoly.word_adjoint(key, n) != key
+        re_var.append(nvars + 1)
+        im_var.append(nvars + 2 if has_im else 0)
+        nvars += 1 + has_im
 
     # Cell (r, c) holds y = x_re + i x_im, or its conjugate, so in the real
     # embedding [[Re, -Im], [Im, Re]] it puts x_re at (r, c) and
@@ -191,16 +194,16 @@ def sdpa_from_moment_problem(mp: MomentProblem) -> SDPAProblem:
     for r, (classes, conjs) in enumerate(zip(mp.cell_class, mp.cell_conj)):
         for c, (cid, conj) in enumerate(zip(classes, conjs)):
             if r <= c:
-                re = var_pos[(cid, "re")]
+                re = re_var[cid]
                 entries[(re, 1, r + 1, c + 1)] = 1.0
                 entries[(re, 1, N + r + 1, N + c + 1)] = 1.0
-            im = var_pos.get((cid, "im"))
-            if im is not None:
+            im = im_var[cid]
+            if im:
                 entries[(im, 1, r + 1, N + c + 1)] = 1.0 if conj else -1.0
 
     # Normalization block: x_e - 1 >= 0 and 1 - x_e >= 0.
     # generate_words puts the empty word first.
-    e_var = var_pos[(mp.cell_class[0][0], "re")]
+    e_var = re_var[mp.cell_class[0][0]]
     entries[(e_var, 2, 1, 1)] = 1.0
     entries[(e_var, 2, 2, 2)] = -1.0
     entries[(0, 2, 1, 1)] = 1.0
@@ -210,9 +213,9 @@ def sdpa_from_moment_problem(mp: MomentProblem) -> SDPAProblem:
     # subtraction and addition never yields -0.0, so no "-0" token.
     objective = [0.0] * nvars
     for cid, c in mp.objective.items():
-        objective[var_pos[(cid, "re")] - 1] -= c.real
-        if (cid, "im") in var_pos:
-            objective[var_pos[(cid, "im")] - 1] += c.imag
+        objective[re_var[cid] - 1] -= c.real
+        if im_var[cid]:
+            objective[im_var[cid] - 1] += c.imag
     # Each coefficient as the file writes it (12 digits format back to the
     # same text), so parsing the rendered file returns an equal problem.
     objective = [float(f"{c:.12g}") for c in objective]

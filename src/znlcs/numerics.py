@@ -104,18 +104,18 @@ def hermitian_defect(M: np.ndarray) -> float:
     return frob(M - adjoint(M))
 
 
-def require_square(M: np.ndarray, name: str = "matrix") -> int:
+def require_square(M: np.ndarray, name: str) -> int:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
     return M.shape[0]
 
 
-def require_finite(M: np.ndarray, name: str = "matrix") -> None:
+def require_finite(M: np.ndarray, name: str) -> None:
     if not np.isfinite(M).all():
         raise ValueError(f"{name} has non-finite entries")
 
 
-def require_hermitian(M: np.ndarray, name: str = "matrix") -> None:
+def require_hermitian(M: np.ndarray, name: str) -> None:
     defect = hermitian_defect(M)
     scale = max(frob(M), 1.0)
     if defect > HERMITIAN_TOL * scale:

@@ -317,6 +317,21 @@ def test_power_rows_match_scalar_powers(data, n):
                               pack_rows([h.power(i) for i in range(n)], n))
 
 
+def test_power_rows_at_the_value_cap():
+    # n = 1448 (the largest `strategy value --via bias` takes) is no power
+    # of two, so the last doubling fills a partial run of rows.
+    n = 1448
+    for g in alice_generators(n) + bob_generators(n):
+        rows = monomial.power_rows(g)
+        step = pack_rows([g], n)
+        assert rows.shape == (n, n + 1)
+        assert rows.dtype == step.dtype == np.uint16
+        assert not rows[0].any()
+        assert np.array_equal(
+            rows[1:], monomial.compose_steps(
+                rows[:-1], monomial.step_columns(step), step)[:, 0])
+
+
 def _scalar_closure(generators):
     """Reference closure by scalar products, one element at a time."""
     n = generators[0].n
