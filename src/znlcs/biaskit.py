@@ -10,6 +10,10 @@ Each term of the bias polynomial is one Alice letter and one Bob letter, so
 ``bias_blocks`` builds the blocks from one power of each party's generator,
 read from ``monomial.power_rows``, the one power kernel, and the CLI's
 spectra and values run on them.
+
+A spectrum report holds eigenvalues only (``numerics.hermitian_eig``):
+the top one, its multiplicity and the value it predicts. That the
+canonical state is the top eigenvector is ``eigenrelation_residual``.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from .records import Record
 CLUSTER_TOL = 1e-7
 # Largest block stack of the canonical bias operator the CLI builds: 64 MiB
 # of complex128, so n <= 161 (n blocks of n x n). `bias spectrum --n 161`
-# takes 0.7-0.8 s and 97 MB peak RSS; in canonical_bias_spectrum the n
-# values-only eigensolves take 0.36-0.57 s and bias_blocks 0.16-0.26 s
-# (2-core Xeon, one BLAS thread, best of 3 in each of three noisy runs).
+# takes 0.8-1.0 s and 96 MB peak RSS; in canonical_bias_spectrum the n
+# values-only eigensolves, its only ones, take 0.66-0.68 s and bias_blocks
+# 0.28-0.30 s (2-core Xeon in a slow phase, one BLAS thread, best of 3 in
+# each of three runs).
 SPECTRUM_BYTES_CAP = 1 << 26
 # Largest block `strategy value --via bias` builds, block 0 alone: 32 MiB
 # of complex128, so n <= 1448. `strategy value --n 1448 --via bias` takes
@@ -74,24 +79,26 @@ def bias_operator(p: gamekit.ModNGameParams,
 class BiasReport(Record):
     top_eigenvalue: float
     multiplicity: int
-    top_eigenvector: Optional[np.ndarray]
     predicted_value: float
+
+
+def _spectrum_report(values: np.ndarray, n: int) -> BiasReport:
+    """The report on eigenvalues of an order-n bias operator: the top one,
+    its multiplicity (eigenvalues clustered at CLUSTER_TOL) and the
+    winning probability it predicts."""
+    top = float(values.max())
+    return BiasReport(
+        top_eigenvalue=top,
+        multiplicity=int((values > top - CLUSTER_TOL).sum()),
+        predicted_value=top / (4 * n) + 1.0 / n)
 
 
 def bias_spectrum(p: gamekit.ModNGameParams,
                   s: strategykit.Strategy) -> BiasReport:
-    """Top eigenvalue of the bias operator, its multiplicity (eigenvalues
-    clustered at 1e-7), and the eigenvector when it is unique."""
-    import numpy as np
-    B = bias_operator(p, s)
-    eig = numerics.hermitian_eig(B)
-    w = eig.eigenvalues
-    top = float(w[-1])
-    mult = int(np.sum(w > top - CLUSTER_TOL))
-    vec = eig.eigenvectors[:, -1] if mult == 1 else None
-    return BiasReport(
-        top_eigenvalue=top, multiplicity=mult, top_eigenvector=vec,
-        predicted_value=top / (4 * p.n) + 1.0 / p.n)
+    """The spectrum report (``_spectrum_report``) of a strategy's dense
+    bias operator."""
+    return _spectrum_report(numerics.hermitian_eig(bias_operator(p, s)),
+                            p.n)
 
 
 def bias_blocks(p: gamekit.ModNGameParams,
@@ -138,28 +145,11 @@ def bias_blocks(p: gamekit.ModNGameParams,
 
 def canonical_bias_spectrum(p: gamekit.ModNGameParams) -> BiasReport:
     """``bias_spectrum(p, canonical_strategy(p.n))`` on ``bias_blocks(p)``:
-    the top eigenvalue over the blocks, its multiplicity over all of them
-    (eigenvalues clustered at CLUSTER_TOL), and, when it is unique, its
-    eigenvector placed in C^n (x) C^n. Every block's eigenvalues come from
-    the values-only solver; the block holding the top eigenvalue is then
-    fully decomposed, for the reported value and eigenvector."""
+    the report on the eigenvalues of all n blocks, one values-only solve
+    a block."""
     import numpy as np
-    n = p.n
-    blocks = bias_blocks(p)
-    values = np.array([numerics.hermitian_eig(M, vectors=False).eigenvalues
-                       for M in blocks])
-    s = int(np.argmax(values[:, -1]))
-    eig = numerics.hermitian_eig(blocks[s])
-    top = float(eig.eigenvalues[-1])
-    mult = int(np.sum(values > top - CLUSTER_TOL))
-    vec = None
-    if mult == 1:
-        a = np.arange(n)
-        vec = np.zeros(n * n, dtype=np.complex128)
-        vec[a * n + (s - a) % n] = eig.eigenvectors[:, -1]
-    return BiasReport(
-        top_eigenvalue=top, multiplicity=mult, top_eigenvector=vec,
-        predicted_value=top / (4 * n) + 1.0 / n)
+    return _spectrum_report(
+        np.array([numerics.hermitian_eig(M) for M in bias_blocks(p)]), p.n)
 
 
 def _canonical_block(p: gamekit.ModNGameParams):

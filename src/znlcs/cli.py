@@ -237,8 +237,11 @@ def cmd_npa_export(args, rep: Report) -> None:
         written = fh.read()
     rep.result("moment_matrix_size", mp.size)
     rep.result("sdpa_block_size", prob.block_sizes[0])
-    rep.result("round_trip_exact", int(npakit.parse_sdpa(written) == prob),
-               tolerance=0.0, target=1)
+    try:
+        exact = npakit.parse_sdpa(written) == prob
+    except ValueError:  # a file the parser refuses is not a round trip
+        exact = False
+    rep.result("round_trip_exact", int(exact), tolerance=0.0, target=1)
 
 
 def cmd_psirep_check(args, rep: Report) -> None:

@@ -23,9 +23,9 @@ import numpy as np
 
 # Names, not the module: the element type, generators and row kernels run
 # whenever this module does, and are part of its interface.
-from .monomial import (MonomialUnitary, _row_dtype, alice_generators,
-                       compose_steps, invert_rows, pack_rows, power_rows,
-                       scalar_j, step_columns)
+from .monomial import (MonomialUnitary, alice_generators, compose_steps,
+                       invert_rows, pack_rows, power_rows, scalar_j,
+                       step_columns)
 
 # Most elements a closure may hold, and most normal-form words evaluated.
 ENUMERATION_CAP = 10**6

@@ -62,8 +62,6 @@ class NCPolynomial:
             for word, coeff in terms.items():
                 if not _canonical:
                     word = canonical_word(word, self.n)
-                if abs(coeff) == 0.0:
-                    continue
                 data[word] = data.get(word, 0.0) + complex(coeff)
         self.terms = {w: c for w, c in data.items() if abs(c) > 0.0}
 

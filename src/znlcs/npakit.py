@@ -232,24 +232,39 @@ def export_sdpa(mp: MomentProblem, destination: str) -> SDPAProblem:
 
 def parse_sdpa(text: str) -> SDPAProblem:
     """The SDPA problem written in ``text`` (a ``.dat-s`` file's content).
-    Comment lines (``*``) and blank lines are skipped."""
-    body = (ln for ln in text.splitlines() if ln and not ln.startswith("*"))
+    Comment lines (``*``) and blank lines are skipped. A ValueError naming
+    the line refuses an objective of other than nvars coefficients, an
+    entry line of other than five fields, and an entry (mat, block, row,
+    col) stated twice."""
+    body = ((number, ln) for number, ln in enumerate(text.splitlines(), 1)
+            if ln and not ln.startswith("*"))
 
-    def header(name: str) -> str:
-        line = next(body, None)
-        if line is None:
+    def header(name: str) -> Tuple[int, str]:
+        item = next(body, None)
+        if item is None:
             raise ValueError(f"SDPA text ends before its {name} line")
-        return line
+        return item
 
-    nvars = int(header("variable count"))
-    nblocks = int(header("block count"))
-    block_sizes = [int(t) for t in header("block sizes").split()]
+    nvars = int(header("variable count")[1])
+    nblocks = int(header("block count")[1])
+    block_sizes = [int(t) for t in header("block sizes")[1].split()]
     if len(block_sizes) != nblocks:
         raise ValueError("block size count mismatch")
-    objective = [float(t) for t in header("objective").split()]
+    number, ln = header("objective")
+    objective = [float(t) for t in ln.split()]
+    if len(objective) != nvars:
+        raise ValueError(f"line {number}: objective has {len(objective)} "
+                         f"coefficients for {nvars} variables")
     entries: Dict[Tuple[int, int, int, int], float] = {}
-    for ln in body:
-        mat, block, row, col, value = ln.split()
-        entries[(int(mat), int(block), int(row), int(col))] = float(value)
+    for number, ln in body:
+        fields = ln.split()
+        if len(fields) != 5:
+            raise ValueError(f"line {number}: entry has {len(fields)} "
+                             f"fields, not 5: {ln!r}")
+        mat, block, row, col, value = fields
+        key = (int(mat), int(block), int(row), int(col))
+        if key in entries:
+            raise ValueError(f"line {number}: entry {key} stated twice")
+        entries[key] = float(value)
     return SDPAProblem(nvars=nvars, block_sizes=block_sizes,
                        objective=objective, entries=entries)

@@ -1,6 +1,6 @@
 """Dense complex matrix kernel.
 
-Hermitian eigendecomposition (LAPACK via numpy.linalg.eigh), spectral
+Hermitian eigenvalues (LAPACK via numpy.linalg.eigvalsh), spectral
 projectors and <psi|E (x) F|psi> tables, a seeded integer stream and seeded
 random observables of order n. All operators are plain complex128 ndarrays;
 helpers validate shape, finiteness and Hermiticity at the boundary.
@@ -20,11 +20,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
 
 import numpy as np
-
-from .records import Record
 
 # Largest Hermitian defect hermitian_eig accepts, relative to max(||M||_F, 1).
 HERMITIAN_TOL = 1e-9
@@ -125,33 +122,17 @@ def require_hermitian(M: np.ndarray, name: str) -> None:
         )
 
 
-class HermitianEig(Record):
-    """Eigendecomposition M = V diag(w) V* with w ascending (V is None when
-    only the eigenvalues were asked for)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray]
-
-
-def hermitian_eig(M: np.ndarray, vectors: bool = True) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix (LAPACK via numpy.linalg.eigh).
+def hermitian_eig(M: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a Hermitian matrix (LAPACK's values-only
+    driver via numpy.linalg.eigvalsh).
 
     The input must be square, finite and Hermitian to within
     HERMITIAN_TOL * max(||M||_F, 1).
-    Eigenvalues are returned ascending; eigenvectors are the matching
-    columns of a unitary matrix. With ``vectors`` false the eigenvectors
-    are None and the eigenvalues come from LAPACK's values-only driver
-    (numpy.linalg.eigvalsh), which is faster.
     """
     require_square(M, "hermitian_eig input")
     require_finite(M, "hermitian_eig input")
     require_hermitian(M, "hermitian_eig input")
-    M = np.asarray(M, dtype=np.complex128)
-    if not vectors:
-        return HermitianEig(eigenvalues=np.linalg.eigvalsh(M),
-                            eigenvectors=None)
-    w, V = np.linalg.eigh(M)
-    return HermitianEig(eigenvalues=w, eigenvectors=V)
+    return np.linalg.eigvalsh(np.asarray(M, dtype=np.complex128))
 
 
 def observable_to_pvm(U: np.ndarray, n: int) -> np.ndarray:

@@ -17,8 +17,9 @@ from test_groupkit import g3_irreps, ring_relation_defect
 from test_npakit import randomized_reduce, strategy_feasibility
 from test_strategykit import random_strategy
 
-from znlcs.biaskit import (bias_eigenvalue_formula, bias_polynomial,
-                           bias_spectrum, eigenrelation_residual)
+from znlcs.biaskit import (bias_eigenvalue_formula, bias_operator,
+                           bias_polynomial, bias_spectrum,
+                           eigenrelation_residual)
 from znlcs.gamekit import ModNGameParams, classical_value, make_mod_n_game
 from znlcs.groupkit import (alice_generators, enumerate_group,
                             normal_form_enumerate, verify_presentation)
@@ -87,10 +88,12 @@ def test_02_quantum_value_formula():
 def test_03_bias_eigenclaim():
     for n in range(2, 13):
         assert eigenrelation_residual(n) <= 1e-9, n
-    report = bias_spectrum(ModNGameParams(3, 0, 1), canonical_strategy(3))
+    p, s = ModNGameParams(3, 0, 1), canonical_strategy(3)
+    report = bias_spectrum(p, s)
     assert report.top_eigenvalue == pytest.approx(6.0, abs=1e-9)
     assert report.multiplicity == 1
-    overlap = abs(np.vdot(report.top_eigenvector, canonical_state(3)))
+    top_vector = np.linalg.eigh(bias_operator(p, s))[1][:, -1]
+    overlap = abs(np.vdot(top_vector, canonical_state(3)))
     assert overlap >= 1.0 - 1e-8
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_strategykit import random_strategy
 
-from znlcs import gamekit, monomial, strategykit
+from znlcs import gamekit, monomial, numerics, strategykit
 from znlcs.biaskit import (SPECTRUM_BYTES_CAP, VALUE_BYTES_CAP,
                            bias_blocks, bias_eigenvalue_formula,
                            bias_operator, bias_polynomial, bias_spectrum,
@@ -154,20 +154,48 @@ def test_block_spectrum_matches_the_dense_spectrum(n, data):
     assert report.multiplicity == dense.multiplicity
     assert report.predicted_value == pytest.approx(dense.predicted_value,
                                                    abs=1e-12)
-    assert (report.top_eigenvector is None) == (dense.top_eigenvector is None)
-    if report.top_eigenvector is not None:
-        assert abs(np.vdot(report.top_eigenvector, dense.top_eigenvector)) \
-            >= 1.0 - 1e-12
+    if report.multiplicity == 1:
+        # The unique top eigenvector: the top block's, placed in
+        # C^n (x) C^n, is the dense operator's.
+        blocks = bias_blocks(p)
+        top = int(np.argmax(np.linalg.eigvalsh(blocks)[:, -1]))
+        block_vec = np.zeros(n * n, dtype=np.complex128)
+        block_vec[block_indices(n, top)] = \
+            np.linalg.eigh(blocks[top])[1][:, -1]
+        dense_vec = np.linalg.eigh(bias_operator(p, s))[1][:, -1]
+        assert abs(np.vdot(block_vec, dense_vec)) >= 1.0 - 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 20, 45])
 def test_block_top_eigenvector_is_the_canonical_state(n):
-    report = canonical_bias_spectrum(ModNGameParams(n, 0, 1))
+    p = ModNGameParams(n, 0, 1)
+    report = canonical_bias_spectrum(p)
     assert report.multiplicity == 1
     assert report.top_eigenvalue == pytest.approx(
         bias_eigenvalue_formula(n), abs=1e-9)
-    overlap = abs(np.vdot(report.top_eigenvector, canonical_state(n)))
+    # Block 0 holds the reported top, and its top eigenvector, placed in
+    # C^n (x) C^n, is the canonical state.
+    w, V = np.linalg.eigh(bias_blocks(p, sums=[0])[0])
+    assert abs(w[-1] - report.top_eigenvalue) <= 1e-12 * w[-1]
+    vec = np.zeros(n * n, dtype=np.complex128)
+    vec[block_indices(n, 0)] = V[:, -1]
+    overlap = abs(np.vdot(vec, canonical_state(n)))
     assert overlap >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 7, 12])
+def test_canonical_spectrum_solves_each_block_once(monkeypatch, n):
+    # One values-only solve a block, and no second decomposition.
+    shapes = []
+    solve = numerics.hermitian_eig
+
+    def counted(M):
+        shapes.append(M.shape)
+        return solve(M)
+
+    monkeypatch.setattr(numerics, "hermitian_eig", counted)
+    canonical_bias_spectrum(ModNGameParams(n, 0, 1))
+    assert shapes == [(n, n)] * n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])

@@ -88,6 +88,27 @@ def test_npa_export_fails_when_the_file_loses_entries(capsys, tmp_path,
     assert code == 1
 
 
+def test_npa_export_fails_when_the_file_repeats_an_entry(capsys, tmp_path,
+                                                         monkeypatch):
+    # A file the parser refuses (one entry line written twice) fails the
+    # round trip in the report, not with a traceback.
+    from znlcs import npakit
+    render = npakit.SDPAProblem.render
+
+    def doubled(self):
+        text = render(self)
+        return text + text.splitlines(keepends=True)[-1]
+
+    monkeypatch.setattr(npakit.SDPAProblem, "render", doubled)
+    out = tmp_path / "g2.dat-s"
+    code, report = run(capsys, "npa", "export", "--n", "2", "--out",
+                       str(out))
+    by_name = {r["name"]: r for r in report["results"]}
+    assert by_name["round_trip_exact"]["value"] == 0
+    assert report["pass"] is False
+    assert code == 1
+
+
 def test_entropy_fails_on_a_schmidt_rank_below_n(capsys, monkeypatch):
     # A canonical state of rank n - 1 at one n: that n's entry, and only
     # it, fails the report.

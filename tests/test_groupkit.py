@@ -588,7 +588,7 @@ def reduced_rows(draw):
     rows = [base[:draw(st.integers(0, n + 1))] for _ in range(
         draw(st.integers(1, 8)))]
     rows = [r + row()[len(r):] for r in rows]
-    return n, step, np.array(rows, dtype=groupkit._row_dtype(n))
+    return n, step, np.array(rows, dtype=monomial._row_dtype(n))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -620,7 +620,7 @@ def test_first_word_ties_sort_and_search_as_whole_keys():
     # Rows equal but for their last phase share every word of their keys
     # but the last, so the first word alone cannot order or find them.
     n = 40
-    rows = np.zeros((5, n + 1), dtype=groupkit._row_dtype(n))
+    rows = np.zeros((5, n + 1), dtype=monomial._row_dtype(n))
     rows[:, -1] = [8, 2, 6, 0, 4]
     keys = groupkit._keys(rows, 2)
     assert len(keys) > 1 and len(set(keys[0].tolist())) == 1

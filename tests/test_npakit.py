@@ -1,4 +1,5 @@
 import hashlib
+import re
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -231,6 +232,49 @@ def test_parse_sdpa_refuses_truncated_text(kept, missing):
     for cut in ("".join(header), "".join(comments + header)):
         with pytest.raises(ValueError, match=f"before its {missing} line"):
             parse_sdpa(cut)
+
+
+def _sdpa_lines():
+    """A real export's rendered lines, and the index of its first entry."""
+    mp = build_moment_problem(ModNGameParams(2, 0, 1), 1)
+    lines = sdpa_from_moment_problem(mp).render().splitlines(keepends=True)
+    comments = sum(ln.startswith("*") for ln in lines)
+    return lines, comments + 4
+
+
+@pytest.mark.parametrize("entry", ["1 1 1 2", "1 1 1 2 1 0", "1"])
+def test_parse_sdpa_refuses_an_entry_without_five_fields(entry):
+    lines, first = _sdpa_lines()
+    lines.insert(first + 1, entry + "\n")
+    with pytest.raises(ValueError,
+                       match=f"line {first + 2}: entry has .* fields"):
+        parse_sdpa("".join(lines))
+
+
+@pytest.mark.parametrize("value", ["5", None])
+def test_parse_sdpa_refuses_an_entry_stated_twice(value):
+    # Again with a second value, and again word for word.
+    lines, first = _sdpa_lines()
+    mat, block, row, col, old = lines[first].split()
+    twice = f"{mat} {block} {row} {col} {old if value is None else value}\n"
+    lines.insert(first, twice)
+    key = re.escape(f"({mat}, {block}, {row}, {col})")
+    with pytest.raises(ValueError,
+                       match=f"line {first + 2}: entry {key} stated twice"):
+        parse_sdpa("".join(lines))
+
+
+@pytest.mark.parametrize("objective", ["-1", "-1 0 0 0 0 0 0"])
+def test_parse_sdpa_refuses_an_objective_not_of_nvars(objective):
+    lines, first = _sdpa_lines()
+    nvars = int(lines[first - 4])
+    assert len(lines[first - 1].split()) == nvars != 1
+    lines[first - 1] = objective + "\n"
+    with pytest.raises(ValueError,
+                       match=f"line {first}: objective has "
+                             f"{len(objective.split())} coefficients for "
+                             f"{nvars} variables"):
+        parse_sdpa("".join(lines))
 
 
 def test_sdpa_header_structure(tmp_path):

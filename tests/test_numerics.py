@@ -39,14 +39,12 @@ def test_hermitian_eig_reconstructs(dim):
     M = (standard_normal(gen, (dim, dim))
          + 1j * standard_normal(gen, (dim, dim)))
     H = M + M.conj().T
-    eig = hermitian_eig(H)
-    V, w = eig.eigenvectors, eig.eigenvalues
+    w = hermitian_eig(H)
     scale = np.linalg.norm(H)
-    assert np.linalg.norm(V @ np.diag(w) @ V.conj().T - H) < 1e-8 * scale
-    assert np.linalg.norm(V.conj().T @ V - np.eye(dim)) < 1e-8
+    assert w.shape == (dim,)
     assert np.all(np.diff(w) >= -1e-12)
-    # Cross-check against numpy's eigensolver.
-    assert np.allclose(w, np.linalg.eigvalsh(H), atol=1e-8 * scale)
+    # Cross-check against numpy's full eigensolver.
+    assert np.abs(w - np.linalg.eigh(H)[0]).max() <= 1e-10 * scale
 
 
 def _random_hermitian(dim, gen):
@@ -65,36 +63,28 @@ def test_hermitian_eig_properties(dim, seed, degenerate):
         H = np.kron(_random_hermitian(max(1, dim // 3), gen), np.eye(3))
     else:
         H = _random_hermitian(dim, gen)
-    eig = hermitian_eig(H)
-    V, w = eig.eigenvectors, eig.eigenvalues
-    d = H.shape[0]
+    w = hermitian_eig(H)
     scale = max(np.linalg.norm(H), 1.0)
-    assert np.linalg.norm(V @ np.diag(w) @ V.conj().T - H) < 1e-10 * scale
-    assert np.linalg.norm(V.conj().T @ V - np.eye(d)) < 1e-10
+    assert w.shape == (H.shape[0],)
     assert np.all(np.diff(w) >= 0.0)
-    assert np.allclose(w, np.linalg.eigvalsh(H), atol=1e-10 * scale)
-    # The values-only solver gives the same spectrum and no vectors.
-    values = hermitian_eig(H, vectors=False)
-    assert values.eigenvectors is None
-    assert np.abs(values.eigenvalues - w).max() <= 1e-12 * scale
+    assert np.abs(w - np.linalg.eigh(H)[0]).max() <= 1e-10 * scale
+    if degenerate:
+        assert np.abs(w[0::3] - w[2::3]).max() <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
 def test_hermitian_eig_rejects_non_finite(bad):
     H = np.eye(3, dtype=complex)
     H[1, 1] = bad
-    for vectors in (True, False):
-        with pytest.raises(ValueError, match="non-finite"):
-            hermitian_eig(H, vectors=vectors)
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eig(H)
 
 
 def test_hermitian_eig_rejects_non_hermitian_and_non_square():
-    for vectors in (True, False):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                          vectors=vectors)
-        with pytest.raises(ValueError, match="square"):
-            hermitian_eig(np.zeros((2, 3)), vectors=vectors)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eig(np.zeros((2, 3)))
 
 
 def test_partial_trace_product_state():

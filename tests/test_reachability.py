@@ -147,3 +147,27 @@ def test_what_only_the_tracer_reaches():
     assert sorted(with_tracer - commands) == [
         "biaskit.bias_operator", "biaskit.bias_spectrum",
         "strategykit.schmidt"]
+
+
+# numpy's eigensolvers, by the attribute (``np.linalg.eigh``) or the name
+# (``from numpy.linalg import eigh``) a module reads them through.
+EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
+
+
+def test_numerics_is_the_one_eigensolver_entry_point():
+    # Every spectrum in src/ comes from numerics.hermitian_eig: a module
+    # that reads an eigensolver itself is named with the line it reads on.
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "numerics":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [f"{path.stem}:{node.lineno} reads {name}"
+                      for name in names if name in EIGENSOLVERS]
+    assert reads == []

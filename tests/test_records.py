@@ -17,7 +17,6 @@ from znlcs.gamekit import GameSpec, ModNGameParams
 from znlcs.groupkit import MonomialUnitary
 from znlcs.ncpoly import NCPolynomial
 from znlcs.npakit import MomentProblem, SDPAProblem, build_moment_problem
-from znlcs.numerics import HermitianEig
 from znlcs.records import Record
 from znlcs.soskit import SOSCertificate
 from znlcs.strategykit import SchmidtData, Strategy, canonical_strategy
@@ -57,7 +56,7 @@ SAMPLES = [
                                  "relators": (("J", "J"),)},
      ("generators", ("g0",))),
     (BiasReport, {"top_eigenvalue": 6.0, "multiplicity": 1,
-                  "top_eigenvector": None, "predicted_value": 0.75},
+                  "predicted_value": 0.75},
      ("multiplicity", 2)),
     (GameSpec, {"nA": 1, "nB": 1, "mA": 1, "mB": 1,
                 "distribution": np.ones((1, 1)),
@@ -74,8 +73,6 @@ SAMPLES = [
     (SDPAProblem, {"nvars": 1, "block_sizes": [2, -2], "objective": [-1.0],
                    "entries": {(1, 1, 1, 1): 1.0}},
      ("nvars", 2)),
-    (HermitianEig, {"eigenvalues": np.array([1.0]), "eigenvectors": EYE1},
-     ("eigenvalues", np.array([2.0]))),
     (SOSCertificate, {"order": 2, "lam": 2.0,
                       "squares": ((1.0, NCPolynomial(2)),)},
      ("lam", 3.0)),
