@@ -2,7 +2,10 @@
 
 Each invocation prints a JSON run report (command, parameters, results with
 their tolerances, pass flags, seed, wall time) to stdout and exits 0 when
-every asserted check passes, 1 when a check fails, 2 on usage errors.
+every asserted check passes, 1 when a check fails, 2 on usage errors, and,
+as a process, 120 when the report cannot be written to stdout (stdout
+closed, its reader gone, or its flush failing), which is neither a pass
+nor a failed check.
 CSV and SDPA outputs go to --out paths. The environment variable
 ``ZNLCS_SEED`` supplies the default seed; a value that is not an int >= 0
 is a usage error. ``COMMANDS`` declares every command once: its handler,
@@ -27,13 +30,16 @@ argv names only.
 
 ``run()`` is the process entry point (the ``znlcs`` script and ``python
 -m znlcs.cli``): it runs the whole command with the cyclic garbage
-collector off and skips the interpreter's teardown collection.
-``main(argv)`` is the in-process API and leaves the collector as it is.
+collector off, then runs the atexit handlers, flushes stdout and stderr
+and ends the process with ``os._exit``, skipping the interpreter's
+finalization. ``main(argv)`` is the in-process API; it leaves the
+collector as it is and returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import math
@@ -48,6 +54,9 @@ from . import (__version__, bcskit, biaskit, gamekit, groupkit, npakit,
                soskit, strategykit)
 
 DEFAULT_SEED = 20210
+# The exit code of a process whose report cannot be written to stdout: the
+# code CPython itself exits with when flushing stdout at exit fails.
+REPORT_UNWRITTEN = 120
 
 
 def _int_at_least(low: int):
@@ -482,23 +491,47 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def run() -> None:
-    """Process entry point: main() with the cyclic collector off, then exit
-    without the teardown collection.
+    """Process entry point: main() with the cyclic collector off, then the
+    atexit handlers, the flush of stdout and stderr, and ``os._exit``.
 
     A command's work leaves no cyclic garbage that grows with its size
     (``tests/test_cli.py``
     ``test_no_command_leaves_cyclic_garbage_growing_with_size``), so
     reference counting frees its memory, and the collections that loading
-    numpy and these modules would trigger are skipped. The interpreter's
-    final collection at exit runs even with the collector off, so gc.freeze
-    still moves every surviving object (numpy's and these modules') into
-    the permanent generation, which that collection skips, and the OS
-    reclaims the memory. ``finally`` blocks, atexit handlers and the
-    std-stream flush still run."""
+    numpy and these modules would trigger are skipped. ``os._exit`` skips
+    the interpreter's finalization, the teardown of every module and of
+    every object numpy and these modules hold; the OS reclaims the memory.
+    What that finalization would still do for the output, this does first:
+    it runs the atexit handlers, as CPython does at exit, and flushes the
+    std streams. Every ``--out`` file is closed before ``main`` returns.
+
+    A report that cannot be written (stdout closed at start, its reader
+    gone, or its flush failing) is neither a pass nor a failed check: one
+    line on stderr and exit ``REPORT_UNWRITTEN``."""
     gc.disable()
-    code = main()
-    gc.freeze()
-    sys.exit(code)
+    lost = None
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        lost = "stdout is closed"
+    else:
+        try:
+            code = main()
+        except BrokenPipeError as exc:  # stdout's reader gone mid-report
+            lost = exc
+    atexit._run_exitfuncs()
+    if lost is None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            lost = exc
+    try:
+        if lost is not None:
+            code = REPORT_UNWRITTEN
+            sys.stderr.write(f"znlcs: error: cannot write the report to "
+                             f"stdout: {lost}\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # no stderr, or a broken one
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -147,6 +147,11 @@ class SDPAProblem(Record):
                 f"{_sized('entries', self.entries)})")
 
     def render(self) -> str:
+        """The ``.dat-s`` text; a ValueError for fewer than one variable,
+        whose objective line would be blank, which ``parse_sdpa`` skips."""
+        if self.nvars < 1:
+            raise ValueError(f"SDPA problem: nvars must be >= 1, got "
+                             f"{self.nvars}")
         lines = [
             "* moment relaxation export",
             "* complex Hermitian moment matrix embedded as the real block",

@@ -2,9 +2,11 @@ import argparse
 import gc
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -420,24 +422,29 @@ def test_deterministic_reports(capsys):
 
 # Runs ``python -m znlcs.cli ARGV...`` through runpy, as ``-m`` does, then
 # prints the names of the modules whose code ran (a lazy module not yet
-# loaded is not a plain ModuleType) as the last line of stderr.
+# loaded is not a plain ModuleType) as the last line of stderr. run() ends
+# the process with os._exit after the atexit handlers, so the names are
+# printed from one.
 LOADED_MODULES = """
-import json, runpy, sys, types
-try:
-    runpy.run_module("znlcs.cli", run_name="__main__", alter_sys=True)
-finally:
-    print(json.dumps(sorted(name for name, m in sys.modules.items()
-                            if type(m) is types.ModuleType)),
-          file=sys.stderr)
+import atexit, json, runpy, sys, types
+atexit.register(lambda: print(
+    json.dumps(sorted(name for name, m in sys.modules.items()
+                      if type(m) is types.ModuleType)), file=sys.stderr))
+runpy.run_module("znlcs.cli", run_name="__main__", alter_sys=True)
 """
 
 
 def subprocess_env():
-    """This process's environment with the tested ``znlcs`` importable."""
+    """This process's environment with the tested ``znlcs`` importable,
+    and without ``PYTHONUNBUFFERED``: a process's stdout is then
+    block-buffered when it is not a terminal, as it is for most callers,
+    so a missing flush loses output."""
     src = str(pathlib.Path(znlcs.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                PYTHONPATH=os.pathsep.join(
-                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def modules_loaded_by(*argv):
@@ -563,42 +570,136 @@ def test_process_exit_keeps_every_output(tmp_path):
 
 # Calls run() as the ``znlcs`` script does on the argv that follows the
 # script; an atexit handler, which must still run, prints whether the
-# collector is on and how many objects it holds frozen.
-FREEZE_AT_EXIT = """
-import atexit, gc, sys
+# collector is on. The sentinel in __main__ writes FINALIZED when the
+# interpreter's finalization frees it, which run()'s os._exit skips. Its
+# __del__ is a partial, not a function of __main__, so no cycle holds
+# __main__'s globals: module teardown frees it by reference counting,
+# with or without a final collection.
+FINALIZED = "finalized"
+EXIT_STATE = f"""
+import atexit, functools, gc, os, sys
 import znlcs.cli
-atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count(),
-                              file=sys.stderr))
+class Sentinel:
+    __del__ = functools.partial(os.write, 2, b"{FINALIZED}\\n")
+sentinel = Sentinel()
+atexit.register(lambda: print(gc.isenabled(), file=sys.stderr))
 znlcs.cli.run()
 """
 
 
 def run_command_process(*argv):
-    """``run()`` on argv in a fresh process, and the collector's state
-    (enabled, frozen count) that its atexit handler printed."""
-    proc = run_process("-c", FREEZE_AT_EXIT, *argv)
-    enabled, frozen = proc.stderr.splitlines()[-1].split()
-    return proc, enabled, int(frozen)
+    """``run()`` on argv in a fresh process, and whether the collector was
+    on, as its atexit handler printed it; finalization must not have freed
+    the sentinel."""
+    proc = run_process("-c", EXIT_STATE, *argv)
+    assert FINALIZED not in proc.stderr
+    return proc, proc.stderr.splitlines()[-1]
 
 
-def test_run_freezes_the_survivors_and_exits_with_main_code():
-    proc, enabled, frozen = run_command_process("game", "classical", "--n",
-                                                "2")
+def test_run_skips_finalization_and_exits_with_main_code():
+    proc, enabled = run_command_process("game", "classical", "--n", "2")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
     assert enabled == "False"
-    assert frozen > 0
 
 
 def test_process_bad_input_exits_2_without_traceback():
-    proc, enabled, frozen = run_command_process("bias", "spectrum", "--n",
-                                                "200")
+    proc, enabled = run_command_process("bias", "spectrum", "--n", "200")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "error: argument --n:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert enabled == "False"
-    assert frozen > 0
+
+
+def _closed_pipe(cmd, env):
+    """Run cmd with stdout a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("stdout,why", [
+    ("unbuffered", "[Errno 32] Broken pipe"),
+    ("block-buffered", "[Errno 32] Broken pipe"),
+    ("closed", "stdout is closed")])
+def test_a_report_that_cannot_be_written_exits_120(stdout, why):
+    # Neither a pass (0) nor a failed check (1): one line on stderr, no
+    # traceback, and CPython's own exit code for a failed flush of stdout.
+    cmd = [sys.executable, "-m", "znlcs.cli", "game", "classical", "--n",
+           "3"]
+    env = subprocess_env()
+    if stdout == "unbuffered":  # print itself raises BrokenPipeError
+        proc = _closed_pipe(cmd, dict(env, PYTHONUNBUFFERED="1"))
+    elif stdout == "block-buffered":  # the flush at exit raises it
+        proc = _closed_pipe(cmd, env)
+    else:  # fd 1 closed at start: the interpreter sets sys.stdout None
+        proc = subprocess.run(cmd, preexec_fn=lambda: os.close(1),
+                              stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=120)
+    assert proc.returncode == 120
+    assert proc.stderr == \
+        f"znlcs: error: cannot write the report to stdout: {why}\n"
+
+
+def _perfbench_workloads():
+    """``perfbench/workloads.py``, loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+        "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclass reads its module there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sweep_argvs(out_dir):
+    """Every cli-sweep argv, with the export of the SDPA pins' size, its
+    --out files in out_dir; and the exit code each must give."""
+    jobs = _perfbench_workloads().build("cli-sweep", 1, out_dir)
+    out = str(out_dir / "npa-n3-l2.dat-s")
+    return ([(job.argv, job.exit_code) for job in jobs]
+            + [(["npa", "export", "--n", "3", "--level", "2", "--out", out],
+                0)])
+
+
+def test_a_process_prints_what_main_prints(capsys, tmp_path):
+    # The process runs with stdout block-buffered to a regular file, so
+    # everything it prints must be flushed before os._exit.
+    inside, outside = tmp_path / "main", tmp_path / "process"
+    inside.mkdir()
+    outside.mkdir()
+    stdout = tmp_path / "stdout"
+    clock = re.compile(r'"wallTimeSeconds": [-+.e0-9]+')
+    for (argv, code), (process_argv, _) in zip(_sweep_argvs(inside),
+                                                _sweep_argvs(outside)):
+        assert main(argv) == code, argv
+        want = capsys.readouterr()
+        with open(stdout, "wb") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "znlcs.cli", *process_argv],
+                stdout=fh, stderr=subprocess.PIPE, env=subprocess_env(),
+                text=True, timeout=120)
+        got = stdout.read_text().replace(str(outside), str(inside))
+        assert proc.returncode == code, argv
+        assert clock.sub("", got) == clock.sub("", want.out), argv
+        assert proc.stderr == want.err, argv
+        if code == 0:
+            assert json.loads(got)["pass"] is True, argv
+        else:  # the usage line, then the error
+            usage, error = proc.stderr.splitlines()
+            assert usage.startswith(f"usage: znlcs {' '.join(argv[:2])} ")
+            assert ": error: argument --" in error
+    written = sorted(path.name for path in inside.iterdir())
+    assert written == sorted(path.name for path in outside.iterdir())
+    assert "npa-n3-l2.dat-s" in written
+    for name in written:
+        assert (inside / name).read_bytes() == (outside / name).read_bytes()
 
 
 def test_main_leaves_the_collector_unfrozen(capsys):

@@ -277,6 +277,14 @@ def test_parse_sdpa_refuses_an_objective_not_of_nvars(objective):
         parse_sdpa("".join(lines))
 
 
+@pytest.mark.parametrize("nvars", [0, -1])
+def test_sdpa_render_refuses_fewer_than_one_variable(nvars):
+    # Its objective line would be blank, and parse_sdpa skips blank lines.
+    prob = SDPAProblem(nvars, [1], [], {(0, 1, 1, 1): 1.0})
+    with pytest.raises(ValueError, match=f"nvars must be >= 1, got {nvars}"):
+        prob.render()
+
+
 def test_sdpa_header_structure(tmp_path):
     mp = build_moment_problem(ModNGameParams(2, 0, 1), 1)
     path = tmp_path / "chsh.dat-s"

@@ -171,3 +171,33 @@ def test_numerics_is_the_one_eigensolver_entry_point():
             reads += [f"{path.stem}:{node.lineno} reads {name}"
                       for name in names if name in EIGENSOLVERS]
     assert reads == []
+
+
+# The ways a module ends the process, by the attribute it reads them through
+# (``sys.exit``) or the name it imports (``from os import _exit``).
+EXITS = {("os", "_exit"), ("sys", "exit")}
+
+
+def test_the_process_ends_in_cli_run_only():
+    # run() ends each process: it runs the atexit handlers and flushes the
+    # std streams before os._exit. An os._exit elsewhere would drop buffered
+    # output, and a sys.exit or an atexit handler elsewhere would depend on
+    # an exit path run() does not take. Each use is named with its line.
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem == "cli":
+            tree.body = [node for node in tree.body
+                         if getattr(node, "name", None) != "run"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name):
+                pairs = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom):
+                pairs = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            uses += [f"{path.stem}:{node.lineno} uses {module}.{name}"
+                     for module, name in pairs
+                     if (module, name) in EXITS or module == "atexit"]
+    assert uses == []
