@@ -25,25 +25,6 @@ from . import gamekit, monomial, ncpoly, numerics, strategykit
 from .records import Record
 
 CLUSTER_TOL = 1e-7
-# Largest block stack of the canonical bias operator the CLI builds: 64 MiB
-# of complex128, so n <= 161 (n blocks of n x n). `bias spectrum --n 161`
-# takes 0.8-1.0 s and 96 MB peak RSS; in canonical_bias_spectrum the n
-# values-only eigensolves, its only ones, take 0.66-0.68 s and bias_blocks
-# 0.28-0.30 s (2-core Xeon in a slow phase, one BLAS thread, best of 3 in
-# each of three runs).
-SPECTRUM_BYTES_CAP = 1 << 26
-# Largest block `strategy value --via bias` builds, block 0 alone: 32 MiB
-# of complex128, so n <= 1448. `strategy value --n 1448 --via bias` takes
-# 0.26-0.42 s in-process and 83 MB peak RSS (same machine, seven runs),
-# inside what the other caps admit (about 1.6 s and 110 MB).
-VALUE_BYTES_CAP = 1 << 25
-
-
-def block_bytes(n: int, blocks: Optional[int] = None) -> int:
-    """Bytes of ``blocks`` blocks (by default all n) of the canonical
-    strategy's bias operator as ``bias_blocks`` builds them: n x n
-    complex128 entries each, 16 n^2."""
-    return 16 * (n if blocks is None else blocks) * n ** 2
 
 
 def bias_polynomial(p: gamekit.ModNGameParams) -> ncpoly.NCPolynomial:

@@ -4,12 +4,14 @@ Each invocation prints a JSON run report (command, parameters, results with
 their tolerances, pass flags, seed, wall time) to stdout and exits 0 when
 every asserted check passes, 1 when a check fails, 2 on usage errors, and,
 as a process, 120 when the report cannot be written to stdout (stdout
-closed, its reader gone, or its flush failing), which is neither a pass
-nor a failed check.
+closed, its reader gone, or a write or its flush failing), which is
+neither a pass nor a failed check.
 CSV and SDPA outputs go to --out paths. The environment variable
 ``ZNLCS_SEED`` supplies the default seed; a value that is not an int >= 0
 is a usage error. ``COMMANDS`` declares every command once: its handler,
-its pre-flight check and its arguments.
+its pre-flight check and its arguments. A size bound on one flag is that
+flag's argparse type (``_int_in``); a pre-flight check bounds sizes that
+depend on two flags or on a library cap.
 
 ``main`` owns each report's life. Right after parsing it builds the
 ``Report`` from the command's ``COMMANDS`` entry: the command name, each
@@ -59,12 +61,15 @@ DEFAULT_SEED = 20210
 REPORT_UNWRITTEN = 120
 
 
-def _int_at_least(low: int):
-    """argparse type: an int >= low, else a usage error (exit 2)."""
+def _int_in(low: int, high: Optional[int] = None):
+    """argparse type: an int >= low and, if high is given, <= high; else a
+    usage error (exit 2)."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names it in "invalid int value"
@@ -81,6 +86,11 @@ def _seed_default() -> int:
         return int(env)
     raise ValueError("environment variable ZNLCS_SEED: must be an int >= 0, "
                      f"got {env!r}")
+
+
+class ReportUnwritten(Exception):
+    """Writing the report to stdout failed; the one argument is the
+    OSError."""
 
 
 class Report:
@@ -115,7 +125,10 @@ class Report:
             time.perf_counter() - self.t0, 6)
         self.data["pass"] = all(r.get("pass", True)
                                 for r in self.data["results"])
-        print(json.dumps(self.data, indent=2))
+        try:
+            print(json.dumps(self.data, indent=2))
+        except OSError as exc:  # stdout's reader gone, or its device full
+            raise ReportUnwritten(exc) from exc
         return 0 if self.data["pass"] else 1
 
 
@@ -266,11 +279,13 @@ def _classical_check(args) -> Optional[str]:
         if not 0 <= value < args.n:
             return (f"argument --{flag}: must lie in [0, {args.n}), "
                     f"got {value}")
-    # The mod-n game: two questions a player, n answers each.
-    work = gamekit.classical_work(2, 2, args.n, args.n)
-    if work > gamekit.CLASSICAL_BUDGET:
-        return (f"argument --n: the classical search needs ~{work:.2e} "
-                f"payoff evaluations, over the budget of "
+    # The mod-n game: two questions a player, n answers each, so 4n^3
+    # evaluations; the count is not formatted, as a huge --n overflows a
+    # float.
+    if gamekit.classical_work(2, 2, args.n, args.n) > \
+            gamekit.CLASSICAL_BUDGET:
+        return (f"argument --n: the classical search needs 4n^3 payoff "
+                f"evaluations, over the budget of "
                 f"{gamekit.CLASSICAL_BUDGET:.0e}, got {args.n}")
     return None
 
@@ -283,60 +298,38 @@ def _group_order_check(args) -> Optional[str]:
     return None
 
 
-def _bytes_check(args, what: str, size: int, cap: int) -> Optional[str]:
-    """A usage error naming --n when ``what`` needs more than cap bytes."""
-    if size > cap:
-        return (f"argument --n: {what} needs {size:.2e} bytes, over the "
-                f"cap of {cap:.2e}, got {args.n}")
-    return None
-
-
-def _operator_size_check(args) -> Optional[str]:
-    """The canonical bias operator's n blocks of n x n must fit the byte
-    cap."""
-    return _bytes_check(args, "the bias operator's blocks",
-                        biaskit.block_bytes(args.n),
-                        biaskit.SPECTRUM_BYTES_CAP)
+# The largest --n of strategy value by --via (one BLAS thread on a 2-core
+# Xeon):
+# - bias builds block 0 of the canonical bias operator alone, n x n
+#   complex128 (16 n^2 bytes, within 32 MiB up to n = 1448): 0.26-0.42 s
+#   in-process and 83 MB peak RSS at n = 1448 (seven runs);
+# - direct builds four (n, n, n) complex128 projector stacks (64 n^3
+#   bytes, within 64 MiB up to n = 101): 0.50-0.52 s and 110 MB peak RSS
+#   at n = 101 (medians of 5 in two rounds).
+VALUE_N_MAX = {"bias": 1448, "direct": 101}
+# The largest --n of npa export by --level: the moment matrix indexes at
+# most N = 421 words (1 + 4(n - 1), plus 8(n - 1)^2 at level 2), and each
+# export at N = 421 takes about 2.4 s and 229-238 MB (2-core Xeon, one run
+# each).
+EXPORT_N_MAX = {1: 106, 2: 8}
 
 
 def _strategy_value_check(args) -> Optional[str]:
-    """The bias path builds block 0 of the canonical bias operator, one
-    n x n block; the direct path builds the projectors of all four
-    observables."""
-    if args.via == "bias":
-        return _bytes_check(args, "block 0 of the bias operator",
-                            biaskit.block_bytes(args.n, blocks=1),
-                            biaskit.VALUE_BYTES_CAP)
-    return _bytes_check(args, "the direct sum's projector stack",
-                        strategykit.projector_bytes(args.n),
-                        strategykit.PROJECTOR_BYTES_CAP)
+    high = VALUE_N_MAX[args.via]
+    if args.n > high:
+        return (f"argument --n: must be <= {high} with --via {args.via}, "
+                f"got {args.n}")
+    return None
 
 
 def _npa_export_check(args) -> Optional[str]:
-    """The moment matrix's words under the cap, counted before any is
-    built, and then --out."""
-    words = npakit.word_count(args.n, args.level)
-    if words > npakit.WORDS_CAP:
-        return (f"argument --n: the level-{args.level} moment matrix has "
-                f"{words} words, over the cap of {npakit.WORDS_CAP}, "
+    """--n under its level's bound, and then --out, whose probe creates
+    the file."""
+    high = EXPORT_N_MAX[args.level]
+    if args.n > high:
+        return (f"argument --n: must be <= {high} at --level {args.level}, "
                 f"got {args.n}")
     return _out_file_check(args)
-
-
-def _entropy_check(args) -> Optional[str]:
-    """--n-max (n amplitudes for each n up to it) under its cap, and
-    --out."""
-    if args.n_max > strategykit.ENTROPY_N_MAX:
-        return (f"argument --n-max: over the cap of "
-                f"{strategykit.ENTROPY_N_MAX}, got {args.n_max}")
-    return _out_file_check(args)
-
-
-def _trials_check(args) -> Optional[str]:
-    if args.trials > soskit.TRIALS_CAP:
-        return (f"argument --trials: over the cap of "
-                f"{soskit.TRIALS_CAP:.0e}, got {args.trials}")
-    return None
 
 
 def _witness_check(args) -> Optional[str]:
@@ -376,32 +369,43 @@ _BCS_FLAGS = [("--check", {"action": "store_true"}),
 # keywords).
 COMMANDS = {
     ("game", "classical"): (cmd_game_classical, _classical_check, [
-        ("--n", {"type": _int_at_least(2), "required": True}),
+        ("--n", {"type": _int_in(2), "required": True}),
         ("--m1", {"type": int, "default": 0}),
         ("--m2", {"type": int, "default": 1})]),
     ("strategy", "value"): (cmd_strategy_value, _strategy_value_check, [
-        ("--n", {"type": _int_at_least(2), "required": True}),
+        ("--n", {"type": _int_in(2), "required": True}),
         ("--via", {"choices": ["bias", "direct"], "default": "direct"})]),
-    ("strategy", "entropy"): (cmd_strategy_entropy, _entropy_check, [
-        ("--n-max", {"type": _int_at_least(2), "default": 40}),
+    ("strategy", "entropy"): (cmd_strategy_entropy, _out_file_check, [
+        # The n amplitudes of each n up to --n-max in pure Python,
+        # O(n-max^2) work: 1.0-1.4 s and 16 MB peak RSS at 2000 (2-core
+        # Xeon).
+        ("--n-max", {"type": _int_in(2, 2000), "default": 40}),
         ("--out", {"default": None})]),
-    ("bias", "spectrum"): (cmd_bias_spectrum, _operator_size_check, [
-        ("--n", {"type": _int_at_least(2), "required": True})]),
+    ("bias", "spectrum"): (cmd_bias_spectrum, None, [
+        # n blocks of n x n complex128 (16 n^3 bytes, within 64 MiB up to
+        # n = 161): 0.8-1.0 s and 96 MB peak RSS at n = 161, of which the n
+        # values-only eigensolves take 0.66-0.68 s and bias_blocks
+        # 0.28-0.30 s (2-core Xeon in a slow phase, one BLAS thread, best
+        # of 3 in each of three runs).
+        ("--n", {"type": _int_in(2, 161), "required": True})]),
     ("group", "enumerate"): (cmd_group_enumerate, _group_order_check, [
-        ("--n", {"type": _int_at_least(1), "required": True})]),
+        ("--n", {"type": _int_in(1), "required": True})]),
     ("group", "normal-form"): (cmd_group_normal_form, _group_order_check, [
-        ("--n", {"type": _int_at_least(1), "required": True})]),
-    ("sos", "verify"): (cmd_sos_verify, _trials_check, [
+        ("--n", {"type": _int_in(1), "required": True})]),
+    ("sos", "verify"): (cmd_sos_verify, None, [
         ("--cert", {"choices": ["chsh", "g3"], "required": True}),
-        ("--trials", {"type": _int_at_least(1), "default": 100}),
+        # chsh at 10^5 trials: 15 s and 31 MB peak RSS, as at 100 trials;
+        # g3 at 10^4: 3.9 s and 31 MB (one BLAS thread on a 2-core Xeon),
+        # so about 40 s at 10^5.
+        ("--trials", {"type": _int_in(1, 10**5), "default": 100}),
         # None: ZNLCS_SEED, read when the command runs.
-        ("--seed", {"type": _int_at_least(0), "default": None})]),
+        ("--seed", {"type": _int_in(0), "default": None})]),
     ("relations", "check"): (cmd_relations_check, None, [
         ("--n", {"type": int, "choices": [3], "default": 3})]),
     ("bcs", "magic-square"): (cmd_bcs, _witness_check, _BCS_FLAGS),
     ("bcs", "glued"): (cmd_bcs, None, _BCS_FLAGS),
     ("npa", "export"): (cmd_npa_export, _npa_export_check, [
-        ("--n", {"type": _int_at_least(2), "required": True}),
+        ("--n", {"type": _int_in(2), "required": True}),
         ("--level", {"type": int, "choices": [1, 2], "default": 1}),
         ("--out", {"required": True})]),
     ("psirep", "check"): (cmd_psirep_check, None, [
@@ -506,8 +510,8 @@ def run() -> None:
     std streams. Every ``--out`` file is closed before ``main`` returns.
 
     A report that cannot be written (stdout closed at start, its reader
-    gone, or its flush failing) is neither a pass nor a failed check: one
-    line on stderr and exit ``REPORT_UNWRITTEN``."""
+    gone, or a write or the flush failing) is neither a pass nor a failed
+    check: one line on stderr and exit ``REPORT_UNWRITTEN``."""
     gc.disable()
     lost = None
     if sys.stdout is None:  # fd 1 was closed when the interpreter started
@@ -515,7 +519,7 @@ def run() -> None:
     else:
         try:
             code = main()
-        except BrokenPipeError as exc:  # stdout's reader gone mid-report
+        except ReportUnwritten as exc:  # stdout refused the report
             lost = exc
     atexit._run_exitfuncs()
     if lost is None:

@@ -14,11 +14,6 @@ from typing import Dict, List, Tuple
 from . import biaskit, gamekit, ncpoly
 from .records import Record
 
-# Most words a moment matrix may index: N = 421 at n = 8, level 2 and at
-# n = 106, level 1, whose exports each take about 2.4 s and 229-238 MB
-# (2-core Xeon, one run each).
-WORDS_CAP = 421
-
 # ---------------------------------------------------------------------------
 # Words
 # ---------------------------------------------------------------------------
@@ -27,13 +22,6 @@ def letters(n: int) -> List[ncpoly.Letter]:
     """All single letters: party, operator index, exponent 1..n-1."""
     return [(p, i, e)
             for p in ("A", "B") for i in (0, 1) for e in range(1, n)]
-
-
-def word_count(n: int, level: int) -> int:
-    """len(generate_words(n, level)) in closed form: the empty word, the
-    4(n - 1) letters and, at level 2, 8(n - 1)^2 reduced two-letter
-    words."""
-    return 1 + 4 * (n - 1) + (8 * (n - 1) ** 2 if level == 2 else 0)
 
 
 def generate_words(n: int, level: int) -> List[ncpoly.Word]:

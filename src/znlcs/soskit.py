@@ -21,11 +21,6 @@ from .records import Record
 # memory of a run does not grow with the block.
 BLOCK_TRIALS = 8
 
-# Most trials the CLI's sos verify runs. chsh at 10^5 trials: 15 s, 31 MB
-# peak RSS, as at 100 trials; g3 at 10^4: 3.9 s, 31 MB (one BLAS thread on
-# a 2-core Xeon), so a g3 run at the cap takes about 40 s.
-TRIALS_CAP = 10**5
-
 _OPERATORS = (("A", 0), ("A", 1), ("B", 0), ("B", 1))
 
 

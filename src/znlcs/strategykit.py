@@ -17,15 +17,6 @@ from . import gamekit, groupkit, monomial, ncpoly, numerics
 from .records import Record
 
 SCHMIDT_RANK_THRESHOLD = 1e-9
-# Largest set of projectors the CLI's direct strategy value builds: 64 MiB
-# of complex128, so n <= 101 for the canonical strategy (0.50-0.52 s and
-# 110 MB peak RSS at n = 101, medians of 5 in two rounds, one BLAS thread
-# on a 2-core Xeon).
-PROJECTOR_BYTES_CAP = 1 << 26
-# Largest --n-max of the CLI's entropy table, which takes the n amplitudes
-# of each n up to it in pure Python, O(n-max^2) work: 1.0-1.4 s and 16 MB
-# peak RSS at 2000 (2-core Xeon).
-ENTROPY_N_MAX = 2000
 
 
 class Strategy(Record):
@@ -116,12 +107,6 @@ def canonical_strategy(n: int) -> Strategy:
 def canonical_value_formula(n: int) -> float:
     """Winning probability of S_n: 1/2 + 1/(2n sin(pi/2n))."""
     return 0.5 + 1.0 / (2 * n * math.sin(math.pi / (2 * n)))
-
-
-def projector_bytes(n: int) -> int:
-    """Bytes of the four (n, n, n) complex128 projector stacks that
-    ``strategy_value_direct`` builds for order-n observables: 64 n^3."""
-    return 64 * n ** 3
 
 
 def strategy_value_direct(g: gamekit.GameSpec, s: Strategy) -> float:

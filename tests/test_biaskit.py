@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 from test_strategykit import random_strategy
 
 from znlcs import gamekit, monomial, numerics, strategykit
-from znlcs.biaskit import (SPECTRUM_BYTES_CAP, VALUE_BYTES_CAP,
-                           bias_blocks, bias_eigenvalue_formula,
+from znlcs.biaskit import (bias_blocks, bias_eigenvalue_formula,
                            bias_operator, bias_polynomial, bias_spectrum,
-                           block_bytes, canonical_bias_spectrum,
-                           canonical_bias_value, eigenrelation_residual)
+                           canonical_bias_spectrum, canonical_bias_value,
+                           eigenrelation_residual)
 from znlcs.gamekit import ModNGameParams, make_mod_n_game
 from znlcs.strategykit import (canonical_state, canonical_strategy,
                                canonical_value_formula,
@@ -105,19 +104,20 @@ def test_predicted_value_equals_value_formula():
 
 def test_block_bytes_is_the_block_stack_size():
     for n in (2, 3, 4):
-        assert bias_blocks(ModNGameParams(n, 0, 1)).nbytes == block_bytes(n)
-    # The CLI's cap admits n <= 161, well above the sizes the benchmark
-    # (n <= 10) and the README run.
-    assert block_bytes(161) <= SPECTRUM_BYTES_CAP < block_bytes(162)
+        assert bias_blocks(ModNGameParams(n, 0, 1)).nbytes == 16 * n ** 3
+    # bias spectrum's --n bound, 161, is the largest n whose blocks fit in
+    # 64 MiB; well above the sizes the benchmark (n <= 10) and the README
+    # run.
+    assert 16 * 161 ** 3 <= 2 ** 26 < 16 * 162 ** 3
 
 
 def test_one_block_bytes_is_block_zero_size():
     for n in (2, 3, 4):
         block = bias_blocks(ModNGameParams(n, 0, 1), sums=[0])
-        assert block.nbytes == block_bytes(n, blocks=1)
-    # `strategy value --via bias` builds block 0 only: n <= 1448.
-    assert block_bytes(1448, blocks=1) <= VALUE_BYTES_CAP
-    assert block_bytes(1449, blocks=1) > VALUE_BYTES_CAP
+        assert block.nbytes == 16 * n ** 2
+    # `strategy value --via bias` builds block 0 only; its --n bound, 1448,
+    # is the largest n whose block fits in 32 MiB.
+    assert 16 * 1448 ** 2 <= 2 ** 25 < 16 * 1449 ** 2
 
 
 def block_indices(n, s):

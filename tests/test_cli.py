@@ -1,4 +1,4 @@
-import argparse
+import errno
 import gc
 import hashlib
 import importlib
@@ -183,6 +183,10 @@ BAD_INPUT = [
     (f"strategy entropy --n-max 3 --out {'x' * 300}.csv", "--out"),
     ("npa export --n 9 --level 2 --out unused.dat-s", "--n"),
     ("npa export --n 107 --level 1 --out unused.dat-s", "--n"),
+    (f"bias spectrum --n {10**120}", "--n"),
+    (f"strategy value --n {10**120} --via bias", "--n"),
+    (f"strategy value --n {10**120} --via direct", "--n"),
+    (f"game classical --n {10**120}", "--n"),
 ]
 
 
@@ -210,7 +214,8 @@ def test_empty_out_is_a_usage_error(capsys, argv):
 
 
 def test_refused_export_writes_no_file(capsys, tmp_path):
-    # The word cap is checked before --out is probed, which creates it.
+    # The level's --n bound is checked before --out is probed, which
+    # creates it.
     out = tmp_path / "x.dat-s"
     assert main(["npa", "export", "--n", "9", "--level", "2",
                  "--out", str(out)]) == 2
@@ -228,32 +233,49 @@ def test_out_is_probed_only_after_the_other_checks(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_work_caps_admit_their_bound(capsys):
-    # The pre-flight checks, since a run at most caps takes seconds to a
-    # minute; the strategy value, about 0.5 s at each path's cap (n = 101
-    # direct, n = 1448 via bias), also runs there. Each cap admits its
-    # command's default.
-    entropy_check = znlcs.cli.COMMANDS[("strategy", "entropy")][1]
-    trials_check = znlcs.cli.COMMANDS[("sos", "verify")][1]
-    spectrum_check = znlcs.cli.COMMANDS[("bias", "spectrum")][1]
-    value_check = znlcs.cli.COMMANDS[("strategy", "value")][1]
-    # The bias operator's blocks, 16 n^3 bytes, fit the cap up to n = 161;
-    # block 0 alone, 16 n^2 bytes, fits the value's cap up to n = 1448.
-    assert spectrum_check(argparse.Namespace(n=161)) is None
-    assert spectrum_check(argparse.Namespace(n=162)
-                          ).startswith("argument --n:")
-    assert value_check(argparse.Namespace(n=1448, via="bias")) is None
-    assert value_check(argparse.Namespace(n=1449, via="bias")
-                       ).startswith("argument --n:")
-    n_max = znlcs.strategykit.ENTROPY_N_MAX
-    trials = znlcs.soskit.TRIALS_CAP
-    assert n_max >= 40 and trials >= 100
-    assert entropy_check(argparse.Namespace(n_max=n_max, out=None)) is None
-    assert entropy_check(argparse.Namespace(n_max=n_max + 1, out=None)
-                         ).startswith("argument --n-max:")
-    assert trials_check(argparse.Namespace(trials=trials)) is None
-    assert trials_check(argparse.Namespace(trials=trials + 1)
-                        ).startswith("argument --trials:")
+# Each bounded flag at its bound, the largest value it admits: in an
+# argparse type (bias spectrum, strategy entropy, sos verify), in a table of
+# the second flag's values (strategy value, npa export), or from a library
+# cap (the group commands, game classical).
+BOUNDS = [
+    ("bias spectrum --n 161", "--n"),
+    ("strategy value --n 1448 --via bias", "--n"),
+    ("strategy value --n 101 --via direct", "--n"),
+    ("strategy entropy --n-max 2000", "--n-max"),
+    ("sos verify --cert chsh --trials 100000", "--trials"),
+    ("npa export --n 8 --level 2 --out t.dat-s", "--n"),
+    ("npa export --n 106 --level 1 --out t.dat-s", "--n"),
+    ("group enumerate --n 13", "--n"),
+    ("group normal-form --n 13", "--n"),
+    ("game classical --n 292", "--n"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BOUNDS)
+def test_each_bound_admits_itself_and_refuses_one_more(
+        capsys, tmp_path, monkeypatch, argv, flag):
+    # Through main, with the handler stubbed: a run at most bounds takes
+    # seconds to a minute. The strategy value runs there for real below.
+    monkeypatch.chdir(tmp_path)  # for the --out files
+    argv = argv.split()
+    command = tuple(argv[:2])
+    _, preflight, arguments = znlcs.cli.COMMANDS[command]
+    ran = []
+    monkeypatch.setitem(znlcs.cli.COMMANDS, command, (
+        lambda args, rep: ran.append(args), preflight, arguments))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    at = argv.index(flag) + 1
+    argv[at] = str(int(argv[at]) + 1)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}:" in captured.err
+    assert len(ran) == 1
+
+
+def test_strategy_value_passes_at_each_bound(capsys):
+    # About 0.5 s at each path's bound (n = 101 direct, n = 1448 via bias).
     for n, via in ((101, "direct"), (1448, "bias")):
         code, report = run(capsys, "strategy", "value", "--n", str(n),
                            "--via", via)
@@ -371,17 +393,22 @@ def test_named_command_tree_holds_that_command_only(capsys):
 
 
 def test_report_clock_covers_the_check(capsys, monkeypatch):
-    # Only the size check of bias spectrum reads block_bytes; the report's
-    # wall time must count it, as it counts the command's work.
-    size = znlcs.biaskit.block_bytes
+    # The pre-flight check of game classical reads classical_work before
+    # classical_value does; the report's wall time must count the check, as
+    # it counts the command's work, so only the first call is slow.
+    work = znlcs.gamekit.classical_work
+    calls = []
 
-    def slow_size(n):
-        time.sleep(0.05)
-        return size(n)
+    def slow_work(*shape):
+        if not calls:
+            time.sleep(0.05)
+        calls.append(shape)
+        return work(*shape)
 
-    monkeypatch.setattr(znlcs.biaskit, "block_bytes", slow_size)
-    code, report = run(capsys, "bias", "spectrum", "--n", "2")
+    monkeypatch.setattr(znlcs.gamekit, "classical_work", slow_work)
+    code, report = run(capsys, "game", "classical", "--n", "2")
     assert code == 0
+    assert len(calls) == 2
     assert report["wallTimeSeconds"] >= 0.05
 
 
@@ -623,27 +650,55 @@ def _closed_pipe(cmd, env):
         os.close(write_end)
 
 
+NO_SPACE = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+HAS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                  reason="no /dev/full")
+
+
 @pytest.mark.parametrize("stdout,why", [
     ("unbuffered", "[Errno 32] Broken pipe"),
     ("block-buffered", "[Errno 32] Broken pipe"),
-    ("closed", "stdout is closed")])
+    ("closed", "stdout is closed"),
+    pytest.param("full-unbuffered", NO_SPACE, marks=HAS_DEV_FULL),
+    pytest.param("full-block-buffered", NO_SPACE, marks=HAS_DEV_FULL)])
 def test_a_report_that_cannot_be_written_exits_120(stdout, why):
     # Neither a pass (0) nor a failed check (1): one line on stderr, no
     # traceback, and CPython's own exit code for a failed flush of stdout.
+    # Unbuffered, print itself raises; block-buffered, the flush at exit.
     cmd = [sys.executable, "-m", "znlcs.cli", "game", "classical", "--n",
            "3"]
     env = subprocess_env()
-    if stdout == "unbuffered":  # print itself raises BrokenPipeError
-        proc = _closed_pipe(cmd, dict(env, PYTHONUNBUFFERED="1"))
-    elif stdout == "block-buffered":  # the flush at exit raises it
-        proc = _closed_pipe(cmd, env)
-    else:  # fd 1 closed at start: the interpreter sets sys.stdout None
+    if "unbuffered" in stdout:
+        env["PYTHONUNBUFFERED"] = "1"
+    if stdout == "closed":  # the interpreter sets sys.stdout None
         proc = subprocess.run(cmd, preexec_fn=lambda: os.close(1),
                               stderr=subprocess.PIPE, env=env, text=True,
                               timeout=120)
+    elif stdout.startswith("full"):  # every write fails with ENOSPC
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE,
+                                  env=env, text=True, timeout=120)
+    else:  # a pipe whose reader is gone
+        proc = _closed_pipe(cmd, env)
     assert proc.returncode == 120
     assert proc.stderr == \
         f"znlcs: error: cannot write the report to stdout: {why}\n"
+
+
+def test_a_failed_out_write_is_not_an_unwritten_report(capsys, tmp_path,
+                                                       monkeypatch):
+    # Only the report's own write is a lost report; an --out file that
+    # fails to be written raises its OSError, as any failing step does.
+    from znlcs import npakit
+
+    def full(problem, path):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr(npakit, "export_sdpa", full)
+    with pytest.raises(OSError):
+        main(["npa", "export", "--n", "2", "--out",
+              str(tmp_path / "x.dat-s")])
+    assert capsys.readouterr().out == ""
 
 
 def _perfbench_workloads():

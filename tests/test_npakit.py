@@ -11,10 +11,9 @@ from test_strategykit import random_strategy
 from znlcs import ncpoly, numerics, strategykit
 from znlcs.gamekit import ModNGameParams
 from znlcs.ncpoly import canonical_word, word_adjoint
-from znlcs.npakit import (WORDS_CAP, MomentProblem, SDPAProblem,
-                          build_moment_problem, export_sdpa, generate_words,
-                          letters, parse_sdpa, sdpa_from_moment_problem,
-                          word_count)
+from znlcs.npakit import (MomentProblem, SDPAProblem, build_moment_problem,
+                          export_sdpa, generate_words, letters, parse_sdpa,
+                          sdpa_from_moment_problem)
 from znlcs.numerics import rng
 from znlcs.strategykit import canonical_strategy
 
@@ -119,12 +118,17 @@ def test_word_counts_level2():
 
 
 def test_word_count_is_the_generated_count():
+    # The empty word, the 4(n - 1) letters and, at level 2, 8(n - 1)^2
+    # reduced two-letter words.
     for n in range(2, 9):
         for level in (1, 2):
-            assert word_count(n, level) == len(generate_words(n, level))
-    # The export's cap admits n = 8 at level 2 and n = 106 at level 1.
-    assert word_count(8, 2) == word_count(106, 1) == WORDS_CAP
-    assert word_count(9, 2) > WORDS_CAP and word_count(107, 1) > WORDS_CAP
+            assert len(generate_words(n, level)) == \
+                1 + 4 * (n - 1) + (8 * (n - 1) ** 2 if level == 2 else 0)
+    # npa export's --n bounds, 8 at level 2 and 106 at level 1, are the
+    # largest n whose moment matrix indexes at most 421 words.
+    assert len(generate_words(8, 2)) == len(generate_words(106, 1)) == 421
+    assert len(generate_words(9, 2)) > 421
+    assert len(generate_words(107, 1)) > 421
 
 
 def test_words_are_canonical_and_distinct():

@@ -13,6 +13,9 @@ definition called ``attr``. A reached class reaches its bases, decorators,
 class-level statements and dunder methods. Annotations are left out: they
 name types, not code that runs.
 
+The same holds for module-level constants: each top-level assignment of
+``src/znlcs`` must be read somewhere in ``src/``, by name or by attribute.
+
 Code that only tests reach does not belong in ``src/``: an independent
 oracle, or a check of a paper claim that no command reports (the
 acceptance gate's references among them), moves into the tests as a
@@ -147,6 +150,33 @@ def test_what_only_the_tracer_reaches():
     assert sorted(with_tracer - commands) == [
         "biaskit.bias_operator", "biaskit.bias_spectrum",
         "strategykit.schmidt"]
+
+
+def test_every_module_constant_is_read():
+    # A top-level assignment in src/ that no src/ code reads, by name or by
+    # attribute (``gamekit.CLASSICAL_BUDGET``), is a constant that only the
+    # tests or the docs still use. Each is named with its line.
+    reads, assigned = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            assigned += [(f"{path.stem}:{node.lineno}", target.id)
+                         for target in targets
+                         if isinstance(target, ast.Name)]
+    assert [f"{where} {name}" for where, name in assigned
+            if name not in reads] == []
 
 
 # numpy's eigensolvers, by the attribute (``np.linalg.eigh``) or the name

@@ -13,11 +13,10 @@ from znlcs.groupkit import (evaluate_word_matrix, normal_form_enumerate,
 from znlcs.ncpoly import NCPolynomial
 from znlcs.numerics import (observable_to_pvm, random_order_n_observables,
                             rng)
-from znlcs.strategykit import (PROJECTOR_BYTES_CAP, SCHMIDT_RANK_THRESHOLD,
-                               Strategy, canonical_amplitudes,
-                               canonical_schmidt, canonical_state,
-                               canonical_strategy, canonical_value_formula,
-                               check_state_relation, projector_bytes,
+from znlcs.strategykit import (SCHMIDT_RANK_THRESHOLD, Strategy,
+                               canonical_amplitudes, canonical_schmidt,
+                               canonical_state, canonical_strategy,
+                               canonical_value_formula, check_state_relation,
                                psi_representation_residuals, schmidt,
                                strategy_value_direct)
 
@@ -330,7 +329,7 @@ def test_projector_bytes_is_the_projector_stack_size():
     for n in (2, 3, 4):
         s = canonical_strategy(n)
         stack = [observable_to_pvm(U, n) for U in (*s.alice_obs, *s.bob_obs)]
-        assert projector_bytes(n) == sum(E.nbytes for pvm in stack
-                                         for E in pvm)
-    # The cap admits the canonical strategy up to n = 101.
-    assert projector_bytes(101) <= PROJECTOR_BYTES_CAP < projector_bytes(102)
+        assert sum(E.nbytes for pvm in stack for E in pvm) == 64 * n ** 3
+    # `strategy value --via direct`'s --n bound, 101, is the largest n
+    # whose four stacks fit in 64 MiB.
+    assert 64 * 101 ** 3 <= 2 ** 26 < 64 * 102 ** 3
