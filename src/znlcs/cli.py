@@ -5,7 +5,8 @@ their tolerances, pass flags, seed, wall time) to stdout and exits 0 when
 every asserted check passes, 1 when a check fails, 2 on usage errors, and,
 as a process, 120 when the report cannot be written to stdout (stdout
 closed, its reader gone, or a write or its flush failing), which is
-neither a pass nor a failed check.
+neither a pass nor a failed check; help or the version that stdout
+refuses exits 120 too.
 CSV and SDPA outputs go to --out paths. The environment variable
 ``ZNLCS_SEED`` supplies the default seed; a value that is not an int >= 0
 is a usage error. ``COMMANDS`` declares every command once: its handler,
@@ -416,6 +417,21 @@ GROUPS = list(dict.fromkeys(group for group, _ in COMMANDS))
 COMMAND_DEST = {"bcs": "system"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, save that help or the version that stdout refuses
+    raises ReportUnwritten, as a report would, where argparse drops the
+    OSError and exits 0. Subparsers take the class of their parent."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            try:
+                file.write(message)
+            except OSError as exc:
+                raise ReportUnwritten(exc) from exc
+        else:
+            super()._print_message(message, file)
+
+
 def _named_command(argv: Optional[Sequence[str]]):
     """The (group, command) that argv names, or None when it names none or
     asks for help or the version."""
@@ -434,7 +450,7 @@ def build_parser(argv: Optional[Sequence[str]] = None
     cost, so one command's tree starts faster; it parses, and errs, as the
     full tree does."""
     named = _named_command(argv)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="znlcs",
         description="Mod-n nonlocal games: values, groups, certificates.")
     parser.add_argument("--version", action="version", version=__version__)

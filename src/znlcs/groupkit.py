@@ -106,13 +106,13 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     """The positions in keys[words, m] of one key equal to each distinct
     key, in increasing key order. The keys sort by their first word unless
     a later word tells apart two keys that it does not; then they sort as
-    bytes. The sort is numpy's stable one, whose first call pages in
-    0.2 MB less code than the default sort's, which is faster only on
-    large unordered inputs."""
-    order = np.argsort(keys[0], kind="stable")
+    bytes. Equal keys are equal rows, so which of them keeps its position
+    changes no row and no order: the sort is numpy's default one, a fifth
+    faster than the stable sort on the closure's products."""
+    order = np.argsort(keys[0])
     changes = _changes(keys, order)
     if (changes[1:] > changes[0]).any():
-        order = np.argsort(_as_bytes(keys), kind="stable")
+        order = np.argsort(_as_bytes(keys))
         changes = _changes(keys, order)
     return order[np.append(True, changes.any(0))]
 
@@ -317,10 +317,14 @@ def normal_form_enumerate(n: int) -> np.ndarray:
     keys = _keys(rows, _phase_step(np.concatenate([heads, tails])))
     index = _distinct(keys)
     if len(index) < len(rows):
-        # A row that is not the one its key's index names repeats it.
+        # The first row that repeats an earlier one, and the first row of
+        # its element, whichever row of each element _distinct kept.
         at = index[_find(keys[:, index], keys)[0]]
-        second = np.flatnonzero(at != np.arange(len(rows)))[0]
-        first, second = sorted([int(at[second]), int(second)])
+        _, firsts, element = np.unique(at, return_index=True,
+                                       return_inverse=True)
+        first_of = firsts[element]
+        second = int(np.flatnonzero(first_of != np.arange(len(rows)))[0])
+        first = int(first_of[second])
         raise RuntimeError(
             f"normal-form collision: "
             f"{_normal_form_word(n, second)} and "

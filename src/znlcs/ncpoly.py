@@ -9,7 +9,7 @@ structurally) and adjacent powers of the same operator are merged.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 Letter = Tuple[str, int, int]
 Word = Tuple[Letter, ...]
@@ -131,13 +131,18 @@ class NCPolynomial:
 
 def _term_products(poly: NCPolynomial,
                    assignment: Mapping[Tuple[str, int], np.ndarray],
-                   dimA: int, dimB: int) -> Tuple[np.ndarray, np.ndarray]:
+                   dimA: int, dimB: int,
+                   powers: Optional[Dict[Letter, np.ndarray]] = None
+                   ) -> Tuple[np.ndarray, np.ndarray]:
     """poly = sum_k c_k (P_k (x) Q_k) on an assignment of (..., d, d)
     operators whose batch axes broadcast: P[..., k] = c_k P_k, shape
     (..., dimA, dimA, K), and Q[..., k, :, :] = Q_k, shape
-    (..., K, dimB, dimB). Each (operator, exponent) power is taken once."""
+    (..., K, dimB, dimB). Each (operator, exponent) power is taken once
+    and kept in ``powers``, if given, for later calls on the same
+    assignment."""
     import numpy as np
-    powers: Dict[Letter, np.ndarray] = {}
+    if powers is None:
+        powers = {}
 
     def power(player: str, idx: int, exp: int) -> np.ndarray:
         key, letter = (player, idx), (player, idx, exp % poly.n)
@@ -165,14 +170,18 @@ def _term_products(poly: NCPolynomial,
 
 def eval_nc(poly: NCPolynomial,
             assignment: Mapping[Tuple[str, int], np.ndarray],
-            dimA: int, dimB: int) -> np.ndarray:
+            dimA: int, dimB: int,
+            powers: Optional[Dict[Letter, np.ndarray]] = None
+            ) -> np.ndarray:
     """Evaluate on a tensor-product assignment: A letters act as M (x) I,
     B letters as I (x) M.
 
     Operators may carry batch axes as in ``_term_products``; the result is
     (..., dimA*dimB, dimA*dimB). The sum over terms c_k (P_k (x) Q_k) is
-    one matmul (dimA^2, K) @ (K, dimB^2) followed by an axis swap."""
-    P, Q = _term_products(poly, assignment, dimA, dimB)
+    one matmul (dimA^2, K) @ (K, dimB^2) followed by an axis swap.
+    Polynomials evaluated on one assignment with one dict as ``powers``
+    share its operator powers."""
+    P, Q = _term_products(poly, assignment, dimA, dimB, powers)
     batch, K = P.shape[:-3], P.shape[-1]
     Z = P.reshape(batch + (dimA * dimA, K)) @ Q.reshape(
         batch + (K, dimB * dimB))

@@ -79,28 +79,73 @@ def _sized(name: str, value) -> str:
     return f"{name}=<{len(value)}>"
 
 
+def _run_reductions(words: List[ncpoly.Word], n: int
+                    ) -> Tuple[List[Tuple[int, int]], List[ncpoly.Word],
+                               List[List[int]]]:
+    """(parts, runs, table) for reduced words: parts[i] numbers the Alice
+    run and the Bob run of words[i] in runs, and table[x][y] numbers
+    reduce(runs[x]^* runs[y]) for any two of those runs of one party (the
+    empty run, 0, is either party's). runs holds the words' runs, then the
+    reductions that are not among them."""
+    ids = {(): 0}
+    parts = []
+    for w in words:
+        cut = sum(letter[0] == "A" for letter in w)
+        parts.append((ids.setdefault(w[:cut], len(ids)),
+                      ids.setdefault(w[cut:], len(ids))))
+    runs = list(ids)
+    table = [[0] * len(runs) for _ in runs]
+    for party in ("A", "B"):
+        own = [0] + [i for i, run in enumerate(runs) if run
+                     and run[0][0] == party]
+        for x in own:
+            for y in own:
+                run = ncpoly.word_adjoint(runs[x], n) + runs[y]
+                if x and y:
+                    run = ncpoly.canonical_word(run, n)
+                table[x][y] = ids.setdefault(run, len(ids))
+    return parts, list(ids), table
+
+
 def build_moment_problem(p: gamekit.ModNGameParams,
                          level: int) -> MomentProblem:
     """Index the moment matrix M[u, v] = y(reduce(u^* v)) and map the bias
     polynomial onto moment variables. Cell (c, r) holds the adjoint of cell
-    (r, c)'s word, so only r <= c is reduced; each class {w, w^*} first
-    appears on or above the diagonal and keeps its row-major number."""
+    (r, c)'s word, so only r <= c is visited; each class {w, w^*} first
+    appears on or above the diagonal and keeps its row-major number.
+
+    The parties commute, so a cell's word is reduce(u_A^* v_A) followed by
+    reduce(u_B^* v_B), and its adjoint reduce(v_A^* u_A) followed by
+    reduce(v_B^* u_B), for the Alice runs u_A, v_A and Bob runs u_B, v_B of
+    its two words. Each part is read from one table of run reductions
+    (``_run_reductions``), and each distinct cell word is looked up once."""
     n = p.n
     words = generate_words(n, level)
     N = len(words)
+    parts, runs, table = _run_reductions(words, n)
+    R = len(runs)
+
     ids: Dict[ncpoly.Word, int] = {}
+    # (class id, cell conjugated, transposed cell conjugated) of each cell
+    # word, keyed by its two parts' numbers.
+    seen: Dict[int, Tuple[int, bool, bool]] = {}
     cell_class = [[0] * N for _ in range(N)]
     cell_conj = [[False] * N for _ in range(N)]
-    for r, u in enumerate(words):
-        ua = ncpoly.word_adjoint(u, n)
+    for r, (ua, ub) in enumerate(parts):
+        row_a, row_b = table[ua], table[ub]
         for c in range(r, N):
-            w = ncpoly.canonical_word(ua + words[c], n)
-            wa = ncpoly.word_adjoint(w, n)
-            key = min(w, wa)
-            cid = ids.setdefault(key, len(ids))
-            cell_class[r][c] = cell_class[c][r] = cid
-            cell_conj[r][c] = key != w
-            cell_conj[c][r] = key != wa
+            va, vb = parts[c]
+            ta, tb = row_a[va], row_b[vb]
+            cell = seen.get(ta * R + tb)
+            if cell is None:
+                w = runs[ta] + runs[tb]
+                wa = runs[table[va][ua]] + runs[table[vb][ub]]
+                key = min(w, wa)
+                cell = seen[ta * R + tb] = (
+                    ids.setdefault(key, len(ids)), key != w, key != wa)
+            cell_class[r][c] = cell_class[c][r] = cell[0]
+            cell_conj[r][c] = cell[1]
+            cell_conj[c][r] = cell[2]
 
     objective: Dict[int, complex] = {}
     for w, coeff in biaskit.bias_polynomial(p).terms.items():
@@ -152,8 +197,18 @@ class SDPAProblem(Record):
             " ".join(str(b) for b in self.block_sizes),
             " ".join(f"{c:.12g}" for c in self.objective),
         ]
-        for (mat, block, row, col), value in sorted(self.entries.items()):
-            lines.append(f"{mat} {block} {row} {col} {value:.12g}")
+        # The entries hold few distinct values: each is formatted once.
+        # 0.0 and -0.0 are one key but two texts, so zeros are not kept.
+        texts: Dict[float, str] = {}
+        entries = self.entries
+        for key in sorted(entries):
+            value = entries[key]
+            text = texts.get(value)
+            if text is None:
+                text = f" {value:.12g}"
+                if value:
+                    texts[value] = text
+            lines.append("%d %d %d %d" % key + text)
         return "\n".join(lines) + "\n"
 
 

@@ -104,7 +104,9 @@ def verify_sos_identity(cert: SOSCertificate, bias: ncpoly.NCPolynomial,
     tied to a single dimension. All draws come from one seeded stream, in
     trial order. Each dimension keeps its pending trials and evaluates them
     together as soon as they number BLOCK_TRIALS, and the rest at the end,
-    so memory does not grow with the trial count.
+    so memory does not grow with the trial count. A block draws all its
+    observables with one call, and evaluates the bias and every square on
+    one dict of operator powers.
     """
     if cert.order != bias.n:
         raise ValueError("certificate and bias order mismatch")
@@ -113,15 +115,16 @@ def verify_sos_identity(cert: SOSCertificate, bias: ncpoly.NCPolynomial,
     n = cert.order
 
     def residual(dim: int, block: List[List[int]]) -> float:
-        assignment = {
-            key: numerics.random_order_n_observables(
-                n, dim, [s[j] for s in block])
-            for j, key in enumerate(_OPERATORS)
-        }
+        # One draw for the block: operator j's stack is part j.
+        stacks = numerics.random_order_n_observables(
+            n, dim, [s[j] for j in range(len(_OPERATORS)) for s in block]
+        ).reshape(len(_OPERATORS), len(block), dim, dim)
+        assignment = dict(zip(_OPERATORS, stacks))
+        powers: Dict = {}
         diff = cert.lam * np.eye(dim * dim) - ncpoly.eval_nc(
-            bias, assignment, dim, dim)
+            bias, assignment, dim, dim, powers)
         for weight, p in cert.squares:
-            T = ncpoly.eval_nc(p, assignment, dim, dim)
+            T = ncpoly.eval_nc(p, assignment, dim, dim, powers)
             diff -= weight * (T.conj().swapaxes(-1, -2) @ T)
         return float(np.linalg.norm(diff, axis=(-2, -1)).max())
 

@@ -685,6 +685,27 @@ def test_a_report_that_cannot_be_written_exits_120(stdout, why):
         f"znlcs: error: cannot write the report to stdout: {why}\n"
 
 
+@HAS_DEV_FULL
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "block-buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["bias", "--help"]],
+                         ids=["help", "version", "group-help"])
+def test_help_that_cannot_be_written_exits_120(argv, buffered):
+    # argparse drops the OSError of its own write and exits 0: unbuffered,
+    # nothing would then say that the text was lost.
+    env = subprocess_env()
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "znlcs.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=120)
+    assert proc.returncode == 120
+    assert proc.stderr == \
+        f"znlcs: error: cannot write the report to stdout: {NO_SPACE}\n"
+
+
 def test_a_failed_out_write_is_not_an_unwritten_report(capsys, tmp_path,
                                                        monkeypatch):
     # Only the report's own write is a lost report; an --out file that

@@ -427,6 +427,26 @@ def test_normal_form_collision_names_two_words_of_one_element(monkeypatch):
     assert evaluate_word(a, images, 4) == evaluate_word(b, images, 4)
 
 
+@pytest.mark.parametrize("n", [4, 7])
+def test_normal_form_collision_names_the_first_repeat(monkeypatch, n):
+    # Whichever row of an element the sort keeps, the message names the
+    # first word that repeats an earlier one, then the first word of its
+    # element (at n = 7 the row the sort keeps is not always the first).
+    images = alice_images(n)
+    images["P1"] = images["P0"]
+    monkeypatch.setattr(groupkit, "alice_images", lambda n: images)
+    seen = {}
+    for word in normal_form_words(n):
+        key = evaluate_word(word, images, n).key()
+        if key in seen:
+            break
+        seen[key] = word
+    with pytest.raises(RuntimeError) as info:
+        normal_form_enumerate(n)
+    assert str(info.value) == (f"normal-form collision: {word} and "
+                               f"{seen[key]} evaluate to the same element")
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_center_is_generated_by_j(n):
     # The center of the canonical group is <J> = {omega^i I}: order n.
@@ -494,7 +514,7 @@ def _bytes_layers(generators):
 
 CLOSURES = (
     [(f"alice-{n}", lambda n=n: list(alice_generators(n)))
-     for n in range(2, 9)]
+     for n in range(2, 11)]
     + [(f"bob-j-{n}", lambda n=n: [*bob_generators(n), scalar_j(n)])
        for n in (3, 5)]
     # Keys of several words: <A1> at n = 40 and <A0, J> at n = 20.

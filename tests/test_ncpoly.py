@@ -208,3 +208,43 @@ def test_apply_matches_dense_evaluation(n, dimA, dimB, seed, terms):
     assert got.shape == (dimA * dimB,)
     assert np.linalg.norm(got - want) <= 1e-12 * max(
         1.0, np.linalg.norm(want))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(2, 4), dimA=st.integers(1, 3), dimB=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1),
+       polys=st.lists(_TERMS, min_size=1, max_size=4))
+def test_shared_powers_change_no_bit(n, dimA, dimB, seed, polys):
+    # Polynomials evaluated on one dict of operator powers equal, bit for
+    # bit, their evaluations each on its own.
+    polys = [NCPolynomial(n, {tuple(word): c for word, c in terms})
+             for terms in polys]
+    assign = _random_assignment(n, dimA, seed, dimB)
+    powers = {}
+    for p in polys:
+        assert np.array_equal(eval_nc(p, assign, dimA, dimB, powers),
+                              eval_nc(p, assign, dimA, dimB))
+
+
+def test_shared_powers_take_each_power_once(monkeypatch):
+    # Every word of these polynomials is a product of the eight powers
+    # A_i^e, B_i^e (e = 1, 2): one dict of powers takes each of them once.
+    calls = []
+    power = np.linalg.matrix_power
+
+    def counted(M, e):
+        calls.append(e)
+        return power(M, e)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    n = 3
+    words = [((p, i, e),) for p, i in KEYS for e in (1, 2)]
+    polys = [NCPolynomial(n, {w: 1.0 for w in words}),
+             NCPolynomial(n, {w + v: 1.0 for w in words[:4]
+                              for v in words[4:]}),
+             letter(n, "A", 0) * letter(n, "A", 1) * letter(n, "A", 0)]
+    assign = _random_assignment(n, 2, 7)
+    powers = {}
+    for p in polys:
+        eval_nc(p, assign, 2, 2, powers)
+    assert sorted(calls) == [1] * 4 + [2] * 4

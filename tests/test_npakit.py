@@ -320,6 +320,8 @@ SDPA_SHA256 = {
     (4, 1): "6454d9e2aa776d840738ffa8a77ad9db811de9aec95016e748670ded516b2d8f",
     (5, 1): "e512e8d9a8638c0cfcf1fd725f36d3aeac055497c4d5e4e9ee85f819e74a64ea",
     (8, 1): "6a1fe04e5211468700dedf1726905daa70f8c1585c82f481d13bdd78f316b957",
+    # The widest table of run reductions: n = 8 is --level 2's bound.
+    (8, 2): "e4aad31341615885735039117687bbefa77e5415fb308434f4a7d9702c75bdec",
 }
 
 
@@ -354,7 +356,8 @@ def test_sdpa_objective_is_minus_the_bias(tmp_path, n, level, bias):
     assert "-0" not in objective_line.split()
 
 
-@pytest.mark.parametrize("n,level", [(2, 2), (3, 1), (4, 2)])
+@pytest.mark.parametrize("n,level", [(2, 2), (3, 1), (4, 2), (3, 2),
+                                     (5, 2), (8, 1)])
 def test_cell_table_matches_word_reduction(n, level):
     # Every cell, above and below the diagonal, against its own reduction:
     # its class key is the lesser of the word and its adjoint, and the cell
@@ -366,6 +369,15 @@ def test_cell_table_matches_word_reduction(n, level):
             key = min(w, word_adjoint(w, n))
             assert mp.class_keys[mp.cell_class[r][c]] == key
             assert mp.cell_conj[r][c] == (key != w)
+
+
+def test_render_keeps_the_sign_of_zero():
+    # 0.0 and -0.0 are equal, so one cached text must not serve both.
+    prob = SDPAProblem(nvars=1, block_sizes=[2], objective=[1.0],
+                       entries={(1, 1, 1, 1): -0.0, (1, 1, 1, 2): 0.0,
+                                (1, 1, 2, 2): -0.0, (0, 1, 1, 1): 0.5})
+    assert prob.render().splitlines()[-4:] == [
+        "0 1 1 1 0.5", "1 1 1 1 -0", "1 1 1 2 0", "1 1 2 2 -0"]
 
 
 def test_reprs_name_sizes_not_contents():

@@ -10,8 +10,10 @@ outside the tests. A ``TRACED`` name resolves through its module's imports:
 A reached definition reaches what its body reads: a name defined in its
 module or imported from a sibling by name, and, through ``x.attr``, every
 definition called ``attr``. A reached class reaches its bases, decorators,
-class-level statements and dunder methods. Annotations are left out: they
-name types, not code that runs.
+class-level statements and dunder methods, and the methods that a base
+from outside ``src`` (``argparse.ArgumentParser``) defines too: that base
+calls them, as the interpreter calls a dunder method. Annotations are left
+out: they name types, not code that runs.
 
 The same holds for module-level constants: each top-level assignment of
 ``src/znlcs`` must be read somewhere in ``src/``, by name or by attribute.
@@ -23,6 +25,7 @@ reference; anything else is deleted.
 """
 
 import ast
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -99,6 +102,21 @@ def _traced():
     return out
 
 
+def _external_methods(node):
+    """The attribute names of the bases of class node that are read as
+    ``module.Class`` of a module outside ``src``."""
+    names = set()
+    for base in node.bases:
+        if isinstance(base, ast.Attribute) \
+                and isinstance(base.value, ast.Name):
+            try:
+                module = importlib.import_module(base.value.id)
+            except ImportError:
+                continue
+            names |= set(dir(getattr(module, base.attr)))
+    return names
+
+
 def _reached(extra_roots):
     defs, trees, scopes = _parse()
     by_last = {}
@@ -125,9 +143,10 @@ def _reached(extra_roots):
             work += refs(node.bases + node.decorator_list
                          + [s for s in node.body
                             if not isinstance(s, ast.FunctionDef)], scope)
+            inherited = _external_methods(node)
             work += [f"{qualname}.{s.name}" for s in node.body
                      if isinstance(s, ast.FunctionDef)
-                     and s.name.startswith("__")]
+                     and (s.name.startswith("__") or s.name in inherited)]
         else:
             work += refs([node], scope)
     return set(defs), reached

@@ -37,6 +37,40 @@ def _verify_reference(cert, bias, trials, seed):
     return worst
 
 
+def _verify_blocks_reference(cert, bias, trials, seed):
+    """verify_sos_identity as it was before a block shared its draw and its
+    operator powers: four draws a block, one per operator, and each
+    polynomial evaluated on its own."""
+    n = cert.order
+
+    def residual(dim, block):
+        assignment = {
+            key: random_order_n_observables(n, dim, [s[j] for s in block])
+            for j, key in enumerate((("A", 0), ("A", 1), ("B", 0), ("B", 1)))
+        }
+        diff = cert.lam * np.eye(dim * dim) - eval_nc(
+            bias, assignment, dim, dim)
+        for weight, p in cert.squares:
+            T = eval_nc(p, assignment, dim, dim)
+            diff -= weight * (T.conj().swapaxes(-1, -2) @ T)
+        return float(np.linalg.norm(diff, axis=(-2, -1)).max())
+
+    gen = rng(seed)
+    pending = {n: [], 2 * n: []}
+    worst = 0.0
+    for _ in range(trials):
+        dim = gen.choice([n, 2 * n])
+        block = pending[dim]
+        block.append([gen.integers(2 ** 63) for _ in range(4)])
+        if len(block) == BLOCK_TRIALS:
+            worst = max(worst, residual(dim, block))
+            block.clear()
+    for dim, block in pending.items():
+        if block:
+            worst = max(worst, residual(dim, block))
+    return worst
+
+
 def _corrupted_g3():
     cert = certificate_g3()
     squares = list(cert.squares)
@@ -60,6 +94,16 @@ def test_verify_matches_per_trial_reference(cert, trials):
 
 
 @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+@pytest.mark.parametrize("cert", [certificate_chsh(), certificate_g3()],
+                         ids=["chsh", "g3"])
+def test_verify_equals_the_per_polynomial_block_pipeline(cert, trials):
+    # One draw and one power table a block change no bit of the residual.
+    bias = bias_polynomial(ModNGameParams(cert.order, 0, 1))
+    assert verify_sos_identity(cert, bias, trials, seed=trials) == \
+        _verify_blocks_reference(cert, bias, trials, seed=trials)
+
+
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
 def test_verify_corrupted_matches_per_trial_reference(trials):
     # Far from 0 and different in every trial, the corrupted residual must
     # match the per-trial maximum in relative terms, not only absolutely.
@@ -73,9 +117,10 @@ def test_verify_corrupted_matches_per_trial_reference(trials):
 
 @pytest.mark.parametrize("trials", TRIAL_COUNTS)
 def test_verify_evaluates_each_trial_once(monkeypatch, trials):
-    # Record the observable seeds of every block: each trial's four seeds,
-    # drawn after its dimension, must be evaluated exactly once, at that
-    # dimension, in blocks of at most BLOCK_TRIALS.
+    # Record the observable seeds of every block, drawn with one call: the
+    # seeds of operator j for each of the block's trials, for j = 0..3.
+    # Each trial's four seeds, drawn after its dimension, must be evaluated
+    # exactly once, at that dimension, in blocks of at most BLOCK_TRIALS.
     calls = []
 
     def record(order, dim, seeds):
@@ -93,12 +138,11 @@ def test_verify_evaluates_each_trial_once(monkeypatch, trials):
         want.append((dim, tuple(int(gen.integers(2 ** 63))
                                 for _ in range(4))))
     got = []
-    for i in range(0, len(calls), 4):
-        group = calls[i:i + 4]
-        dim = group[0][0]
-        assert all(d == dim for d, _ in group)
-        assert 1 <= len(group[0][1]) <= BLOCK_TRIALS
-        got += [(dim, t) for t in zip(*(s for _, s in group))]
+    for dim, seeds in calls:
+        m, rest = divmod(len(seeds), 4)
+        assert rest == 0 and 1 <= m <= BLOCK_TRIALS
+        got += [(dim, t) for t in zip(*(seeds[j * m:(j + 1) * m]
+                                        for j in range(4)))]
     assert sorted(got) == sorted(want)
 
 
