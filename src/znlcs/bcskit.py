@@ -266,3 +266,29 @@ def nonrigidity_witness() -> Tuple[float, float, float]:
     trace = float(np.real(np.trace(e1 @ e5)))
     anticomm = numerics.frob(f1 @ f5 + f5 @ f1)
     return inner, trace, anticomm
+
+
+# The command handler: ``cli.COMMANDS`` reads it when its command runs,
+# and it adds its results to the report ``rep``.
+def bcs_command(args, rep) -> None:
+    """``bcs magic-square`` and ``bcs glued``."""
+    if args.system == "magic-square":
+        lcs, sol = magic_square()
+        solutions = [("solution", sol)]
+    else:
+        lcs, E, F = glued_magic_square()
+        solutions = [("E", E), ("F", F)]
+    if args.check or not args.witness:
+        for name, sol in solutions:
+            report = verify_operator_solution(lcs, sol)
+            rep.result(f"{name}_verified", int(report.clean),
+                       tolerance=0.0, target=1)
+            _, value = solution_to_strategy(lcs, sol)
+            rep.result(f"{name}_strategy_value", value, tolerance=1e-9,
+                       target=1.0)
+    if args.witness:
+        inner, trace, anticomm = nonrigidity_witness()
+        rep.result("inner_product", inner, tolerance=1e-9, target=0.5)
+        rep.result("trace", trace, tolerance=1e-9, target=4.0)
+        rep.result("anticommutator_norm", anticomm, tolerance=1e-9,
+                   target=0.0)

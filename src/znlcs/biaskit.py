@@ -160,3 +160,22 @@ def eigenrelation_residual(n: int) -> float:
     import numpy as np
     M, psi = _canonical_block(gamekit.ModNGameParams(n, 0, 1))
     return float(np.linalg.norm(M @ psi - bias_eigenvalue_formula(n) * psi))
+
+
+# The command handler: ``cli.COMMANDS`` reads it when its command runs,
+# and it adds its results to the report ``rep``.
+def spectrum_command(args, rep) -> None:
+    """``bias spectrum``."""
+    # strategykit first, so it compiles before numpy loads (see the
+    # compile-order rule in ``znlcs/__init__.py``).
+    value_formula = strategykit.canonical_value_formula(args.n)
+    p = gamekit.ModNGameParams(args.n, 0, 1)
+    report = canonical_bias_spectrum(p)
+    formula = bias_eigenvalue_formula(args.n)
+    rep.result("top_eigenvalue", report.top_eigenvalue, tolerance=1e-9,
+               target=formula)
+    rep.result("multiplicity", report.multiplicity)
+    rep.result("predicted_value", report.predicted_value, tolerance=1e-9,
+               target=value_formula)
+    rep.result("eigenrelation_residual", eigenrelation_residual(args.n),
+               tolerance=1e-9, target=0.0)

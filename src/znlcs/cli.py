@@ -10,9 +10,14 @@ refuses exits 120 too.
 CSV and SDPA outputs go to --out paths. The environment variable
 ``ZNLCS_SEED`` supplies the default seed; a value that is not an int >= 0
 is a usage error. ``COMMANDS`` declares every command once: its handler,
-its pre-flight check and its arguments. A size bound on one flag is that
-flag's argparse type (``_int_in``); a pre-flight check bounds sizes that
-depend on two flags or on a library cap.
+its pre-flight check and its arguments. Each handler lives in the kit
+that computes its results (``game classical`` in ``gamekit``, ``sos
+verify`` in ``soskit``) and is read from there only when its command
+runs, so a process compiles the one handler it runs, not all eleven. A
+size bound on one flag is that flag's argparse type (``_int_in``); a
+pre-flight check bounds sizes that depend on two flags or on a library
+cap. Bounds and checks stay here: they are the command line's, not the
+kits'.
 
 ``main`` owns each report's life. Right after parsing it builds the
 ``Report`` from the command's ``COMMANDS`` entry: the command name, each
@@ -20,10 +25,10 @@ declared flag but ``--seed`` as a camelCase parameter (``--n-max`` is
 ``nMax``), and the seed of a command with ``--seed`` (else ``None``). The
 report's clock starts there, so its wall time covers the pre-flight check
 (such as a size bound), the work, and loading the modules (and numpy) that
-either uses; the interpreter's start and exit, and argparse, stay outside
-it. ``main`` then runs the pre-flight check, calls ``handler(args, rep)``,
-which only computes and adds results, and prints the report with
-``rep.finish()``.
+either uses, the handler's kit among them; the interpreter's start and
+exit, and argparse, stay outside it. ``main`` then runs the pre-flight
+check, reads the handler and calls ``handler(args, rep)``, which only
+computes and adds results, and prints the report with ``rep.finish()``.
 
 The other ``znlcs`` modules load on first use (see ``znlcs/__init__.py``),
 so a command runs only the code it needs. README's command-line section
@@ -45,7 +50,6 @@ import argparse
 import atexit
 import gc
 import json
-import math
 import os
 import sys
 import time
@@ -131,147 +135,6 @@ class Report:
         except OSError as exc:  # stdout's reader gone, or its device full
             raise ReportUnwritten(exc) from exc
         return 0 if self.data["pass"] else 1
-
-
-def cmd_game_classical(args, rep: Report) -> None:
-    game = gamekit.make_mod_n_game(
-        gamekit.ModNGameParams(args.n, args.m1, args.m2))
-    value, pairs = gamekit.classical_value(game)
-    rep.result("classical_value", value)
-    rep.result("optimal_pair_count", pairs)
-
-
-def cmd_strategy_value(args, rep: Report) -> None:
-    p = gamekit.ModNGameParams(args.n, 0, 1)
-    if args.via == "bias":
-        value = biaskit.canonical_bias_value(p)
-    else:
-        game = gamekit.make_mod_n_game(p)
-        value = strategykit.strategy_value_direct(
-            game, strategykit.canonical_strategy(args.n))
-    formula = strategykit.canonical_value_formula(args.n)
-    rep.result("value", value, tolerance=1e-9, target=formula)
-    rep.result("formula_value", formula)
-
-
-def cmd_strategy_entropy(args, rep: Report) -> None:
-    rows = []
-    for n in range(2, args.n_max + 1):
-        sd = strategykit.canonical_schmidt(n)
-        ratio = sd.entropy / math.log2(n)
-        rows.append((n, strategykit.canonical_value_formula(n), ratio))
-        if sd.rank != n:
-            rep.result(f"schmidt_rank_n{n}", sd.rank, target=n,
-                       tolerance=0.0)
-    if args.out:
-        import csv
-
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "value", "entropy_ratio"])
-            for n, value, ratio in rows:
-                writer.writerow([n, f"{value:.6f}", f"{ratio:.6f}"])
-    rep.result("rows", len(rows))
-    rep.result("final_entropy_ratio", rows[-1][2])
-
-
-def cmd_bias_spectrum(args, rep: Report) -> None:
-    p = gamekit.ModNGameParams(args.n, 0, 1)
-    report = biaskit.canonical_bias_spectrum(p)
-    formula = biaskit.bias_eigenvalue_formula(args.n)
-    rep.result("top_eigenvalue", report.top_eigenvalue, tolerance=1e-9,
-               target=formula)
-    rep.result("multiplicity", report.multiplicity)
-    rep.result("predicted_value", report.predicted_value, tolerance=1e-9,
-               target=strategykit.canonical_value_formula(args.n))
-    rep.result("eigenrelation_residual",
-               biaskit.eigenrelation_residual(args.n), tolerance=1e-9,
-               target=0.0)
-
-
-def cmd_group_enumerate(args, rep: Report) -> None:
-    rows = groupkit.enumerate_group(list(groupkit.alice_generators(args.n)))
-    rep.result("group_order", len(rows), tolerance=0.0,
-               target=groupkit.group_order(args.n))
-    failures = groupkit.verify_presentation(args.n)
-    rep.result("failed_relators", len(failures), tolerance=0.0, target=0)
-
-
-def cmd_group_normal_form(args, rep: Report) -> None:
-    rows = groupkit.normal_form_enumerate(args.n)
-    rep.result("distinct_normal_forms", len(rows), tolerance=0.0,
-               target=groupkit.group_order(args.n))
-
-
-def cmd_sos_verify(args, rep: Report) -> None:
-    if args.cert == "chsh":
-        cert = soskit.certificate_chsh()
-        tol = 1e-9
-    else:
-        cert = soskit.certificate_g3()
-        tol = 1e-8
-    bias = biaskit.bias_polynomial(gamekit.ModNGameParams(cert.order, 0, 1))
-    residual = soskit.verify_sos_identity(cert, bias, args.trials,
-                                          rep.data["seed"])
-    rep.result("identity_residual", residual, tolerance=tol, target=0.0)
-    s = strategykit.canonical_strategy(cert.order)
-    worst = max(r for _, r in soskit.annihilation_residuals(cert, s))
-    rep.result("annihilation_residual", worst, tolerance=1e-9, target=0.0)
-
-
-def cmd_relations_check(args, rep: Report) -> None:
-    s = strategykit.canonical_strategy(3)
-    worst = 0.0
-    for name, poly in soskit.derived_relations_g3():
-        r = strategykit.check_state_relation(s, poly)
-        rep.result(f"relation_{name}", r, tolerance=1e-9, target=0.0)
-        worst = max(worst, r)
-    rep.result("worst_residual", worst, tolerance=1e-9, target=0.0)
-
-
-def cmd_bcs(args, rep: Report) -> None:
-    if args.system == "magic-square":
-        lcs, sol = bcskit.magic_square()
-        solutions = [("solution", sol)]
-    else:
-        lcs, E, F = bcskit.glued_magic_square()
-        solutions = [("E", E), ("F", F)]
-    if args.check or not args.witness:
-        for name, sol in solutions:
-            report = bcskit.verify_operator_solution(lcs, sol)
-            rep.result(f"{name}_verified", int(report.clean),
-                       tolerance=0.0, target=1)
-            _, value = bcskit.solution_to_strategy(lcs, sol)
-            rep.result(f"{name}_strategy_value", value, tolerance=1e-9,
-                       target=1.0)
-    if args.witness:
-        inner, trace, anticomm = bcskit.nonrigidity_witness()
-        rep.result("inner_product", inner, tolerance=1e-9, target=0.5)
-        rep.result("trace", trace, tolerance=1e-9, target=4.0)
-        rep.result("anticommutator_norm", anticomm, tolerance=1e-9,
-                   target=0.0)
-
-
-def cmd_npa_export(args, rep: Report) -> None:
-    mp = npakit.build_moment_problem(gamekit.ModNGameParams(args.n, 0, 1),
-                                     args.level)
-    prob = npakit.export_sdpa(mp, args.out)
-    with open(args.out) as fh:
-        written = fh.read()
-    rep.result("moment_matrix_size", mp.size)
-    rep.result("sdpa_block_size", prob.block_sizes[0])
-    try:
-        exact = npakit.parse_sdpa(written) == prob
-    except ValueError:  # a file the parser refuses is not a round trip
-        exact = False
-    rep.result("round_trip_exact", int(exact), tolerance=0.0, target=1)
-
-
-def cmd_psirep_check(args, rep: Report) -> None:
-    res_a, res_b = strategykit.psi_representation_residuals(
-        strategykit.canonical_strategy(args.n))
-    rep.result("alice_residual", res_a, tolerance=1e-9, target=0.0)
-    rep.result("bob_residual", res_b, tolerance=1e-9, target=0.0)
 
 
 def _classical_check(args) -> Optional[str]:
@@ -363,37 +226,43 @@ _BCS_FLAGS = [("--check", {"action": "store_true"}),
               ("--witness", {"action": "store_true"})]
 
 # Every command, in the order of the help text: (group, command) ->
-# (handler, preflight, arguments). The pre-flight check, if any, runs after
-# parsing and before any work, and returns a usage error
-# ("argument --FLAG: ...") or None. The handler adds its results to the
-# report that ``main`` built. Each argument is (flag, add_argument
-# keywords).
+# (handler, preflight, arguments). The handler is read from its kit when
+# the command runs (``lambda: gamekit.classical_command``): reading it here
+# would load every kit. It adds its results to the report that ``main``
+# built. The pre-flight check, if any, runs after parsing and before any
+# work, and returns a usage error ("argument --FLAG: ...") or None. Each
+# argument is (flag, add_argument keywords).
 COMMANDS = {
-    ("game", "classical"): (cmd_game_classical, _classical_check, [
+    ("game", "classical"): (lambda: gamekit.classical_command,
+                             _classical_check, [
         ("--n", {"type": _int_in(2), "required": True}),
         ("--m1", {"type": int, "default": 0}),
         ("--m2", {"type": int, "default": 1})]),
-    ("strategy", "value"): (cmd_strategy_value, _strategy_value_check, [
+    ("strategy", "value"): (lambda: strategykit.value_command,
+                             _strategy_value_check, [
         ("--n", {"type": _int_in(2), "required": True}),
         ("--via", {"choices": ["bias", "direct"], "default": "direct"})]),
-    ("strategy", "entropy"): (cmd_strategy_entropy, _out_file_check, [
+    ("strategy", "entropy"): (lambda: strategykit.entropy_command,
+                               _out_file_check, [
         # The n amplitudes of each n up to --n-max in pure Python,
         # O(n-max^2) work: 1.0-1.4 s and 16 MB peak RSS at 2000 (2-core
         # Xeon).
         ("--n-max", {"type": _int_in(2, 2000), "default": 40}),
         ("--out", {"default": None})]),
-    ("bias", "spectrum"): (cmd_bias_spectrum, None, [
+    ("bias", "spectrum"): (lambda: biaskit.spectrum_command, None, [
         # n blocks of n x n complex128 (16 n^3 bytes, within 64 MiB up to
         # n = 161): 0.8-1.0 s and 96 MB peak RSS at n = 161, of which the n
         # values-only eigensolves take 0.66-0.68 s and bias_blocks
         # 0.28-0.30 s (2-core Xeon in a slow phase, one BLAS thread, best
         # of 3 in each of three runs).
         ("--n", {"type": _int_in(2, 161), "required": True})]),
-    ("group", "enumerate"): (cmd_group_enumerate, _group_order_check, [
+    ("group", "enumerate"): (lambda: groupkit.enumerate_command,
+                              _group_order_check, [
         ("--n", {"type": _int_in(1), "required": True})]),
-    ("group", "normal-form"): (cmd_group_normal_form, _group_order_check, [
+    ("group", "normal-form"): (lambda: groupkit.normal_form_command,
+                                _group_order_check, [
         ("--n", {"type": _int_in(1), "required": True})]),
-    ("sos", "verify"): (cmd_sos_verify, None, [
+    ("sos", "verify"): (lambda: soskit.verify_command, None, [
         ("--cert", {"choices": ["chsh", "g3"], "required": True}),
         # chsh at 10^5 trials: 15 s and 31 MB peak RSS, as at 100 trials;
         # g3 at 10^4: 3.9 s and 31 MB (one BLAS thread on a 2-core Xeon),
@@ -401,15 +270,16 @@ COMMANDS = {
         ("--trials", {"type": _int_in(1, 10**5), "default": 100}),
         # None: ZNLCS_SEED, read when the command runs.
         ("--seed", {"type": _int_in(0), "default": None})]),
-    ("relations", "check"): (cmd_relations_check, None, [
+    ("relations", "check"): (lambda: soskit.relations_command, None, [
         ("--n", {"type": int, "choices": [3], "default": 3})]),
-    ("bcs", "magic-square"): (cmd_bcs, _witness_check, _BCS_FLAGS),
-    ("bcs", "glued"): (cmd_bcs, None, _BCS_FLAGS),
-    ("npa", "export"): (cmd_npa_export, _npa_export_check, [
+    ("bcs", "magic-square"): (lambda: bcskit.bcs_command, _witness_check,
+                               _BCS_FLAGS),
+    ("bcs", "glued"): (lambda: bcskit.bcs_command, None, _BCS_FLAGS),
+    ("npa", "export"): (lambda: npakit.export_command, _npa_export_check, [
         ("--n", {"type": _int_in(2), "required": True}),
         ("--level", {"type": int, "choices": [1, 2], "default": 1}),
         ("--out", {"required": True})]),
-    ("psirep", "check"): (cmd_psirep_check, None, [
+    ("psirep", "check"): (lambda: strategykit.psirep_command, None, [
         ("--n", {"type": int, "choices": [2, 3], "required": True})]),
 }
 GROUPS = list(dict.fromkeys(group for group, _ in COMMANDS))
@@ -506,7 +376,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version.
         return int(exc.code or 0)
-    handler(args, rep)
+    # Reading the handler loads its kit, inside the report's clock.
+    handler()(args, rep)
     return rep.finish()
 
 

@@ -153,3 +153,13 @@ def classical_value(g: GameSpec) -> Tuple[float, int]:
         W = W.transpose(1, 0, 3, 2)
     value, pairs = _best_response_numpy(W)
     return float(value), int(pairs)
+
+
+# The command handler: ``cli.COMMANDS`` reads it when its command runs,
+# and it adds its results to the report ``rep``.
+def classical_command(args, rep) -> None:
+    """``game classical``."""
+    game = make_mod_n_game(ModNGameParams(args.n, args.m1, args.m2))
+    value, pairs = classical_value(game)
+    rep.result("classical_value", value)
+    rep.result("optimal_pair_count", pairs)

@@ -357,3 +357,20 @@ def verify_presentation(n: int) -> List[GroupWord]:
             failures.append(rel)
     return failures
 
+
+# Command handlers: ``cli.COMMANDS`` reads each when its command runs,
+# and it adds its results to the report ``rep``.
+def enumerate_command(args, rep) -> None:
+    """``group enumerate``."""
+    rows = enumerate_group(list(alice_generators(args.n)))
+    rep.result("group_order", len(rows), tolerance=0.0,
+               target=group_order(args.n))
+    failures = verify_presentation(args.n)
+    rep.result("failed_relators", len(failures), tolerance=0.0, target=0)
+
+
+def normal_form_command(args, rep) -> None:
+    """``group normal-form``."""
+    rows = normal_form_enumerate(args.n)
+    rep.result("distinct_normal_forms", len(rows), tolerance=0.0,
+               target=group_order(args.n))

@@ -139,31 +139,42 @@ def _term_products(poly: NCPolynomial,
     (..., dimA, dimA, K), and Q[..., k, :, :] = Q_k, shape
     (..., K, dimB, dimB). Each (operator, exponent) power is taken once
     and kept in ``powers``, if given, for later calls on the same
-    assignment."""
+    assignment. Every word of poly is reduced (Alice's letters, then
+    Bob's, exponents in 1..n-1), so each term splits where Bob's run
+    starts and its letters are their own power keys."""
     import numpy as np
     if powers is None:
         powers = {}
 
-    def power(player: str, idx: int, exp: int) -> np.ndarray:
-        key, letter = (player, idx), (player, idx, exp % poly.n)
+    def power(letter: Letter) -> np.ndarray:
         if letter not in powers:
+            key = letter[:2]
             if key not in assignment:
                 raise KeyError(f"assignment missing operator {key}")
             powers[letter] = np.linalg.matrix_power(assignment[key], letter[2])
         return powers[letter]
 
-    def product(word: Word, player: str, d: int) -> np.ndarray:
-        mats = [power(*letter) for letter in word if letter[0] == player]
-        return reduce(np.matmul, mats) if mats else np.eye(d)
+    identities: Dict[int, np.ndarray] = {}
 
-    batch = np.broadcast_shapes(
-        *(np.shape(M)[:-2] for M in assignment.values()))
+    def product(letters: Word, d: int) -> np.ndarray:
+        if letters:
+            return reduce(np.matmul, map(power, letters))
+        if d not in identities:
+            identities[d] = np.eye(d)
+        return identities[d]
+
+    # Operators of one batch shape, the common case, need no broadcast.
+    batch = ()
+    for M in assignment.values():
+        if M.shape[:-2] != batch:
+            batch = np.broadcast_shapes(batch, M.shape[:-2])
     K = len(poly.terms)
     P = np.empty(batch + (dimA, dimA, K), dtype=np.complex128)
     Q = np.empty(batch + (K, dimB, dimB), dtype=np.complex128)
     for k, word in enumerate(poly.terms):
-        P[..., k] = product(word, "A", dimA)
-        Q[..., k, :, :] = product(word, "B", dimB)
+        split = sum(letter[0] == "A" for letter in word)
+        P[..., k] = product(word[:split], dimA)
+        Q[..., k, :, :] = product(word[split:], dimB)
     P *= np.fromiter(poly.terms.values(), dtype=np.complex128, count=K)
     return P, Q
 

@@ -316,3 +316,21 @@ def parse_sdpa(text: str) -> SDPAProblem:
         entries[key] = float(value)
     return SDPAProblem(nvars=nvars, block_sizes=block_sizes,
                        objective=objective, entries=entries)
+
+
+# The command handler: ``cli.COMMANDS`` reads it when its command runs,
+# and it adds its results to the report ``rep``.
+def export_command(args, rep) -> None:
+    """``npa export``."""
+    mp = build_moment_problem(gamekit.ModNGameParams(args.n, 0, 1),
+                              args.level)
+    prob = export_sdpa(mp, args.out)
+    with open(args.out) as fh:
+        written = fh.read()
+    rep.result("moment_matrix_size", mp.size)
+    rep.result("sdpa_block_size", prob.block_sizes[0])
+    try:
+        exact = parse_sdpa(written) == prob
+    except ValueError:  # a file the parser refuses is not a round trip
+        exact = False
+    rep.result("round_trip_exact", int(exact), tolerance=0.0, target=1)

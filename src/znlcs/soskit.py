@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-import numpy as np
-
-from . import ncpoly, numerics, strategykit
+from . import biaskit, gamekit, ncpoly, numerics, strategykit
 from .records import Record
+# By name, and before numpy: strategykit then compiles while the process
+# is small (see the compile-order rule in ``znlcs/__init__.py``).
+from .strategykit import canonical_strategy, check_state_relation
+
+import numpy as np
 
 # Trials evaluated together by verify_sos_identity. Small, so that a block's
 # stacked (2n)^2-dimensional operators stay a few hundred kB and the peak
@@ -147,7 +150,7 @@ def verify_sos_identity(cert: SOSCertificate, bias: ncpoly.NCPolynomial,
 def annihilation_residuals(cert: SOSCertificate,
                            s: strategykit.Strategy) -> List[Tuple[int, float]]:
     """||T_k |psi>|| for every square; all vanish on an optimal strategy."""
-    return [(k, strategykit.check_state_relation(s, p))
+    return [(k, check_state_relation(s, p))
             for k, (_, p) in enumerate(cert.squares)]
 
 
@@ -214,3 +217,32 @@ def derived_relations_g3() -> List[Tuple[str, ncpoly.NCPolynomial]]:
                                                     ("A", 1, 2)): 1})),
     ]
     return rels
+
+
+# Command handlers: ``cli.COMMANDS`` reads each when its command runs,
+# and it adds its results to the report ``rep``.
+def verify_command(args, rep) -> None:
+    """``sos verify``."""
+    if args.cert == "chsh":
+        cert = certificate_chsh()
+        tol = 1e-9
+    else:
+        cert = certificate_g3()
+        tol = 1e-8
+    bias = biaskit.bias_polynomial(gamekit.ModNGameParams(cert.order, 0, 1))
+    residual = verify_sos_identity(cert, bias, args.trials, rep.data["seed"])
+    rep.result("identity_residual", residual, tolerance=tol, target=0.0)
+    s = canonical_strategy(cert.order)
+    worst = max(r for _, r in annihilation_residuals(cert, s))
+    rep.result("annihilation_residual", worst, tolerance=1e-9, target=0.0)
+
+
+def relations_command(args, rep) -> None:
+    """``relations check``."""
+    s = canonical_strategy(3)
+    worst = 0.0
+    for name, poly in derived_relations_g3():
+        r = check_state_relation(s, poly)
+        rep.result(f"relation_{name}", r, tolerance=1e-9, target=0.0)
+        worst = max(worst, r)
+    rep.result("worst_residual", worst, tolerance=1e-9, target=0.0)

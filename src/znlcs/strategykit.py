@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence, Tuple
 
-from . import gamekit, groupkit, monomial, ncpoly, numerics
+from . import biaskit, gamekit, groupkit, monomial, ncpoly, numerics
 from .records import Record
 
 SCHMIDT_RANK_THRESHOLD = 1e-9
@@ -220,3 +220,46 @@ def psi_representation_residuals(s: Strategy) -> Tuple[float, float]:
             for fx, products in zip(f, table)))
     return residuals[0], residuals[1]
 
+
+# Command handlers: ``cli.COMMANDS`` reads each when its command runs,
+# and it adds its results to the report ``rep``.
+def value_command(args, rep) -> None:
+    """``strategy value``."""
+    p = gamekit.ModNGameParams(args.n, 0, 1)
+    if args.via == "bias":
+        value = biaskit.canonical_bias_value(p)
+    else:
+        game = gamekit.make_mod_n_game(p)
+        value = strategy_value_direct(game, canonical_strategy(args.n))
+    formula = canonical_value_formula(args.n)
+    rep.result("value", value, tolerance=1e-9, target=formula)
+    rep.result("formula_value", formula)
+
+
+def entropy_command(args, rep) -> None:
+    """``strategy entropy``."""
+    rows = []
+    for n in range(2, args.n_max + 1):
+        sd = canonical_schmidt(n)
+        ratio = sd.entropy / math.log2(n)
+        rows.append((n, canonical_value_formula(n), ratio))
+        if sd.rank != n:
+            rep.result(f"schmidt_rank_n{n}", sd.rank, target=n,
+                       tolerance=0.0)
+    if args.out:
+        import csv
+
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "value", "entropy_ratio"])
+            for n, value, ratio in rows:
+                writer.writerow([n, f"{value:.6f}", f"{ratio:.6f}"])
+    rep.result("rows", len(rows))
+    rep.result("final_entropy_ratio", rows[-1][2])
+
+
+def psirep_command(args, rep) -> None:
+    """``psirep check``."""
+    res_a, res_b = psi_representation_residuals(canonical_strategy(args.n))
+    rep.result("alice_residual", res_a, tolerance=1e-9, target=0.0)
+    rep.result("bob_residual", res_b, tolerance=1e-9, target=0.0)

@@ -262,7 +262,7 @@ def test_each_bound_admits_itself_and_refuses_one_more(
     _, preflight, arguments = znlcs.cli.COMMANDS[command]
     ran = []
     monkeypatch.setitem(znlcs.cli.COMMANDS, command, (
-        lambda args, rep: ran.append(args), preflight, arguments))
+        lambda: lambda args, rep: ran.append(args), preflight, arguments))
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
     at = argv.index(flag) + 1
@@ -353,6 +353,7 @@ def test_report_envelope_mirrors_the_command(capsys, tmp_path, monkeypatch,
 def test_every_command_is_in_the_corpus():
     named = {tuple(argv.split()[:2]) for argv in EVERY_COMMAND}
     assert named == set(znlcs.cli.COMMANDS) == set(SIZES)
+    assert named == {tuple(argv.split()[:2]) for argv in README_LOADS}
 
 
 @pytest.mark.parametrize("argv", EVERY_COMMAND)
@@ -482,6 +483,74 @@ def modules_loaded_by(*argv):
         env=subprocess_env(), capture_output=True, text=True, timeout=120)
     assert "Traceback" not in proc.stderr, proc.stderr
     return proc.returncode, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+# README's load table: the modules each command loads besides ``cli`` and
+# ``records``, for every command of EVERY_COMMAND and both --via paths.
+README_LOADS = {
+    "game classical --n 3 --m1 1": "gamekit",
+    "strategy value --n 2 --via direct":
+        "strategykit monomial gamekit numerics",
+    "strategy value --n 2 --via bias":
+        "strategykit monomial gamekit biaskit ncpoly",
+    "strategy entropy --n-max 3 --out t.csv": "strategykit",
+    "bias spectrum --n 2":
+        "biaskit strategykit monomial ncpoly numerics gamekit",
+    "group enumerate --n 2": "groupkit monomial",
+    "group normal-form --n 2": "groupkit monomial",
+    "sos verify --cert chsh --trials 2 --seed 5":
+        "soskit biaskit strategykit monomial ncpoly numerics gamekit",
+    "relations check": "soskit strategykit monomial ncpoly numerics",
+    "bcs magic-square --check": "bcskit numerics",
+    "bcs glued --check --witness": "bcskit numerics",
+    "npa export --n 2 --level 2 --out t.dat-s":
+        "npakit biaskit ncpoly gamekit",
+    "psirep check --n 2": "strategykit groupkit monomial numerics",
+}
+
+
+@pytest.mark.parametrize("argv", README_LOADS)
+def test_each_command_loads_its_readme_row(tmp_path, monkeypatch, argv):
+    # Exactly the row: a module more is code the command compiles and does
+    # not need, such as a handler kept in a kit outside its command's row.
+    monkeypatch.chdir(tmp_path)  # for the --out files
+    code, loaded = modules_loaded_by(*argv.split())
+    assert code == 0
+    # runpy runs the CLI as __main__, so znlcs.cli is not among them.
+    assert {m for m in loaded if m.startswith("znlcs.")} == {
+        f"znlcs.{m}" for m in README_LOADS[argv].split() + ["records"]}
+
+
+# As LOADED_MODULES, but prints the modules in the order their code ran:
+# each source module's loader runs its code once, a lazy module's at its
+# first attribute read.
+EXEC_ORDER = """
+import atexit, importlib.machinery as machinery, json, runpy, sys
+order, run = [], machinery.SourceFileLoader.exec_module
+def exec_module(self, module):
+    order.append(module.__name__)
+    run(self, module)
+machinery.SourceFileLoader.exec_module = exec_module
+atexit.register(lambda: print(json.dumps(order), file=sys.stderr))
+runpy.run_module("znlcs.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    "strategy value --n 2 --via direct", "strategy value --n 2 --via bias",
+    "bias spectrum --n 2", "sos verify --cert chsh --trials 2",
+    "sos verify --cert g3 --trials 2", "relations check",
+    "psirep check --n 2"])
+def test_strategykit_runs_before_numpy(argv):
+    # The compile-order rule of znlcs/__init__.py: compiled after numpy,
+    # strategykit raised the peak RSS of sos verify and bias spectrum by
+    # 0.2-0.3 MB.
+    proc = subprocess.run(
+        [sys.executable, "-c", EXEC_ORDER, *argv.split()],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    order = json.loads(proc.stderr.splitlines()[-1])
+    assert order.index("znlcs.strategykit") < order.index("numpy")
 
 
 # numpy.random and what it alone pulls in; the seeded stream of

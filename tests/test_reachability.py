@@ -250,3 +250,50 @@ def test_the_process_ends_in_cli_run_only():
                      for module, name in pairs
                      if (module, name) in EXITS or module == "atexit"]
     assert uses == []
+
+
+def test_every_handler_is_read_from_a_kit():
+    # cli.py defines no command handler: each COMMANDS entry reads its
+    # handler from the kit that defines it when the command runs
+    # (``lambda: gamekit.classical_command``), so a process compiles only
+    # the handlers of the kits its command loads. A handler named by a
+    # string would hide it from the reachability guard above. Each other
+    # entry is named.
+    defs, trees, _ = _parse()
+    commands = next(node.value for node in trees["cli"].body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    == ["COMMANDS"])
+    wrong = []
+    for key, value in zip(commands.keys, commands.values):
+        handler = value.elts[0]
+        body = getattr(handler, "body", None)
+        if not (isinstance(handler, ast.Lambda)
+                and isinstance(body, ast.Attribute)
+                and isinstance(body.value, ast.Name)
+                and body.value.id != "cli"
+                and f"{body.value.id}.{body.attr}" in defs):
+            wrong.append(" ".join(ast.literal_eval(key)))
+    assert wrong == []
+
+
+def test_no_module_imports_cli():
+    # cli is the entry point, run as __main__ by ``python -m znlcs.cli``: a
+    # module that imported it would load a second copy of it, and tie the
+    # kits to the command line. Each import is named with its line.
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    base = ".".join(filter(None, ["znlcs", base]))
+                names = [base] + [f"{base}.{alias.name}"
+                                  for alias in node.names]
+            else:
+                continue
+            imports += [f"{path.stem}:{node.lineno} imports {name}"
+                        for name in names if name == "znlcs.cli"]
+    assert imports == []
