@@ -15,9 +15,9 @@ that computes its results (``game classical`` in ``gamekit``, ``sos
 verify`` in ``soskit``) and is read from there only when its command
 runs, so a process compiles the one handler it runs, not all eleven. A
 size bound on one flag is that flag's argparse type (``_int_in``); a
-pre-flight check bounds sizes that depend on two flags or on a library
-cap. Bounds and checks stay here: they are the command line's, not the
-kits'.
+pre-flight check bounds sizes that depend on two flags. Bounds and checks
+stay here: they are the command line's, not the kits', and no check loads
+a kit.
 
 ``main`` owns each report's life. Right after parsing it builds the
 ``Report`` from the command's ``COMMANDS`` entry: the command name, each
@@ -143,22 +143,6 @@ def _classical_check(args) -> Optional[str]:
         if not 0 <= value < args.n:
             return (f"argument --{flag}: must lie in [0, {args.n}), "
                     f"got {value}")
-    # The mod-n game: two questions a player, n answers each, so 4n^3
-    # evaluations; the count is not formatted, as a huge --n overflows a
-    # float.
-    if gamekit.classical_work(2, 2, args.n, args.n) > \
-            gamekit.CLASSICAL_BUDGET:
-        return (f"argument --n: the classical search needs 4n^3 payoff "
-                f"evaluations, over the budget of "
-                f"{gamekit.CLASSICAL_BUDGET:.0e}, got {args.n}")
-    return None
-
-
-def _group_order_check(args) -> Optional[str]:
-    if groupkit.group_order_exceeds_cap(args.n):
-        return (f"argument --n: the group of order n^2 2^(n-1) exceeds "
-                f"the enumeration cap {groupkit.ENUMERATION_CAP} "
-                f"elements, got {args.n}")
     return None
 
 
@@ -235,7 +219,10 @@ _BCS_FLAGS = [("--check", {"action": "store_true"}),
 COMMANDS = {
     ("game", "classical"): (lambda: gamekit.classical_command,
                              _classical_check, [
-        ("--n", {"type": _int_in(2), "required": True}),
+        # 4n^3 payoff evaluations, within 10^8 up to n = 292: 0.72-0.78 s
+        # in-process and 111 MB peak RSS at n = 292 (2-core Xeon, one BLAS
+        # thread, three runs).
+        ("--n", {"type": _int_in(2, 292), "required": True}),
         ("--m1", {"type": int, "default": 0}),
         ("--m2", {"type": int, "default": 1})]),
     ("strategy", "value"): (lambda: strategykit.value_command,
@@ -256,12 +243,14 @@ COMMANDS = {
         # 0.28-0.30 s (2-core Xeon in a slow phase, one BLAS thread, best
         # of 3 in each of three runs).
         ("--n", {"type": _int_in(2, 161), "required": True})]),
-    ("group", "enumerate"): (lambda: groupkit.enumerate_command,
-                              _group_order_check, [
-        ("--n", {"type": _int_in(1), "required": True})]),
-    ("group", "normal-form"): (lambda: groupkit.normal_form_command,
-                                _group_order_check, [
-        ("--n", {"type": _int_in(1), "required": True})]),
+    ("group", "enumerate"): (lambda: groupkit.enumerate_command, None, [
+        # A group of order n^2 2^(n-1), within 10^6 up to n = 13 (692,224
+        # elements): 0.76-0.88 s and 76 MB peak RSS at n = 13 (five runs).
+        ("--n", {"type": _int_in(1, 13), "required": True})]),
+    ("group", "normal-form"): (lambda: groupkit.normal_form_command, None, [
+        # As many normal forms as elements: 0.22-0.24 s and 67 MB peak RSS
+        # at n = 13 (three runs).
+        ("--n", {"type": _int_in(1, 13), "required": True})]),
     ("sos", "verify"): (lambda: soskit.verify_command, None, [
         ("--cert", {"choices": ["chsh", "g3"], "required": True}),
         # chsh at 10^5 trials: 15 s and 31 MB peak RSS, as at 100 trials;
@@ -368,7 +357,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:  # a bad ZNLCS_SEED
             args.subparser.error(str(exc))
         # The report's clock starts here, so its wall time covers the
-        # check and the modules the check loads.
+        # check.
         rep = Report(" ".join(args.command), *envelope)
         problem = preflight(args) if preflight else None
         if problem:

@@ -12,6 +12,8 @@ the multiplication table sort, dedupe and search as arrays, with no Python
 object per row. Closure (``enumerate_group``) and the normal forms
 (``normal_form_enumerate``) both return rows. Every n has one normal form,
 J^i P0^j prod_k (P0^k P1^{-k})^{q_k}, which names each element once.
+No function here bounds its work: the callers bound n (``cli``'s ``--n``
+flags), and the group's order, n^2 2^(n-1), fixes the work.
 """
 
 from __future__ import annotations
@@ -19,23 +21,14 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 # Names, not the module: the element type, generators and row kernels run
-# whenever this module does, and are part of its interface.
+# whenever this module does, and are part of its interface. Above numpy,
+# so that monomial compiles before numpy loads (the compile-order rule).
 from .monomial import (MonomialUnitary, alice_generators, compose_steps,
                        invert_rows, pack_rows, power_rows, scalar_j,
                        step_columns)
 
-# Most elements a closure may hold, and most normal-form words evaluated.
-ENUMERATION_CAP = 10**6
-
-# Largest group whose m x m multiplication table is built.
-MULTIPLICATION_TABLE_MAX = 2048
-
-# Products formed per batched step of multiplication_table, which bounds
-# its memory for large groups.
-_BLOCK_PRODUCTS = 1 << 16
+import numpy as np
 
 # A word is a sequence of (generator name, exponent) pairs over P0, P1, J.
 GroupWord = Tuple[Tuple[str, int], ...]
@@ -137,13 +130,6 @@ def group_order(n: int) -> int:
     return n * n * 2 ** (n - 1)
 
 
-def group_order_exceeds_cap(n: int) -> bool:
-    """Whether group_order(n) exceeds ENUMERATION_CAP (decided without
-    forming 2^(n-1) for large n)."""
-    cap = ENUMERATION_CAP
-    return n > cap.bit_length() or group_order(n) > cap
-
-
 # ---------------------------------------------------------------------------
 # Words over the generators
 # ---------------------------------------------------------------------------
@@ -201,8 +187,7 @@ def enumerate_group(generators: Sequence[MonomialUnitary]) -> np.ndarray:
     That set is closed under inverses, so a product of layer d lies in
     layer d - 1, d or d + 1: the next layer is the distinct products whose
     keys (``_keys``, exact for every product of the generators) are not
-    among the sorted keys of the last two layers. ENUMERATION_CAP is
-    checked once per layer.
+    among the sorted keys of the last two layers.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -213,7 +198,6 @@ def enumerate_group(generators: Sequence[MonomialUnitary]) -> np.ndarray:
     step = _phase_step(steps)
     frontier = pack_rows([MonomialUnitary.identity(n)], n)
     layers = [frontier]
-    size = 1
     # Before layer 1 the last two layers are the identity's, twice.
     previous = current = _keys(frontier, step)
     while len(frontier):
@@ -221,37 +205,21 @@ def enumerate_group(generators: Sequence[MonomialUnitary]) -> np.ndarray:
                                       (previous, current))
         previous, current = current, fresh
         layers.append(frontier)
-        size += len(frontier)
-        if size > ENUMERATION_CAP:
-            raise RuntimeError(
-                f"enumeration cap {ENUMERATION_CAP} exceeded "
-                f"({size} elements so far)")
     return np.concatenate(layers)
 
 
 def multiplication_table(rows: np.ndarray) -> np.ndarray:
     """table[i, j] is the index in rows of rows[i] @ rows[j], for the
     distinct rows of a finite group in any order; KeyError for a product
-    outside rows."""
-    m = len(rows)
-    if m > MULTIPLICATION_TABLE_MAX:
-        raise ValueError(
-            f"table of {m}x{m} entries exceeds the size bound "
-            f"{MULTIPLICATION_TABLE_MAX}")
+    outside rows. All m^2 products are formed at once."""
     step = _phase_step(rows)
     keys = _keys(rows, step)
     index = _distinct(keys)
-    sorted_keys = keys[:, index]
-    table = np.empty((m, m), dtype=np.int64)
-    cols = step_columns(rows)
-    block = max(1, _BLOCK_PRODUCTS // m)
-    for start in range(0, m, block):
-        products = compose_steps(rows[start:start + block], cols, rows)
-        at, found = _find(sorted_keys, _keys(products, step))
-        if np.count_nonzero(found) < len(found):
-            raise KeyError("a product of two rows is not a row")
-        table[start:start + block] = index[at].reshape(-1, m)
-    return table
+    products = compose_steps(rows, step_columns(rows), rows)
+    at, found = _find(keys[:, index], _keys(products, step))
+    if np.count_nonzero(found) < len(found):
+        raise KeyError("a product of two rows is not a row")
+    return index[at].reshape(len(rows), len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +262,8 @@ def normal_form_enumerate(n: int) -> np.ndarray:
     The 2^(n-1) tails, products of the optional factors, are built as
     prefix products with one more factor per mask bit, and then
     left-multiplied by the n^2 heads J^i P0^j, themselves every product of
-    a power of J by a power of P0. A word count above ENUMERATION_CAP is
-    refused before any of it.
+    a power of J by a power of P0.
     """
-    if group_order_exceeds_cap(n):
-        raise RuntimeError(
-            f"{n}^2 * 2^{n - 1} normal forms exceed the enumeration cap "
-            f"{ENUMERATION_CAP}")
     images = alice_images(n)
     tails = pack_rows([MonomialUnitary.identity(n)], n)
     for k in range(1, n):

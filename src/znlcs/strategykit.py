@@ -192,8 +192,7 @@ def psi_representation_residuals(s: Strategy) -> Tuple[float, float]:
     Each element is named by its normal-form word; f_A substitutes
     (P0, P1, J) -> (A0, A1, omega I) and f_B -> (B0^*, B1, omega I), which
     acts on the second tensor factor. The products xy come from the group's
-    exact multiplication table, so groups above its size bound raise
-    ValueError before any matrix is formed.
+    exact multiplication table, of m^2 entries for a group of m elements.
     """
     import numpy as np
     n = s.order

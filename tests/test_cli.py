@@ -234,9 +234,9 @@ def test_out_is_probed_only_after_the_other_checks(capsys, tmp_path):
 
 
 # Each bounded flag at its bound, the largest value it admits: in an
-# argparse type (bias spectrum, strategy entropy, sos verify), in a table of
-# the second flag's values (strategy value, npa export), or from a library
-# cap (the group commands, game classical).
+# argparse type (bias spectrum, strategy entropy, sos verify, the group
+# commands, game classical) or in a table of the second flag's values
+# (strategy value, npa export).
 BOUNDS = [
     ("bias spectrum --n 161", "--n"),
     ("strategy value --n 1448 --via bias", "--n"),
@@ -394,22 +394,22 @@ def test_named_command_tree_holds_that_command_only(capsys):
 
 
 def test_report_clock_covers_the_check(capsys, monkeypatch):
-    # The pre-flight check of game classical reads classical_work before
-    # classical_value does; the report's wall time must count the check, as
-    # it counts the command's work, so only the first call is slow.
-    work = znlcs.gamekit.classical_work
+    # The report's wall time must count the pre-flight check, as it counts
+    # the command's work: here a check slowed by 0.05 s.
+    command = ("game", "classical")
+    handler, preflight, arguments = znlcs.cli.COMMANDS[command]
     calls = []
 
-    def slow_work(*shape):
-        if not calls:
-            time.sleep(0.05)
-        calls.append(shape)
-        return work(*shape)
+    def slow_check(args):
+        time.sleep(0.05)
+        calls.append(args)
+        return preflight(args)
 
-    monkeypatch.setattr(znlcs.gamekit, "classical_work", slow_work)
+    monkeypatch.setitem(znlcs.cli.COMMANDS, command,
+                        (handler, slow_check, arguments))
     code, report = run(capsys, "game", "classical", "--n", "2")
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert report["wallTimeSeconds"] >= 0.05
 
 
@@ -536,6 +536,16 @@ runpy.run_module("znlcs.cli", run_name="__main__", alter_sys=True)
 """
 
 
+def exec_order(argv):
+    """The modules whose code ``python -m znlcs.cli ARGV...`` ran, in the
+    order it ran; the command must pass."""
+    proc = subprocess.run(
+        [sys.executable, "-c", EXEC_ORDER, *argv.split()],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
 @pytest.mark.parametrize("argv", [
     "strategy value --n 2 --via direct", "strategy value --n 2 --via bias",
     "bias spectrum --n 2", "sos verify --cert chsh --trials 2",
@@ -545,12 +555,18 @@ def test_strategykit_runs_before_numpy(argv):
     # The compile-order rule of znlcs/__init__.py: compiled after numpy,
     # strategykit raised the peak RSS of sos verify and bias spectrum by
     # 0.2-0.3 MB.
-    proc = subprocess.run(
-        [sys.executable, "-c", EXEC_ORDER, *argv.split()],
-        env=subprocess_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    order = json.loads(proc.stderr.splitlines()[-1])
+    order = exec_order(argv)
     assert order.index("znlcs.strategykit") < order.index("numpy")
+
+
+@pytest.mark.parametrize("argv", ["group enumerate --n 2",
+                                  "group normal-form --n 2"])
+def test_monomial_runs_before_numpy(argv):
+    # The compile-order rule again: groupkit names monomial's kernels above
+    # its numpy import. Compiled after numpy, monomial raised the peak RSS
+    # of group enumerate --n 10 by 0.3 MB.
+    order = exec_order(argv)
+    assert order.index("znlcs.monomial") < order.index("numpy")
 
 
 # numpy.random and what it alone pulls in; the seeded stream of
@@ -632,6 +648,17 @@ def test_commands_load_only_the_modules_they_use(tmp_path):
         code, loaded = modules_loaded_by("strategy", "entropy", *out)
         assert code == 0
         assert "numpy" not in loaded, out
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in BAD_INPUT])
+def test_refused_argv_loads_no_kit_and_no_numpy(tmp_path, monkeypatch, argv):
+    # Every bound and pre-flight check is the command line's own: a refused
+    # command runs no kit and imports no numpy.
+    monkeypatch.chdir(tmp_path)  # for the --out files
+    code, loaded = modules_loaded_by(*argv.split())
+    assert code == 2
+    assert {m for m in loaded if m.startswith("znlcs.")} <= {"znlcs.records"}
+    assert "numpy" not in loaded
 
 
 def test_no_module_names_numpy_random():

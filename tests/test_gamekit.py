@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from znlcs import gamekit
 from znlcs.gamekit import (GameSpec, ModNGameParams, _best_response_numpy,
-                           classical_value, classical_work, make_mod_n_game)
+                           classical_value, make_mod_n_game)
 from znlcs.records import Record
 
 
@@ -150,26 +149,6 @@ def test_classical_value_degenerate_equal_equations():
     g = make_mod_n_game(ModNGameParams(3, 1, 1))
     value, _ = classical_value(g)
     assert value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_budget_guard(monkeypatch):
-    g = make_mod_n_game(ModNGameParams(5, 0, 1))
-    monkeypatch.setattr(gamekit, "CLASSICAL_BUDGET", 10)
-    with pytest.raises(ValueError, match="budget"):
-        classical_value(g)
-
-
-def test_budget_guard_is_the_work_estimate(monkeypatch):
-    # The mod-n game's search costs 4n^3 evaluations; the budget admits
-    # exactly that much.
-    g = make_mod_n_game(ModNGameParams(4, 0, 1))
-    work = classical_work(g.nA, g.nB, g.mA, g.mB)
-    assert work == 4 * 4 ** 3
-    monkeypatch.setattr(gamekit, "CLASSICAL_BUDGET", work)
-    assert classical_value(g)[0] == pytest.approx(0.75)
-    monkeypatch.setattr(gamekit, "CLASSICAL_BUDGET", work - 1)
-    with pytest.raises(ValueError, match="budget"):
-        classical_value(g)
 
 
 @st.composite

@@ -477,19 +477,6 @@ def test_table_indexes_rows_in_any_order():
             assert elements[table[i, j]] == x @ y
 
 
-def test_caps_refuse_large_groups(monkeypatch):
-    # 14^2 * 2^13 > 10^6 words: refused before any is built.
-    with pytest.raises(RuntimeError, match="enumeration cap"):
-        normal_form_enumerate(14)
-    assert not groupkit.group_order_exceeds_cap(13)
-    assert groupkit.group_order_exceeds_cap(14)
-    assert groupkit.group_order_exceeds_cap(10**12)
-    # The closure reads the cap when it runs.
-    monkeypatch.setattr(groupkit, "ENUMERATION_CAP", 100)
-    with pytest.raises(RuntimeError, match="enumeration cap 100 exceeded"):
-        enumerate_group(list(alice_generators(4)))
-
-
 def _bytes_layers(generators):
     """Reference closure: the breadth-first layers of the generated group,
     each a set of row bytes, deduped on one bytes object per row."""

@@ -173,7 +173,7 @@ def test_what_only_the_tracer_reaches():
 
 def test_every_module_constant_is_read():
     # A top-level assignment in src/ that no src/ code reads, by name or by
-    # attribute (``gamekit.CLASSICAL_BUDGET``), is a constant that only the
+    # attribute (``numerics.ORDER_TOL``), is a constant that only the
     # tests or the docs still use. Each is named with its line.
     reads, assigned = set(), []
     for path in sorted(SRC.glob("*.py")):

@@ -319,12 +319,6 @@ def test_psi_representation_canonical_n4():
     assert res_b < 1e-9
 
 
-def test_psi_representation_refuses_groups_over_table_bound():
-    # n = 7: 3136 elements, over the 2048-element multiplication table.
-    with pytest.raises(ValueError, match="size bound"):
-        psi_representation_residuals(canonical_strategy(7))
-
-
 def test_projector_bytes_is_the_projector_stack_size():
     for n in (2, 3, 4):
         s = canonical_strategy(n)
