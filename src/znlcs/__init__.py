@@ -41,8 +41,8 @@ load late, before numpy: ``soskit`` (loaded only by ``sos verify`` and
 functions by name above its numpy import, and ``bias spectrum``'s handler
 reads its value formula first. Loaded late, ``strategykit`` with its
 three command handlers raised both commands' peak RSS by 0.2-0.3 MB.
-Likewise ``groupkit`` loads ``monomial`` before numpy, which spares the
-group commands 0.1-0.5 MB.
+Likewise ``groupkit`` loads ``monomial`` before numpy (0.1-0.5 MB less
+for the group commands), and ``psirep check`` reads the group order first.
 """
 
 import importlib.util

@@ -283,9 +283,10 @@ def bcs_command(args, rep) -> None:
             report = verify_operator_solution(lcs, sol)
             rep.result(f"{name}_verified", int(report.clean),
                        tolerance=0.0, target=1)
-            _, value = solution_to_strategy(lcs, sol)
-            rep.result(f"{name}_strategy_value", value, tolerance=1e-9,
-                       target=1.0)
+            if report.clean:  # else solution_to_strategy would raise
+                _, value = solution_to_strategy(lcs, sol)
+                rep.result(f"{name}_strategy_value", value, tolerance=1e-9,
+                           target=1.0)
     if args.witness:
         inner, trace, anticomm = nonrigidity_witness()
         rep.result("inner_product", inner, tolerance=1e-9, target=0.5)

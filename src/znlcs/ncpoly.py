@@ -9,7 +9,7 @@ structurally) and adjacent powers of the same operator are merged.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Letter = Tuple[str, int, int]
 Word = Tuple[Letter, ...]
@@ -129,19 +129,23 @@ class NCPolynomial:
         return " + ".join(parts) if parts else "0"
 
 
-def _term_products(poly: NCPolynomial,
-                   assignment: Mapping[Tuple[str, int], np.ndarray],
-                   dimA: int, dimB: int,
-                   powers: Optional[Dict[Letter, np.ndarray]] = None
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """poly = sum_k c_k (P_k (x) Q_k) on an assignment of (..., d, d)
-    operators whose batch axes broadcast: P[..., k] = c_k P_k, shape
-    (..., dimA, dimA, K), and Q[..., k, :, :] = Q_k, shape
-    (..., K, dimB, dimB). Each (operator, exponent) power is taken once
-    and kept in ``powers``, if given, for later calls on the same
-    assignment. Every word of poly is reduced (Alice's letters, then
-    Bob's, exponents in 1..n-1), so each term splits where Bob's run
-    starts and its letters are their own power keys."""
+def eval_nc(poly: NCPolynomial,
+            assignment: Mapping[Tuple[str, int], np.ndarray],
+            dimA: int, dimB: int,
+            powers: Optional[Dict[Letter, np.ndarray]] = None
+            ) -> np.ndarray:
+    """Evaluate on a tensor-product assignment: A letters act as M (x) I,
+    B letters as I (x) M.
+
+    Operators are (..., d, d) arrays whose batch axes broadcast; the result
+    is (..., dimA*dimB, dimA*dimB). poly = sum_k c_k (P_k (x) Q_k), and the
+    sum is one matmul (dimA^2, K) @ (K, dimB^2) of the stacked c_k P_k and
+    Q_k followed by an axis swap. Each (operator, exponent) power is taken
+    once and kept in ``powers``, if given: polynomials evaluated on one
+    assignment with one dict share their operator powers. Every word of
+    poly is reduced (Alice's letters, then Bob's, exponents in 1..n-1), so
+    each term splits where Bob's run starts and its letters are their own
+    power keys."""
     import numpy as np
     if powers is None:
         powers = {}
@@ -176,38 +180,18 @@ def _term_products(poly: NCPolynomial,
         P[..., k] = product(word[:split], dimA)
         Q[..., k, :, :] = product(word[split:], dimB)
     P *= np.fromiter(poly.terms.values(), dtype=np.complex128, count=K)
-    return P, Q
-
-
-def eval_nc(poly: NCPolynomial,
-            assignment: Mapping[Tuple[str, int], np.ndarray],
-            dimA: int, dimB: int,
-            powers: Optional[Dict[Letter, np.ndarray]] = None
-            ) -> np.ndarray:
-    """Evaluate on a tensor-product assignment: A letters act as M (x) I,
-    B letters as I (x) M.
-
-    Operators may carry batch axes as in ``_term_products``; the result is
-    (..., dimA*dimB, dimA*dimB). The sum over terms c_k (P_k (x) Q_k) is
-    one matmul (dimA^2, K) @ (K, dimB^2) followed by an axis swap.
-    Polynomials evaluated on one assignment with one dict as ``powers``
-    share its operator powers."""
-    P, Q = _term_products(poly, assignment, dimA, dimB, powers)
-    batch, K = P.shape[:-3], P.shape[-1]
     Z = P.reshape(batch + (dimA * dimA, K)) @ Q.reshape(
         batch + (K, dimB * dimB))
     Z = Z.reshape(batch + (dimA, dimA, dimB, dimB))
     return Z.swapaxes(-3, -2).reshape(batch + (dimA * dimB, dimA * dimB))
 
 
-def apply_nc(poly: NCPolynomial,
+def apply_nc(polys: Sequence[NCPolynomial],
              assignment: Mapping[Tuple[str, int], np.ndarray],
-             state: np.ndarray, dimA: int, dimB: int) -> np.ndarray:
-    """Apply the evaluated polynomial to a bipartite state vector without
-    forming it: on the dimA x dimB coefficient matrix psi of the state,
-    c_k (P_k (x) Q_k) acts as c_k P_k psi Q_k^T. One assignment, no batch
-    axes."""
-    P, Q = _term_products(poly, assignment, dimA, dimB)
-    psi = state.reshape(dimA, dimB)
-    out = (P.transpose(2, 0, 1) @ psi @ Q.transpose(0, 2, 1)).sum(axis=0)
-    return out.reshape(dimA * dimB)
+             state: np.ndarray, dimA: int, dimB: int) -> List[np.ndarray]:
+    """Each polynomial's ``eval_nc`` operator applied to a bipartite state
+    vector, in order. The polynomials share one dict of operator powers,
+    so each power is taken once."""
+    powers: Dict[Letter, np.ndarray] = {}
+    return [eval_nc(p, assignment, dimA, dimB, powers) @ state
+            for p in polys]

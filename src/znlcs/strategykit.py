@@ -177,11 +177,13 @@ def canonical_schmidt(n: int) -> SchmidtData:
                        entropy=-sum([p * log2(p) for p in kept]))
 
 
-def check_state_relation(s: Strategy, L: ncpoly.NCPolynomial) -> float:
-    """Residual ||L(A, B)|psi>|| of a state-dependent operator relation."""
+def state_residuals(s: Strategy,
+                    polys: Sequence[ncpoly.NCPolynomial]) -> List[float]:
+    """Residuals ||L(A, B)|psi>|| of state-dependent operator relations L,
+    in order, from one ``ncpoly.apply_nc`` batch."""
     import numpy as np
-    out = ncpoly.apply_nc(L, s.assignment(), s.state, s.dimA, s.dimB)
-    return float(np.linalg.norm(out))
+    return [float(np.linalg.norm(v)) for v in ncpoly.apply_nc(
+        polys, s.assignment(), s.state, s.dimA, s.dimB)]
 
 
 def psi_representation_residuals(s: Strategy) -> Tuple[float, float]:
@@ -259,6 +261,8 @@ def entropy_command(args, rep) -> None:
 
 def psirep_command(args, rep) -> None:
     """``psirep check``."""
+    # groupkit and monomial before numpy: the compile-order rule.
+    rep.result("group_order", groupkit.group_order(args.n))
     res_a, res_b = psi_representation_residuals(canonical_strategy(args.n))
     rep.result("alice_residual", res_a, tolerance=1e-9, target=0.0)
     rep.result("bob_residual", res_b, tolerance=1e-9, target=0.0)

@@ -31,9 +31,9 @@ from znlcs.soskit import (annihilation_residuals, certificate_chsh,
                           certificate_g3, derived_relations_g3,
                           verify_sos_identity)
 from znlcs.strategykit import (canonical_state, canonical_strategy,
-                               canonical_value_formula, check_state_relation,
+                               canonical_value_formula,
                                psi_representation_residuals, schmidt,
-                               strategy_value_direct)
+                               state_residuals, strategy_value_direct)
 from znlcs import bcskit
 
 
@@ -156,8 +156,7 @@ def test_08_sos_certificates():
     assert verify_sos_identity(g3, b3, trials=100, seed=71) <= 1e-8
     for cert, n in ((chsh, 2), (g3, 3)):
         s = canonical_strategy(n)
-        for _, residual in annihilation_residuals(cert, s):
-            assert residual <= 1e-9
+        assert max(annihilation_residuals(cert, s)) <= 1e-9
     gen = rng(72)
     for _ in range(50):
         dim = int(gen.choice([3, 6]))
@@ -174,11 +173,11 @@ def test_09_relation_suite():
     s = canonical_strategy(3)
     rels = derived_relations_g3()
     assert len(rels) >= 14
-    for name, poly in rels:
-        assert check_state_relation(s, poly) <= 1e-9, name
+    polys = [poly for _, poly in rels]
+    for (name, _), r in zip(rels, state_residuals(s, polys)):
+        assert r <= 1e-9, name
     bad = random_strategy(3, 3, 3, 90210)
-    assert max(check_state_relation(bad, poly)
-               for _, poly in rels) > 1e-2
+    assert max(state_residuals(bad, polys)) > 1e-2
 
 
 @_verdict(10, "twelve irreps, sum of squares 36, ring picks g1")

@@ -111,6 +111,27 @@ def test_npa_export_fails_when_the_file_repeats_an_entry(capsys, tmp_path,
     assert code == 1
 
 
+def test_bcs_fails_on_an_unverified_solution(capsys, monkeypatch):
+    # A solution that fails verification gives a failing report, with no
+    # strategy built from it, not a traceback.
+    from znlcs import bcskit
+    square = bcskit.magic_square
+
+    def one_observable_negated():
+        lcs, sol = square()
+        obs = list(sol.observables)
+        obs[0] = -obs[0]
+        return lcs, bcskit.OperatorSolution(dim=sol.dim,
+                                            observables=tuple(obs))
+
+    monkeypatch.setattr(bcskit, "magic_square", one_observable_negated)
+    code, report = run(capsys, "bcs", "magic-square", "--check")
+    assert [(r["name"], r["value"]) for r in report["results"]] == [
+        ("solution_verified", 0)]
+    assert report["pass"] is False
+    assert code == 1
+
+
 def test_entropy_fails_on_a_schmidt_rank_below_n(capsys, monkeypatch):
     # A canonical state of rank n - 1 at one n: that n's entry, and only
     # it, fails the report.
@@ -560,12 +581,16 @@ def test_strategykit_runs_before_numpy(argv):
 
 
 @pytest.mark.parametrize("argv", ["group enumerate --n 2",
-                                  "group normal-form --n 2"])
+                                  "group normal-form --n 2",
+                                  "psirep check --n 2", "psirep check --n 3"])
 def test_monomial_runs_before_numpy(argv):
     # The compile-order rule again: groupkit names monomial's kernels above
-    # its numpy import. Compiled after numpy, monomial raised the peak RSS
-    # of group enumerate --n 10 by 0.3 MB.
+    # its numpy import, and psirep check reads the group order before its
+    # first array. Compiled after numpy, monomial raised the peak RSS of
+    # group enumerate --n 10 by 0.3 MB, and groupkit that of psirep check
+    # --n 2 by 0.4 MB.
     order = exec_order(argv)
+    assert order.index("znlcs.groupkit") < order.index("numpy")
     assert order.index("znlcs.monomial") < order.index("numpy")
 
 

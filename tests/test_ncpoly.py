@@ -143,7 +143,7 @@ def test_eval_and_apply_name_the_missing_operator():
     with pytest.raises(KeyError, match="missing operator"):
         eval_nc(p, assign, dim, dim)
     with pytest.raises(KeyError, match="missing operator"):
-        apply_nc(p, assign, random_state(dim * dim, rng(3)), dim, dim)
+        apply_nc([p], assign, random_state(dim * dim, rng(3)), dim, dim)
 
 
 _LETTER = st.tuples(st.sampled_from("AB"), st.integers(0, 1),
@@ -203,7 +203,7 @@ def test_apply_matches_dense_evaluation(n, dimA, dimB, seed, terms):
     p = NCPolynomial(n, {tuple(word): c for word, c in terms})
     assign = _random_assignment(n, dimA, seed, dimB)
     state = random_state(dimA * dimB, rng(seed))
-    got = apply_nc(p, assign, state, dimA, dimB)
+    [got] = apply_nc([p], assign, state, dimA, dimB)
     want = eval_nc(p, assign, dimA, dimB) @ state
     assert got.shape == (dimA * dimB,)
     assert np.linalg.norm(got - want) <= 1e-12 * max(

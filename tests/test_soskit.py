@@ -11,7 +11,7 @@ from znlcs.soskit import (BLOCK_TRIALS, SOSCertificate,
                           annihilation_residuals, certificate_chsh,
                           certificate_g3, derived_relations_g3,
                           h3_polynomial, verify_sos_identity)
-from znlcs.strategykit import canonical_strategy, check_state_relation
+from znlcs.strategykit import canonical_strategy, state_residuals
 
 
 def _verify_reference(cert, bias, trials, seed):
@@ -175,8 +175,9 @@ def test_wrong_lambda_detected():
 def test_squares_annihilate_optimal_state():
     for cert, n in ((certificate_chsh(), 2), (certificate_g3(), 3)):
         s = canonical_strategy(n)
-        for _, residual in annihilation_residuals(cert, s):
-            assert residual < 1e-9
+        residuals = annihilation_residuals(cert, s)
+        assert len(residuals) == len(cert.squares)
+        assert max(residuals) < 1e-9
 
 
 def test_certificate_implies_eigenvalue_pincer():
@@ -197,14 +198,29 @@ def test_derived_relations_on_canonical_strategy():
     s = canonical_strategy(3)
     rels = derived_relations_g3()
     assert len(rels) >= 14
-    for name, poly in rels:
-        assert check_state_relation(s, poly) < 1e-9, name
+    for (name, _), r in zip(rels, state_residuals(s, [p for _, p in rels])):
+        assert r < 1e-9, name
+
+
+def test_a_batch_of_state_checks_takes_each_power_once(monkeypatch):
+    s = canonical_strategy(3)
+    polys = [p for _, p in derived_relations_g3()]
+    letters = {letter for p in polys for word in p.terms for letter in word}
+    calls = []
+    matrix_power = np.linalg.matrix_power
+
+    def counted(M, k):
+        calls.append(k)
+        return matrix_power(M, k)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    state_residuals(s, polys)
+    assert len(calls) == len(letters) == 8
 
 
 def test_derived_relations_discriminate():
     r = random_strategy(3, 3, 3, 321)
-    residuals = [check_state_relation(r, poly)
-                 for _, poly in derived_relations_g3()]
+    residuals = state_residuals(r, [p for _, p in derived_relations_g3()])
     assert max(residuals) > 1e-2
 
 
@@ -212,9 +228,8 @@ def test_h3_ring_relation():
     s = canonical_strategy(3)
     from znlcs.ncpoly import NCPolynomial
     one = NCPolynomial.one(3)
-    assert check_state_relation(s, h3_polynomial() + one) < 1e-9
-    assert check_state_relation(
-        s, h3_polynomial().adjoint() + one) < 1e-9
+    assert max(state_residuals(
+        s, [h3_polynomial() + one, h3_polynomial().adjoint() + one])) < 1e-9
 
 
 def test_certificate_g3_order_lambda_and_weights():

@@ -16,9 +16,9 @@ from znlcs.numerics import (observable_to_pvm, random_order_n_observables,
 from znlcs.strategykit import (SCHMIDT_RANK_THRESHOLD, Strategy,
                                canonical_amplitudes, canonical_schmidt,
                                canonical_state, canonical_strategy,
-                               canonical_value_formula, check_state_relation,
+                               canonical_value_formula,
                                psi_representation_residuals, schmidt,
-                               strategy_value_direct)
+                               state_residuals, strategy_value_direct)
 
 
 def random_strategy(n: int, dimA: int, dimB: int, seed: int) -> Strategy:
@@ -206,7 +206,7 @@ def test_validate_rejects_bad_observable():
 
 def test_check_state_relation_zero_polynomial():
     s = canonical_strategy(3)
-    assert check_state_relation(s, NCPolynomial(3)) == pytest.approx(0.0)
+    assert state_residuals(s, [NCPolynomial(3)]) == [pytest.approx(0.0)]
 
 
 @pytest.mark.parametrize("n", [2, 3])
